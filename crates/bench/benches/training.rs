@@ -5,7 +5,7 @@
 //! numbers live in `BENCH_train.json` at the repo root so later changes
 //! have a perf trajectory to compare against.
 
-use bench::harness::run_mse_suite_jobs;
+use bench::harness::{run_mse_suite, SuiteControl};
 use bench::methods::BaselineKind;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dataset::DatasetConfig;
@@ -135,7 +135,7 @@ fn bench_suite(c: &mut Criterion) {
     }
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = 12;
-    let data = dataset::generate(&config).expect("demo dataset");
+    let (data, _) = dataset::generate_parallel_with(&config, 1, None).expect("demo dataset");
     let roster = [BaselineKind::Lr, BaselineKind::Rr];
     let mut group = c.benchmark_group("mse_suite_quick_demo");
     group.sample_size(10);
@@ -145,7 +145,16 @@ fn bench_suite(c: &mut Criterion) {
             continue;
         }
         group.bench_function(format!("jobs_{jobs}"), |b| {
-            b.iter(|| black_box(run_mse_suite_jobs(&data, &roster, 3, 1, jobs)));
+            b.iter(|| {
+                black_box(run_mse_suite(
+                    &data,
+                    &roster,
+                    3,
+                    1,
+                    jobs,
+                    &SuiteControl::default(),
+                ))
+            });
         });
     }
     group.finish();

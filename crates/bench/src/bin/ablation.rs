@@ -9,12 +9,12 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{take, take_rows};
+use bench::harness::{take, take_rows, train_config};
 use dataset::{
     flat_features, graph_features, train_test_split, DatasetConfig, FlatAggregation,
     StructureEncoding,
 };
-use icnet::{Aggregation, FeatureSet, GraphModel, ModelKind, OutputHead, TrainConfig};
+use icnet::{Aggregation, FeatureSet, GraphModel, ModelKind, OutputHead};
 use regress::metrics;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -41,11 +41,6 @@ impl Ablation<'_> {
     ) {
         bench::cli::exit_if_interrupted();
         let _stage = obs::stage(label);
-        let control = icnet::TrainControl {
-            cancel: Some(bench::cli::interrupt_token().clone()),
-            checkpoint: None,
-            heartbeat: None,
-        };
         let graph = icnet::CircuitGraph::from_circuit(&self.data.circuit);
         let op = Arc::new(kind.operator(&graph));
         let xs = graph_features(&self.data.circuit, &self.data.instances, fs);
@@ -61,11 +56,8 @@ impl Ablation<'_> {
         let mut model =
             GraphModel::with_conv_layers(kind, agg, fs.width(), 16, conv_layers, self.seed)
                 .with_output(head);
-        let config = TrainConfig {
-            max_epochs: self.epochs,
-            lr: 5e-3,
-            ..TrainConfig::default()
-        };
+        let config = train_config(self.epochs);
+        let control = bench::cli::train_control();
         let (mse, note) = match head {
             OutputHead::Identity => {
                 let y_train_raw = take(&log_y, &train_idx);
@@ -109,12 +101,8 @@ fn main() {
     config.key_range = (1, opts.keys_max);
     println!("# Ablations — held-out MSE on log-runtime");
     let generate_stage = obs::stage("generate");
-    let data = bench::harness::load_or_generate_parallel(
-        &config,
-        &opts.out_dir,
-        opts.jobs,
-        opts.resume.as_deref(),
-    );
+    let data =
+        bench::harness::load_or_generate(&config, &opts.out_dir, opts.jobs, opts.resume.as_deref());
     drop(generate_stage);
     println!(
         "# profile={} instances={} ({:.0}% censored)\n",

@@ -19,10 +19,10 @@
 
 use bench::cli::{self, Options};
 use bench::harness::{
-    eval_gnn_metrics, format_mse, train_gnn_ctl, try_load_or_generate_parallel, TrainedGnn,
+    eval_gnn_metrics, format_mse, load_or_generate, train_config, train_gnn, TrainedGnn,
 };
 use dataset::{train_test_split, Dataset, DatasetConfig, Split};
-use icnet::{Aggregation, FeatureSet, ModelKind, TrainConfig};
+use icnet::{Aggregation, FeatureSet, ModelKind};
 use obfuscate::SchemeKind;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -155,14 +155,10 @@ fn main() {
         let gates_max = (opts.keys_max / kind.key_bits_per_gate().max(1)).clamp(1, eligible.max(1));
         config.key_range = (1, gates_max);
         eprintln!("# sweeping {label} (key range 1..={gates_max}, {eligible} eligible gates)");
-        let (data, quarantined) = try_load_or_generate_parallel(
-            &config,
-            &opts.out_dir,
-            opts.jobs,
-            opts.resume.as_deref(),
-        );
+        let data = load_or_generate(&config, &opts.out_dir, opts.jobs, opts.resume.as_deref());
         cli::exit_if_interrupted();
         let n = data.instances.len();
+        let quarantined = config.num_instances - n;
         let split = (n >= MIN_INSTANCES).then(|| train_test_split(n, 0.25, opts.seed));
         let note = if split.is_none() {
             format!("only {n} labels survived (need {MIN_INSTANCES}); raise --deadline / --retries")
@@ -192,11 +188,6 @@ fn main() {
     // ---- Stage 2: per-scheme training plus the pooled row ----
     let t1 = Instant::now();
     let crossgen_stage = obs::stage("crossgen");
-    let train_config = TrainConfig {
-        max_epochs: opts.epochs,
-        lr: 5e-3,
-        ..TrainConfig::default()
-    };
     let ckpt_dir = opts.resume.as_ref().map(|p| format!("{p}.train"));
     if let Some(dir) = &ckpt_dir {
         std::fs::create_dir_all(dir).expect("create training checkpoint dir");
@@ -205,24 +196,23 @@ fn main() {
     // runs (quarantines resolved under a raised deadline) is a *different*
     // training run, and must not trip icnet's checkpoint-shape refusal.
     let control = |slug: &str, n_train: usize| icnet::TrainControl {
-        cancel: Some(cli::interrupt_token().clone()),
         checkpoint: ckpt_dir.as_ref().map(|dir| icnet::TrainCheckpointSpec {
             path: format!("{dir}/crossgen-{slug}-{n_train}i.ckpt"),
             resume: true,
         }),
-        heartbeat: None,
+        ..cli::train_control()
     };
     // Training is deliberately ICNet-NN on All features — the paper's best
     // cell — so the grid varies only the scheme axis.
     let fit = |data: &Dataset, train_idx: &[usize], slug: &str| -> (Option<TrainedGnn>, String) {
         eprintln!("#   training on {slug} ({} instances)", train_idx.len());
-        let (trained, report) = train_gnn_ctl(
+        let (trained, report) = train_gnn(
             data,
             train_idx,
             ModelKind::ICNet,
             Aggregation::Nn,
             FeatureSet::All,
-            &train_config,
+            &train_config(opts.epochs),
             opts.seed,
             &control(slug, train_idx.len()),
         );

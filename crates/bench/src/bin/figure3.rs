@@ -10,7 +10,7 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{evaluate_gnn_ctl, take, take_rows};
+use bench::harness::{evaluate_gnn, take, take_rows, train_config};
 use bench::methods::BaselineKind;
 use dataset::{
     flat_features, graph_features, train_test_split, DatasetConfig, FlatAggregation,
@@ -27,12 +27,8 @@ fn main() {
     config.key_range = (1, opts.keys_max);
     println!("# Figure 3 — predictions vs real values (all-feature setting)");
     let generate_stage = obs::stage("generate");
-    let data = bench::harness::load_or_generate_parallel(
-        &config,
-        &opts.out_dir,
-        opts.jobs,
-        opts.resume.as_deref(),
-    );
+    let data =
+        bench::harness::load_or_generate(&config, &opts.out_dir, opts.jobs, opts.resume.as_deref());
     drop(generate_stage);
     let split = train_test_split(data.instances.len(), 0.25, opts.seed);
     let y = data.labels();
@@ -89,25 +85,15 @@ fn main() {
 
     // ICNet-NN panel.
     let icnet_stage = obs::stage("icnet");
-    let config = icnet::TrainConfig {
-        max_epochs: opts.epochs,
-        lr: 5e-3,
-        ..icnet::TrainConfig::default()
-    };
-    let control = icnet::TrainControl {
-        cancel: Some(bench::cli::interrupt_token().clone()),
-        checkpoint: None,
-        heartbeat: None,
-    };
-    let (_, model) = evaluate_gnn_ctl(
+    let (_, model) = evaluate_gnn(
         &data,
         &split,
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        &config,
+        &train_config(opts.epochs),
         opts.seed,
-        &control,
+        &bench::cli::train_control(),
     );
     bench::cli::exit_if_interrupted();
     let xs = graph_features(&data.circuit, &data.instances, FeatureSet::All);

@@ -6,7 +6,7 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{format_table, results_to_csv, run_mse_suite_ctl, SuiteControl};
+use bench::harness::{format_table, results_to_csv, run_mse_suite, SuiteControl};
 use bench::methods::BaselineKind;
 use dataset::DatasetConfig;
 use std::time::Instant;
@@ -26,12 +26,8 @@ fn main() {
 
     let t0 = Instant::now();
     let generate_stage = obs::stage("generate");
-    let data = bench::harness::load_or_generate_parallel(
-        &config,
-        &opts.out_dir,
-        opts.jobs,
-        opts.resume.as_deref(),
-    );
+    let data =
+        bench::harness::load_or_generate(&config, &opts.out_dir, opts.jobs, opts.resume.as_deref());
     drop(generate_stage);
     println!(
         "# generated {} instances in {:.1}s ({:.0}% censored)",
@@ -48,7 +44,7 @@ fn main() {
         cancel: Some(bench::cli::interrupt_token().clone()),
         train_checkpoint_dir: opts.resume.as_ref().map(|p| format!("{p}.train")),
     };
-    let results = run_mse_suite_ctl(
+    let results = run_mse_suite(
         &data,
         &BaselineKind::table2(),
         opts.epochs,

@@ -8,8 +8,8 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::evaluate_gnn_ctl;
-use dataset::{generate, train_test_split, DatasetConfig};
+use bench::harness::{evaluate_gnn, load_or_generate, train_config};
+use dataset::{train_test_split, DatasetConfig};
 use icnet::{Aggregation, FeatureSet, ModelKind};
 use regress::metrics::{pearson, spearman};
 use std::fmt::Write as _;
@@ -52,28 +52,18 @@ fn main() {
         let mut config = DatasetConfig::dataset1(profile, opts.instances.min(60));
         config.key_range = (1, 30.min(config.key_range.1));
         opts.configure(&mut config);
-        let data = generate(&config).expect("dataset generation");
+        let data = load_or_generate(&config, &opts.out_dir, opts.jobs, opts.resume.as_deref());
 
         let split = train_test_split(data.instances.len(), 0.25, opts.seed);
-        let config = icnet::TrainConfig {
-            max_epochs: opts.epochs,
-            lr: 5e-3,
-            ..icnet::TrainConfig::default()
-        };
-        let control = icnet::TrainControl {
-            cancel: Some(bench::cli::interrupt_token().clone()),
-            checkpoint: None,
-            heartbeat: None,
-        };
-        let (_, model) = evaluate_gnn_ctl(
+        let (_, model) = evaluate_gnn(
             &data,
             &split,
             ModelKind::ICNet,
             Aggregation::Nn,
             FeatureSet::All,
-            &config,
+            &train_config(opts.epochs),
             opts.seed,
-            &control,
+            &bench::cli::train_control(),
         );
         bench::cli::exit_if_interrupted();
         let attn = model.feature_attention().expect("NN model has Θfeat");

@@ -8,7 +8,7 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{evaluate_gnn_ctl, percent_saved};
+use bench::harness::{evaluate_gnn, percent_saved, train_config};
 use dataset::{graph_features, train_test_split, DatasetConfig};
 use icnet::{Aggregation, FeatureSet, ModelKind};
 use std::time::Instant;
@@ -22,36 +22,22 @@ fn main() {
     println!("# Timing — ICNet inference vs actual SAT attack");
     let t_gen = Instant::now();
     let generate_stage = obs::stage("generate");
-    let data = bench::harness::load_or_generate_parallel(
-        &config,
-        &opts.out_dir,
-        opts.jobs,
-        opts.resume.as_deref(),
-    );
+    let data =
+        bench::harness::load_or_generate(&config, &opts.out_dir, opts.jobs, opts.resume.as_deref());
     drop(generate_stage);
     let attack_wall = t_gen.elapsed();
 
     let split = train_test_split(data.instances.len(), 0.25, opts.seed);
     let train_stage = obs::stage("train");
-    let config = icnet::TrainConfig {
-        max_epochs: opts.epochs,
-        lr: 5e-3,
-        ..icnet::TrainConfig::default()
-    };
-    let control = icnet::TrainControl {
-        cancel: Some(bench::cli::interrupt_token().clone()),
-        checkpoint: None,
-        heartbeat: None,
-    };
-    let (_, model) = evaluate_gnn_ctl(
+    let (_, model) = evaluate_gnn(
         &data,
         &split,
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        &config,
+        &train_config(opts.epochs),
         opts.seed,
-        &control,
+        &bench::cli::train_control(),
     );
     drop(train_stage);
     bench::cli::exit_if_interrupted();

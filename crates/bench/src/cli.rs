@@ -25,8 +25,8 @@ pub struct Options {
     pub out_dir: String,
     /// Worker threads, for both dataset generation and the evaluation
     /// suite's (method × feature-set × aggregation) grid. Results are
-    /// byte-identical for every value (see `dataset::generate_parallel`
-    /// and `harness::run_mse_suite_jobs`).
+    /// byte-identical for every value (see `dataset::generate_parallel_with`
+    /// and `harness::run_mse_suite`).
     pub jobs: usize,
     /// Checkpoint log to record finished attacks in and resume from.
     pub resume: Option<String>,
@@ -282,6 +282,15 @@ fn install_interrupt_handler() {
 
 #[cfg(not(unix))]
 fn install_interrupt_handler() {}
+
+/// The training control of an experiment binary: training stops at the
+/// next epoch boundary once [`interrupt_token`] trips; no checkpoints.
+pub fn train_control() -> icnet::TrainControl {
+    icnet::TrainControl {
+        cancel: Some(interrupt_token().clone()),
+        ..icnet::TrainControl::default()
+    }
+}
 
 /// Graceful-interrupt epilogue for the binaries: when the first SIGINT has
 /// tripped [`interrupt_token`], flush the observability sink (trace +

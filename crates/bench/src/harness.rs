@@ -9,24 +9,20 @@ use regress::metrics;
 use std::sync::Arc;
 use tensor::Matrix;
 
-/// Generates the dataset for `config`, or loads it from a CSV cache under
-/// `out_dir` when an identical configuration was generated before (the
-/// pipeline is deterministic, so the cache key is the configuration).
-///
-/// # Panics
-///
-/// Panics when generation fails (bad profile/range) or a cache file is
-/// corrupt — both are setup errors for an experiment binary.
-pub fn load_or_generate(config: &dataset::DatasetConfig, out_dir: &str) -> Dataset {
-    load_or_generate_parallel(config, out_dir, 1, None)
-}
-
-/// The CSV cache path [`load_or_generate_parallel`] uses for `config` under
-/// `out_dir`: the pipeline is deterministic, so the cache key is the
-/// label-relevant configuration.
+/// The CSV cache path [`load_or_generate`] uses for `config` under
+/// `out_dir`. The pipeline is deterministic, so the cache key is the
+/// configuration: the sweep's shape (profile, circuit seed, scheme,
+/// instance count, key range, master seed) plus a hash of
+/// [`dataset::label_fingerprint`], the same fields the checkpoint log's
+/// instance keys fingerprint. Two configurations that would label an
+/// instance differently therefore never share a cache file.
 pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> String {
-    let key = format!(
-        "{}_{}_{}_{}_{}_{}_{}_{}",
+    let label = faults::fnv1a(
+        faults::FNV_OFFSET,
+        dataset::label_fingerprint(config).as_bytes(),
+    );
+    format!(
+        "{out_dir}/dataset_{}_{}_{}_{}_{}_{}_{}_{label:016x}.csv",
         config.profile,
         config.circuit_seed,
         config.scheme,
@@ -34,20 +30,22 @@ pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> Str
         config.key_range.0,
         config.key_range.1,
         config.seed,
-        config.attack.work_budget.unwrap_or(0),
-    );
-    format!("{out_dir}/dataset_{key}.csv")
+    )
 }
 
-/// [`load_or_generate`] with a worker count and an optional checkpoint log
-/// (the `--jobs` / `--resume` flags). The dataset is byte-identical for
-/// every `jobs` value and for any interrupted-then-resumed schedule; the
-/// per-worker sweep report is printed to stderr when generation runs.
+/// Generates the dataset for `config` on `jobs` workers (the `--jobs` /
+/// `--resume` flags), or loads it from a CSV cache under `out_dir` when an
+/// identical configuration was generated before. The dataset is
+/// byte-identical for every `jobs` value and for any
+/// interrupted-then-resumed schedule; the per-worker sweep report is
+/// printed to stderr when generation runs.
 ///
 /// Under `--keep-going` (the default) a sweep with quarantined instances
-/// still succeeds, yielding the healthy subset of labels; the quarantines
-/// are listed in the sweep report. A partial dataset is deliberately *not*
-/// CSV-cached as complete — its instance count differs from
+/// still succeeds, yielding the healthy subset of labels — possibly none:
+/// SAT-resilient schemes under tight deadlines can quarantine a whole
+/// corpus. The quarantine count is `config.num_instances -
+/// instances.len()` (0 on a cache hit). A partial dataset is deliberately
+/// *not* CSV-cached as complete — its instance count differs from
 /// `config.num_instances`, so the next run misses the cache and retries
 /// via the checkpoint log (which skips known-bad instances cheaply).
 ///
@@ -55,40 +53,21 @@ pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> Str
 /// the dataset regenerates and the cache is rewritten atomically (temp file
 /// + rename), so a crash mid-write can never poison the next run.
 ///
+/// A Ctrl-C during generation exits with [`crate::cli::INTERRUPT_EXIT_CODE`]
+/// after the sweep has checkpointed its finished attacks.
+///
 /// # Panics
 ///
-/// Panics when generation fails or a checkpoint file is corrupt — both are
-/// setup errors for an experiment binary.
-pub fn load_or_generate_parallel(
+/// Panics when generation fails (bad profile/range, `--no-keep-going`
+/// quarantine) or a checkpoint file is corrupt — setup errors for an
+/// experiment binary.
+pub fn load_or_generate(
     config: &dataset::DatasetConfig,
     out_dir: &str,
     jobs: usize,
     resume: Option<&str>,
 ) -> Dataset {
-    let (data, _quarantined) = try_load_or_generate_parallel(config, out_dir, jobs, resume);
-    assert!(
-        !data.instances.is_empty(),
-        "every instance was quarantined — nothing to train on; raise --deadline, \
-         add --retries, or inspect the failures above"
-    );
-    data
-}
-
-/// Quarantine-tolerant variant of [`load_or_generate_parallel`]: returns
-/// the (possibly partial, possibly even empty) dataset together with the
-/// number of quarantined instances (0 on a cache hit). SAT-resilient
-/// schemes under tight deadlines routinely quarantine their whole corpus;
-/// study binaries like `crossgen` render such a scheme as N/A cells instead
-/// of aborting the entire grid.
-pub fn try_load_or_generate_parallel(
-    config: &dataset::DatasetConfig,
-    out_dir: &str,
-    jobs: usize,
-    resume: Option<&str>,
-) -> (Dataset, usize) {
     let path = dataset_cache_path(config, out_dir);
-    let circuit =
-        synth::iscas::circuit(&config.profile, config.circuit_seed).expect("known circuit profile");
     if let Ok(text) = std::fs::read_to_string(&path) {
         let parsed = unseal_csv(&text)
             .and_then(|body| dataset::dataset_from_csv(body).map_err(|e| e.to_string()));
@@ -99,7 +78,8 @@ pub fn try_load_or_generate_parallel(
                     hit: true,
                     path: path.clone(),
                 });
-                return (Dataset { circuit, instances }, 0);
+                let circuit = dataset::sweep_circuit(config).expect("valid sweep configuration");
+                return Dataset { circuit, instances };
             }
             Ok(_) => {} // partial dataset from a keep-going run: regenerate
             Err(e) => {
@@ -141,12 +121,16 @@ pub fn try_load_or_generate_parallel(
         );
     }
     let _ = std::fs::create_dir_all(out_dir);
-    if !data.instances.is_empty() {
-        if let Err(e) = write_atomic(&path, &seal_csv(&dataset::dataset_to_csv(&data.instances))) {
-            eprintln!("# WARNING: could not write dataset cache {path}: {e}");
-        }
+    if data.instances.is_empty() {
+        eprintln!(
+            "# WARNING: every instance was quarantined — nothing to train on; raise --deadline, \
+             add --retries, or inspect the failures above"
+        );
+    } else if let Err(e) = write_atomic(&path, &seal_csv(&dataset::dataset_to_csv(&data.instances)))
+    {
+        eprintln!("# WARNING: could not write dataset cache {path}: {e}");
     }
-    (data, report.quarantined())
+    data
 }
 
 /// Appends the checksum footer (`#fnv <hex>`, the checkpoint-v3 FNV-1a
@@ -316,60 +300,29 @@ impl TrainedGnn {
     }
 }
 
-/// Trains and evaluates one GNN configuration; returns the result and the
-/// trained model (for attention introspection and Figure 3 series).
-///
-/// Labels are standardized (zero mean, unit variance on the training split)
-/// for the optimization and un-standardized for the reported MSE, which
-/// keeps every method's MSE on the same scale.
-pub fn evaluate_gnn(
-    data: &Dataset,
-    split: &Split,
-    kind: ModelKind,
-    agg: Aggregation,
-    fs: FeatureSet,
-    epochs: usize,
-    seed: u64,
-) -> (EvalResult, TrainedGnn) {
-    let config = TrainConfig {
+/// The experiment binaries' training preset: `epochs` epochs at learning
+/// rate 5e-3, every other field at its [`TrainConfig::default`].
+pub fn train_config(epochs: usize) -> TrainConfig {
+    TrainConfig {
         max_epochs: epochs,
         lr: 5e-3,
         ..TrainConfig::default()
-    };
-    evaluate_gnn_with(data, split, kind, agg, fs, &config, seed)
+    }
 }
 
-/// [`evaluate_gnn`] with full control over the training configuration
-/// (learning rate, worker threads, ...).
-pub fn evaluate_gnn_with(
-    data: &Dataset,
-    split: &Split,
-    kind: ModelKind,
-    agg: Aggregation,
-    fs: FeatureSet,
-    config: &TrainConfig,
-    seed: u64,
-) -> (EvalResult, TrainedGnn) {
-    evaluate_gnn_ctl(
-        data,
-        split,
-        kind,
-        agg,
-        fs,
-        config,
-        seed,
-        &icnet::TrainControl::default(),
-    )
-}
-
-/// The reusable training core: fits one GNN configuration on the instances
-/// of `data` indexed by `train_idx`, standardizing labels on that training
-/// set, and returns the fitted model with its training report. Shared by
-/// [`evaluate_gnn_ctl`] (which evaluates on the same dataset's test split)
-/// and the cross-scheme study (which evaluates the returned model on
-/// *other* schemes' datasets via [`eval_gnn_metrics`]).
+/// The training core: fits one GNN configuration on the instances of
+/// `data` indexed by `train_idx` under `control` (cooperative interruption
+/// and crash-safe epoch checkpoints, see [`icnet::train_with`]), and
+/// returns the fitted model with its training report. Shared by
+/// [`evaluate_gnn`] (which evaluates on the same dataset's test split) and
+/// the cross-scheme study (which evaluates the returned model on *other*
+/// schemes' datasets via [`eval_gnn_metrics`]).
+///
+/// Labels are standardized (zero mean, unit variance on the training set)
+/// for the optimization; [`TrainedGnn::predict`] un-standardizes, which
+/// keeps every method's MSE on the same scale.
 #[allow(clippy::too_many_arguments)]
-pub fn train_gnn_ctl(
+pub fn train_gnn(
     data: &Dataset,
     train_idx: &[usize],
     kind: ModelKind,
@@ -438,12 +391,13 @@ pub fn eval_gnn_metrics(trained: &TrainedGnn, data: &Dataset, idx: &[usize]) -> 
     )
 }
 
-/// [`evaluate_gnn_with`] under runtime controls: cooperative interruption
-/// and crash-safe epoch checkpoints (see [`icnet::train_with`]). An
-/// interrupted cell reports the paper-style N/A — its half-trained
-/// parameters must not masquerade as a converged MSE.
+/// Trains one GNN configuration on `split.train` ([`train_gnn`]) and
+/// evaluates it on `split.test`; returns the result and the trained model
+/// (for attention introspection and Figure 3 series). A diverged or
+/// interrupted cell reports the paper-style N/A — its parameters must not
+/// masquerade as a converged MSE.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_gnn_ctl(
+pub fn evaluate_gnn(
     data: &Dataset,
     split: &Split,
     kind: ModelKind,
@@ -453,49 +407,34 @@ pub fn evaluate_gnn_ctl(
     seed: u64,
     control: &icnet::TrainControl,
 ) -> (EvalResult, TrainedGnn) {
-    let (trained, report) = train_gnn_ctl(data, &split.train, kind, agg, fs, config, seed, control);
+    let (trained, report) = train_gnn(data, &split.train, kind, agg, fs, config, seed, control);
     let suffix = if agg == Aggregation::Nn { "-NN" } else { "" };
     let method = format!("{}{}", kind.label(), suffix);
     if let Some(e) = &report.checkpoint_error {
         eprintln!("# WARNING: could not checkpoint {method} training: {e}");
     }
-    // A diverged run has no meaningful test MSE — report the paper-style
-    // N/A cell instead of evaluating the (pre-divergence) parameters.
-    if report.diverged {
-        return (
-            EvalResult {
-                method,
-                feature_set: fs,
-                aggregation: agg.label().to_owned(),
-                mse: None,
-                note: format!("diverged: non-finite loss in epoch {}", report.epochs_run),
-            },
-            trained,
-        );
-    }
-    if report.interrupted {
-        return (
-            EvalResult {
-                method,
-                feature_set: fs,
-                aggregation: agg.label().to_owned(),
-                mse: None,
-                note: format!("interrupted after epoch {}", report.epochs_run),
-            },
-            trained,
-        );
-    }
-    let (mse, _pearson) = eval_gnn_metrics(&trained, data, &split.test);
-    (
-        EvalResult {
-            method,
-            feature_set: fs,
-            aggregation: agg.label().to_owned(),
-            mse: Some(mse),
-            note: String::new(),
-        },
-        trained,
-    )
+    // A diverged or interrupted run has no meaningful test MSE — report the
+    // paper-style N/A cell instead of evaluating its parameters.
+    let (mse, note) = if report.diverged {
+        let note = format!("diverged: non-finite loss in epoch {}", report.epochs_run);
+        (None, note)
+    } else if report.interrupted {
+        (
+            None,
+            format!("interrupted after epoch {}", report.epochs_run),
+        )
+    } else {
+        let (mse, _pearson) = eval_gnn_metrics(&trained, data, &split.test);
+        (Some(mse), String::new())
+    };
+    let result = EvalResult {
+        method,
+        feature_set: fs,
+        aggregation: agg.label().to_owned(),
+        mse,
+        note,
+    };
+    (result, trained)
 }
 
 /// One independently evaluable cell of the Table I/II grid.
@@ -570,18 +509,13 @@ impl SuiteCell {
         let results = match self {
             SuiteCell::Baselines { fs, agg } => evaluate_baselines(data, split, roster, fs, agg),
             SuiteCell::Gnn { kind, fs, agg } => {
-                let config = TrainConfig {
-                    max_epochs: epochs,
-                    lr: 5e-3,
-                    ..TrainConfig::default()
-                };
-                let (result, _) = evaluate_gnn_ctl(
+                let (result, _) = evaluate_gnn(
                     data,
                     split,
                     kind,
                     agg,
                     fs,
-                    &config,
+                    &train_config(epochs),
                     seed,
                     &control.train_control(&label, dataset_tag(data)),
                 );
@@ -662,40 +596,20 @@ fn slug(label: &str) -> String {
 }
 
 /// The full Table I/II sweep: every baseline and every GNN under both
-/// feature sets and both fixed aggregations, plus the `-NN` variants.
-/// Serial; see [`run_mse_suite_jobs`] for the multi-worker variant.
-pub fn run_mse_suite(
-    data: &Dataset,
-    roster: &[BaselineKind],
-    epochs: usize,
-    seed: u64,
-) -> Vec<EvalResult> {
-    run_mse_suite_jobs(data, roster, epochs, seed, 1)
-}
-
-/// [`run_mse_suite`] with the (method × feature-set × aggregation) grid
-/// fanned out across `jobs` worker threads.
+/// feature sets and both fixed aggregations, plus the `-NN` variants, with
+/// the (method × feature-set × aggregation) grid fanned out across `jobs`
+/// worker threads.
 ///
 /// Every cell is self-contained (it builds its own features, operator, and
 /// seeded model) and its results land in the slot of its grid position, so
 /// the output is numerically identical for every `jobs` value — only the
 /// wall clock and the interleaving of progress lines change.
-pub fn run_mse_suite_jobs(
-    data: &Dataset,
-    roster: &[BaselineKind],
-    epochs: usize,
-    seed: u64,
-    jobs: usize,
-) -> Vec<EvalResult> {
-    run_mse_suite_ctl(data, roster, epochs, seed, jobs, &SuiteControl::default())
-}
-
-/// [`run_mse_suite_jobs`] under a [`SuiteControl`]. When the control's
-/// interrupt token trips, workers finish their current cell and stop
-/// claiming new ones; the completed cells are returned in grid order (the
-/// caller decides whether a partial grid is worth rendering — the binaries
-/// exit with the interrupt status instead).
-pub fn run_mse_suite_ctl(
+///
+/// When `control`'s interrupt token trips, workers finish their current
+/// cell and stop claiming new ones; the completed cells are returned in
+/// grid order (the caller decides whether a partial grid is worth
+/// rendering — the binaries exit with the interrupt status instead).
+pub fn run_mse_suite(
     data: &Dataset,
     roster: &[BaselineKind],
     epochs: usize,
@@ -835,12 +749,14 @@ pub fn results_to_csv(results: &[EvalResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataset::{generate, DatasetConfig};
+    use dataset::{generate_parallel_with, DatasetConfig};
 
     fn tiny_dataset() -> Dataset {
         let mut config = DatasetConfig::quick_demo();
         config.num_instances = 12;
-        generate(&config).expect("demo dataset generates")
+        generate_parallel_with(&config, 1, None)
+            .expect("demo dataset generates")
+            .0
     }
 
     #[test]
@@ -881,8 +797,9 @@ mod tests {
             ModelKind::ICNet,
             Aggregation::Nn,
             FeatureSet::All,
-            10,
+            &train_config(10),
             1,
+            &icnet::TrainControl::default(),
         );
         assert!(result.mse.expect("gnn always fits").is_finite());
         assert_eq!(result.method, "ICNet-NN");
@@ -901,7 +818,7 @@ mod tests {
             lr: 1e80,
             ..TrainConfig::default()
         };
-        let (result, _) = evaluate_gnn_with(
+        let (result, _) = evaluate_gnn(
             &data,
             &split,
             ModelKind::ICNet,
@@ -909,6 +826,7 @@ mod tests {
             FeatureSet::All,
             &config,
             1,
+            &icnet::TrainControl::default(),
         );
         assert!(result.mse.is_none(), "diverged run must be N/A");
         assert!(result.note.contains("diverged"), "note: {}", result.note);
@@ -919,8 +837,9 @@ mod tests {
     fn suite_results_are_independent_of_jobs() {
         let data = tiny_dataset();
         let roster = [BaselineKind::Lr, BaselineKind::Rr];
-        let serial = run_mse_suite_jobs(&data, &roster, 3, 1, 1);
-        let parallel = run_mse_suite_jobs(&data, &roster, 3, 1, 4);
+        let control = SuiteControl::default();
+        let serial = run_mse_suite(&data, &roster, 3, 1, 1, &control);
+        let parallel = run_mse_suite(&data, &roster, 3, 1, 4, &control);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.method, b.method);
@@ -953,7 +872,7 @@ mod tests {
         let path = dataset_cache_path(&config, &out_dir);
         std::fs::write(&path, "selected,key_bits,iter").unwrap(); // torn header
 
-        let data = load_or_generate_parallel(&config, &out_dir, 1, None);
+        let data = load_or_generate(&config, &out_dir, 1, None);
         assert_eq!(data.instances.len(), 4);
         // The cache was rewritten with a complete, checksummed dataset...
         let text = std::fs::read_to_string(&path).unwrap();
@@ -961,11 +880,34 @@ mod tests {
         let reloaded = dataset::dataset_from_csv(body).expect("rewritten cache parses");
         assert_eq!(reloaded, data.instances);
         // ...and a second load is a clean cache hit with identical labels.
-        let again = load_or_generate_parallel(&config, &out_dir, 1, None);
+        let again = load_or_generate(&config, &out_dir, 1, None);
         assert_eq!(again.instances, data.instances);
         // No temp file left behind by the atomic write.
         assert!(!std::path::Path::new(&format!("{path}.tmp.{}", std::process::id())).exists());
         let _ = std::fs::remove_dir_all(&out_dir);
+    }
+
+    #[test]
+    fn cache_path_separates_every_label_relevant_field() {
+        // A label depends on the per-solve conflict cap and the runtime
+        // measure as much as on the work budget: configs differing only
+        // there must never share a cache file (a wrong-label cache hit).
+        let config = DatasetConfig::quick_demo();
+        let path = dataset_cache_path(&config, "out");
+        assert_eq!(path, dataset_cache_path(&config.clone(), "out"));
+        let mut capped = config.clone();
+        capped.attack.conflicts_per_solve = Some(99);
+        assert_ne!(path, dataset_cache_path(&capped, "out"), "conflict cap");
+        let mut wall = config.clone();
+        wall.measure = attack::RuntimeMeasure::WallClock;
+        assert_ne!(path, dataset_cache_path(&wall, "out"), "runtime measure");
+        let mut budget = config.clone();
+        budget.attack.work_budget = Some(1);
+        assert_ne!(path, dataset_cache_path(&budget, "out"), "work budget");
+        // Supervision-only fields never change a label, so they share it.
+        let mut deadline = config.clone();
+        deadline.attack.deadline = Some(std::time::Duration::from_secs(1));
+        assert_eq!(path, dataset_cache_path(&deadline, "out"), "deadline");
     }
 
     #[test]
@@ -997,7 +939,7 @@ mod tests {
             .display()
             .to_string();
         std::fs::create_dir_all(&out_dir).unwrap();
-        let data = load_or_generate_parallel(&config, &out_dir, 1, None);
+        let data = load_or_generate(&config, &out_dir, 1, None);
 
         let path = dataset_cache_path(&config, &out_dir);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1005,7 +947,7 @@ mod tests {
         bytes[mid] = if bytes[mid] == b'1' { b'2' } else { b'1' };
         std::fs::write(&path, &bytes).unwrap();
 
-        let again = load_or_generate_parallel(&config, &out_dir, 1, None);
+        let again = load_or_generate(&config, &out_dir, 1, None);
         assert_eq!(again.instances, data.instances, "regenerated, not trusted");
         let text = std::fs::read_to_string(&path).unwrap();
         unseal_csv(&text).expect("cache re-sealed after the miss");

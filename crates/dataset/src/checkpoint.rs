@@ -66,27 +66,34 @@ fn record_crc(body: &str) -> u64 {
     fnv1a(FNV_OFFSET, body.as_bytes())
 }
 
+/// The configuration fields that decide what label a finished attack gets:
+/// the scheme identity *with its parameters* (`SchemeKind`'s `Display`
+/// carries LUT size / Anti-SAT key width), the work budget, the per-solve
+/// conflict cap, and the runtime measure. Wall-clock deadlines, the retry
+/// policy and the memory budget are deliberately excluded — they decide
+/// whether an attack *finishes*, never what label a finished attack gets —
+/// and are fingerprinted separately by [`supervision_key`] for quarantine
+/// records. Both [`instance_key`] and every dataset cache keyed on a sweep
+/// configuration hash this string, so the two can never disagree about
+/// which configurations share labels.
+pub fn label_fingerprint(config: &DatasetConfig) -> String {
+    format!(
+        "scheme={};budget={:?};conflicts={:?};measure={:?}",
+        config.scheme, config.attack.work_budget, config.attack.conflicts_per_solve, config.measure
+    )
+}
+
 /// Content hash identifying one attack run: the locked circuit's canonical
-/// `.bench` text, its key bits, the scheme identity *with its parameters*
-/// (`SchemeKind`'s `Display` carries LUT size / Anti-SAT key width), and
-/// every configuration field that changes the attack's *deterministic*
-/// outcome (work budget, per-solve conflict cap, runtime measure). Two
-/// sweeps produce the same key for an instance exactly when the attack
+/// `.bench` text, its key bits, and the [`label_fingerprint`] of `config`.
+/// Two sweeps produce the same key for an instance exactly when the attack
 /// would produce the same label; changing any scheme parameter changes the
 /// key, so stale labels from a differently-parameterized scheme are never
-/// reused. Wall-clock deadlines and the retry policy are deliberately
-/// excluded — they decide whether an attack *finishes*, never what label a
-/// finished attack gets — and are fingerprinted separately by
-/// [`supervision_key`] for quarantine records.
+/// reused.
 pub fn instance_key(config: &DatasetConfig, locked: &LockedCircuit) -> u64 {
     let mut h = fnv1a(FNV_OFFSET, locked.locked.to_bench().as_bytes());
     let key_bits: Vec<u8> = locked.key.bits().iter().map(|&b| b as u8).collect();
     h = fnv1a(h, &key_bits);
-    let attack_fingerprint = format!(
-        "scheme={};budget={:?};conflicts={:?};measure={:?}",
-        config.scheme, config.attack.work_budget, config.attack.conflicts_per_solve, config.measure
-    );
-    fnv1a(h, attack_fingerprint.as_bytes())
+    fnv1a(h, label_fingerprint(config).as_bytes())
 }
 
 /// Fingerprint of the supervision policy a quarantine verdict was reached

@@ -16,17 +16,6 @@ pub enum DatasetError {
     },
     /// A locking operation failed.
     Obfuscate(obfuscate::ObfuscateError),
-    /// An attack run failed on one specific instance. `instance` and
-    /// `circuit` identify *which* attack died, so a fatal sweep error names
-    /// the culprit instead of only the error kind.
-    Attack {
-        /// Index of the instance whose attack failed.
-        instance: usize,
-        /// Circuit profile being swept.
-        circuit: String,
-        /// The underlying attack error.
-        source: attack::AttackError,
-    },
     /// An instance exhausted its retry policy and the sweep was not running
     /// with keep-going, so the failure is fatal.
     Quarantined {
@@ -95,14 +84,6 @@ impl fmt::Display for DatasetError {
                 range.0, range.1, available
             ),
             DatasetError::Obfuscate(e) => write!(f, "obfuscation failed: {e}"),
-            DatasetError::Attack {
-                instance,
-                circuit,
-                source,
-            } => write!(
-                f,
-                "attack on instance {instance} of `{circuit}` failed: {source}"
-            ),
             DatasetError::Quarantined {
                 instance,
                 circuit,
@@ -147,7 +128,6 @@ impl std::error::Error for DatasetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DatasetError::Obfuscate(e) => Some(e),
-            DatasetError::Attack { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -174,19 +154,6 @@ mod tests {
         }
         .to_string()
         .contains("400"));
-    }
-
-    #[test]
-    fn attack_error_names_the_instance_and_circuit() {
-        let text = DatasetError::Attack {
-            instance: 42,
-            circuit: "c432".into(),
-            source: attack::AttackError::OracleInconsistent,
-        }
-        .to_string();
-        assert!(text.contains("instance 42"), "{text}");
-        assert!(text.contains("c432"), "{text}");
-        assert!(text.contains("inconsistent"), "{text}");
     }
 
     #[test]

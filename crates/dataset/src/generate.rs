@@ -1,7 +1,7 @@
 use crate::error::DatasetError;
 use crate::instance::Instance;
 use crate::supervise::{AttackHook, RetryPolicy};
-use attack::{attack_locked, AttackConfig, AttackOutcome, AttackResult, RuntimeMeasure};
+use attack::{AttackConfig, AttackOutcome, AttackResult, RuntimeMeasure};
 use netlist::Circuit;
 use obfuscate::{eligible_gates, lut_lock, select_gates, LockedCircuit, SchemeKind};
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ pub struct DatasetConfig {
     /// a failure report; when false, the first such failure aborts the
     /// sweep with [`DatasetError::Quarantined`].
     pub keep_going: bool,
-    /// When set, a parallel sweep runs a [`budget::Watchdog`] and gives each
+    /// When set, the sweep runs a [`budget::Watchdog`] and gives each
     /// worker a heartbeat the solver beats from inside its search loop; a
     /// worker whose heartbeat stops advancing for this long has hung
     /// somewhere deadline polling cannot reach (a stuck oracle, a livelocked
@@ -156,7 +156,8 @@ impl Dataset {
 ///
 /// Each instance owns an independent seed, so any subset of instances can be
 /// (re)generated in any order — by any number of worker threads — and the
-/// result is identical to the serial sweep (see [`crate::generate_parallel`]).
+/// result is identical for every worker count (see
+/// [`crate::generate_parallel_with`]).
 pub fn instance_seed(master: u64, index: usize) -> u64 {
     let mut z = master
         .wrapping_add(0x0DA7_A5E7)
@@ -188,8 +189,9 @@ pub fn sweep_circuit(config: &DatasetConfig) -> Result<Circuit, DatasetError> {
 }
 
 /// Draws the key-gate selection and locks `circuit` for instance `index` —
-/// the cheap half of [`generate_one`], reused by checkpointing to identify
-/// an instance without re-running its attack.
+/// a pure function of `(config, index)` and the cheap half of labeling an
+/// instance, reused by checkpointing to identify an instance without
+/// re-running its attack.
 ///
 /// # Errors
 ///
@@ -235,120 +237,19 @@ pub(crate) fn label_instance(
     }
 }
 
-/// Generates the single labeled instance `index` of the sweep described by
-/// `config`, independent of every other instance.
-///
-/// This is a pure function of `(config, index)`: the per-instance RNG seed
-/// is derived via [`instance_seed`], so instances can be computed serially,
-/// in parallel, or re-computed individually with identical results.
-/// `circuit` must be the output of [`sweep_circuit`] for `config`.
-///
-/// # Errors
-///
-/// Wraps locking failures as [`DatasetError::Obfuscate`] and attack failures
-/// as [`DatasetError::Attack`] (carrying the instance index and circuit
-/// name). A wall-clock timeout or cancellation surfaces as
-/// [`DatasetError::Quarantined`] / [`DatasetError::Attack`] respectively —
-/// this fail-fast entry point never labels a machine-dependent partial run
-/// (retry and quarantine live in the supervised sweep,
-/// [`crate::generate_parallel_with`]).
-pub fn generate_one(
-    config: &DatasetConfig,
-    circuit: &Circuit,
-    index: usize,
-) -> Result<Instance, DatasetError> {
-    let locked = lock_instance(config, circuit, index)?;
-    let result = match &config.attack_hook {
-        Some(hook) => hook(index, &locked, &config.attack),
-        None => attack_locked(&locked, &config.attack),
-    }
-    .map_err(|source| DatasetError::Attack {
-        instance: index,
-        circuit: config.profile.clone(),
-        source,
-    })?;
-    match result.outcome {
-        AttackOutcome::Cancelled => Err(DatasetError::Attack {
-            instance: index,
-            circuit: config.profile.clone(),
-            source: attack::AttackError::Cancelled,
-        }),
-        AttackOutcome::TimedOut(which) => Err(DatasetError::Quarantined {
-            instance: index,
-            circuit: config.profile.clone(),
-            failure: crate::supervise::InstanceFailure {
-                kind: crate::supervise::FailureKind::Timeout,
-                attempts: 1,
-                message: crate::supervise::timeout_message(which, &config.attack),
-                iterations: result.iterations,
-                work: result.solver_stats.work(),
-            },
-        }),
-        AttackOutcome::MemoryExceeded => Err(DatasetError::Quarantined {
-            instance: index,
-            circuit: config.profile.clone(),
-            failure: crate::supervise::InstanceFailure {
-                kind: crate::supervise::FailureKind::MemoryExceeded,
-                attempts: 1,
-                message: format!(
-                    "logical-byte budget {:?} exceeded (peak {} bytes)",
-                    config.attack.mem_budget, result.peak_logical_bytes
-                ),
-                iterations: result.iterations,
-                work: result.solver_stats.work(),
-            },
-        }),
-        // A completion perturbed by memory pressure never labels (its work
-        // measure depends on the budget); see `supervise_attack` for the
-        // full argument.
-        _ if config.attack.mem_budget.is_some() && result.solver_stats.mem_pressure_events > 0 => {
-            Err(DatasetError::Quarantined {
-                instance: index,
-                circuit: config.profile.clone(),
-                failure: crate::supervise::InstanceFailure {
-                    kind: crate::supervise::FailureKind::MemoryExceeded,
-                    attempts: 1,
-                    message: format!(
-                        "completed under memory pressure (budget {:?}, peak {} bytes); \
-                         label withheld",
-                        config.attack.mem_budget, result.peak_logical_bytes
-                    ),
-                    iterations: result.iterations,
-                    work: result.solver_stats.work(),
-                },
-            })
-        }
-        _ => Ok(label_instance(config, &locked, &result)),
-    }
-}
-
-/// Runs the full pipeline described in the paper's Section IV-A, serially.
-///
-/// Produces byte-identical results to [`crate::generate_parallel`] with any
-/// worker count.
-///
-/// # Errors
-///
-/// Returns [`DatasetError::UnknownProfile`] for a bad profile name,
-/// [`DatasetError::BadKeyRange`] when the sweep asks for more locked gates
-/// than the circuit can supply, and wraps locking/attack failures.
-pub fn generate(config: &DatasetConfig) -> Result<Dataset, DatasetError> {
-    let circuit = sweep_circuit(config)?;
-    let mut instances = Vec::with_capacity(config.num_instances);
-    for index in 0..config.num_instances {
-        instances.push(generate_one(config, &circuit, index)?);
-    }
-    Ok(Dataset { circuit, instances })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The one labeling path: the supervised sweep, on one worker.
+    fn sweep(config: &DatasetConfig) -> Result<Dataset, DatasetError> {
+        crate::generate_parallel_with(config, 1, None).map(|(data, _)| data)
+    }
+
     #[test]
     fn quick_demo_generates_labeled_instances() {
         let config = DatasetConfig::quick_demo();
-        let data = generate(&config).unwrap();
+        let data = sweep(&config).unwrap();
         assert_eq!(data.instances.len(), 8);
         for inst in &data.instances {
             assert!(inst.num_selected() >= 1 && inst.num_selected() <= 6);
@@ -362,8 +263,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let config = DatasetConfig::quick_demo();
-        let a = generate(&config).unwrap();
-        let b = generate(&config).unwrap();
+        let a = sweep(&config).unwrap();
+        let b = sweep(&config).unwrap();
         assert_eq!(a, b);
     }
 
@@ -377,7 +278,7 @@ mod tests {
         config.num_instances = 12;
         config.scheme = SchemeKind::LutLock { lut_size: 2 };
         config.key_range = (1, 12);
-        let data = generate(&config).unwrap();
+        let data = sweep(&config).unwrap();
         let counts: Vec<f64> = data
             .instances
             .iter()
@@ -402,19 +303,19 @@ mod tests {
         let mut config = DatasetConfig::quick_demo();
         config.profile = "c9999".into();
         assert!(matches!(
-            generate(&config),
+            sweep(&config),
             Err(DatasetError::UnknownProfile(_))
         ));
         let mut config = DatasetConfig::quick_demo();
         config.key_range = (1, 100_000);
         assert!(matches!(
-            generate(&config),
+            sweep(&config),
             Err(DatasetError::BadKeyRange { .. })
         ));
         let mut config = DatasetConfig::quick_demo();
         config.key_range = (0, 3);
         assert!(matches!(
-            generate(&config),
+            sweep(&config),
             Err(DatasetError::BadKeyRange { .. })
         ));
     }

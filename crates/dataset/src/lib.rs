@@ -15,14 +15,20 @@
 //! budget carry a lower-bound label and are flagged
 //! [`Instance::censored`].
 //!
+//! Every label comes from [`generate_parallel_with`], the supervised sweep:
+//! it retries, quarantines and watchdogs attacks, on any number of workers,
+//! with byte-identical results.
+//!
 //! # Example
 //!
 //! ```
-//! use dataset::{generate, DatasetConfig};
+//! use dataset::{generate_parallel_with, DatasetConfig};
 //!
 //! # fn main() -> Result<(), dataset::DatasetError> {
 //! let config = DatasetConfig::quick_demo();
-//! let data = generate(&config)?;
+//! // One worker, no checkpoint log: the serial sweep.
+//! let (data, report) = generate_parallel_with(&config, 1, None)?;
+//! assert_eq!(report.quarantined(), 0);
 //! assert_eq!(data.instances.len(), config.num_instances);
 //! assert!(data.instances.iter().all(|i| i.log_seconds.is_finite()));
 //! # Ok(())
@@ -39,19 +45,15 @@ mod parallel;
 mod split;
 mod supervise;
 
-pub use checkpoint::{instance_key, supervision_key, CheckpointLog};
+pub use checkpoint::{instance_key, label_fingerprint, supervision_key, CheckpointLog};
 pub use csv::{dataset_from_csv, dataset_to_csv};
 pub use encode::{
     degree_level_features, flat_features, graph_features, FlatAggregation, StructureEncoding,
     MAX_STRUCT_FEATURE,
 };
 pub use error::DatasetError;
-pub use generate::{generate, generate_one, instance_seed, sweep_circuit, Dataset, DatasetConfig};
+pub use generate::{instance_seed, sweep_circuit, Dataset, DatasetConfig};
 pub use instance::Instance;
-pub use parallel::{
-    generate_parallel, generate_parallel_with, SweepFailure, SweepReport, WorkerStats,
-};
+pub use parallel::{generate_parallel_with, SweepFailure, SweepReport, WorkerStats};
 pub use split::{kfold, train_test_split, Split};
-pub use supervise::{
-    supervise_attack, AttackHook, FailureKind, InstanceFailure, RetryPolicy, Supervised,
-};
+pub use supervise::{AttackHook, FailureKind, InstanceFailure, RetryPolicy};

@@ -1,17 +1,17 @@
-//! Parallel dataset generation with deterministic replay and graceful
-//! degradation.
+//! The dataset sweep: the one path that turns locked instances into
+//! labels, with deterministic replay and graceful degradation.
 //!
 //! The sweep fans instances over a scoped worker pool built from
 //! `std::thread::scope` and an atomic work index — no thread-pool crate,
 //! because each instance already owns an independent RNG seed
 //! ([`crate::instance_seed`]), so a shared counter is all the scheduling
 //! the problem needs. Instance `i` is a pure function of `(config, i)` and
-//! results land in slot `i`, which makes the output **byte-identical to the
-//! serial sweep for every worker count** — scheduling order, worker count,
-//! and checkpoint reuse cannot leak into the dataset.
+//! results land in slot `i`, which makes the output **byte-identical for
+//! every worker count** — scheduling order, worker count, and checkpoint
+//! reuse cannot leak into the dataset. One worker is the serial sweep.
 //!
 //! Every attack runs under the per-instance supervisor
-//! ([`crate::supervise_attack`]): panics are isolated, wall-clock timeouts
+//! ([`crate::supervise`]): panics are isolated, wall-clock timeouts
 //! and panics are retried with escalating deadlines (deterministic budgets
 //! stay fixed so retries cannot change a label), and an instance that
 //! exhausts its retries is *quarantined*. With
@@ -26,9 +26,7 @@
 
 use crate::checkpoint::{instance_key, supervision_key, CheckpointLog};
 use crate::error::DatasetError;
-use crate::generate::{
-    generate_one, label_instance, lock_instance, sweep_circuit, Dataset, DatasetConfig,
-};
+use crate::generate::{label_instance, lock_instance, sweep_circuit, Dataset, DatasetConfig};
 use crate::instance::Instance;
 use crate::supervise::{supervise_attack, InstanceFailure, Supervised};
 use attack::CancelToken;
@@ -126,24 +124,15 @@ impl SweepReport {
     }
 }
 
-/// Generates the sweep described by `config` on `jobs` worker threads.
+/// Generates the sweep described by `config` on `jobs` worker threads,
+/// optionally resuming from / recording to a [`CheckpointLog`], and returns
+/// the dataset with its per-worker [`SweepReport`].
 ///
-/// Produces a dataset byte-identical to [`crate::generate`] — see the
-/// module docs for why worker count cannot affect the result. When
+/// The dataset is byte-identical for every `jobs` value — see the module
+/// docs for why worker count cannot affect the result. When
 /// [`DatasetConfig::keep_going`] is set and instances quarantine, the
-/// dataset holds the labels of the healthy instances only (use
-/// [`generate_parallel_with`] to see which instances were quarantined).
-///
-/// # Errors
-///
-/// Same conditions as [`crate::generate`]; the first worker error wins and
-/// the remaining attacks are cancelled.
-pub fn generate_parallel(config: &DatasetConfig, jobs: usize) -> Result<Dataset, DatasetError> {
-    generate_parallel_with(config, jobs, None).map(|(data, _)| data)
-}
-
-/// [`generate_parallel`], optionally resuming from / recording to a
-/// [`CheckpointLog`], and returning the per-worker [`SweepReport`].
+/// dataset holds the labels of the healthy instances only; the report
+/// lists the quarantined ones.
 ///
 /// Each finished attack is appended to the log before its result is
 /// published, so an interrupted sweep loses at most `jobs` in-flight
@@ -154,9 +143,15 @@ pub fn generate_parallel(config: &DatasetConfig, jobs: usize) -> Result<Dataset,
 ///
 /// # Errors
 ///
-/// Same conditions as [`crate::generate`], plus [`DatasetError::Io`] when a
-/// checkpoint append fails, plus [`DatasetError::Quarantined`] when an
-/// instance exhausts its retry policy and `config.keep_going` is off.
+/// Returns [`DatasetError::UnknownProfile`] for a bad profile name,
+/// [`DatasetError::BadKeyRange`] when the sweep asks for more locked gates
+/// than the circuit can supply, [`DatasetError::Obfuscate`] when locking
+/// fails, [`DatasetError::Io`] when a checkpoint append fails,
+/// [`DatasetError::Quarantined`] when an instance exhausts its retry policy
+/// and `config.keep_going` is off, [`DatasetError::Interrupted`] when the
+/// external cancel token fires, and [`DatasetError::WorkerLoss`] when every
+/// worker died with instances left. The first worker error wins and the
+/// remaining attacks are cancelled.
 pub fn generate_parallel_with(
     config: &DatasetConfig,
     jobs: usize,
@@ -180,6 +175,11 @@ pub fn generate_parallel_with(
         .as_ref()
         .map(CancelToken::child)
         .unwrap_or_default();
+    // The first worker error wins and stops every other worker's attack.
+    let abort = |error: DatasetError| {
+        first_error.lock().unwrap().get_or_insert(error);
+        cancel.cancel();
+    };
     let log = checkpoint.map(Mutex::new);
     // Quarantine records are only trusted across runs with the same
     // deadlines and retry policy (see `checkpoint::supervision_key`).
@@ -279,14 +279,7 @@ pub fn generate_parallel_with(
                         };
                         match quarantine(index, failure, false, false) {
                             Ok(()) => stats.failed += 1,
-                            Err(e) => {
-                                let mut slot = first_error.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                drop(slot);
-                                cancel.cancel();
-                            }
+                            Err(e) => abort(e),
                         }
                         stats.busy += begun.elapsed();
                         break;
@@ -406,12 +399,7 @@ pub fn generate_parallel_with(
                     stats.busy += begun.elapsed();
                 }
                 Err(e) => {
-                    let mut slot = first_error.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    drop(slot);
-                    cancel.cancel();
+                    abort(e);
                     stats.busy += begun.elapsed();
                     break;
                 }
@@ -465,22 +453,9 @@ pub fn generate_parallel_with(
     Ok((Dataset { circuit, instances }, report))
 }
 
-/// Serial reference sweep through the same code path as the workers —
-/// exists so tests can assert `generate == generate_parallel` without
-/// trusting either side.
-#[allow(dead_code)]
-pub(crate) fn generate_serial_reference(config: &DatasetConfig) -> Result<Dataset, DatasetError> {
-    let circuit = sweep_circuit(config)?;
-    let instances = (0..config.num_instances)
-        .map(|i| generate_one(config, &circuit, i))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Dataset { circuit, instances })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::generate;
     use crate::supervise::RetryPolicy;
     use attack::AttackError;
     use std::sync::Arc;
@@ -491,13 +466,18 @@ mod tests {
         config
     }
 
+    /// The serial sweep: one worker, no checkpoint.
+    fn serial(config: &DatasetConfig) -> Dataset {
+        generate_parallel_with(config, 1, None).unwrap().0
+    }
+
     #[test]
     fn parallel_matches_serial_for_every_worker_count() {
         let config = small_config();
-        let serial = generate(&config).unwrap();
+        let reference = serial(&config);
         for jobs in [1, 2, 4] {
-            let parallel = generate_parallel(&config, jobs).unwrap();
-            assert_eq!(serial, parallel, "jobs={jobs}");
+            let (parallel, _) = generate_parallel_with(&config, jobs, None).unwrap();
+            assert_eq!(reference, parallel, "jobs={jobs}");
         }
     }
 
@@ -529,7 +509,7 @@ mod tests {
         let mut config = small_config();
         config.profile = "c9999".into();
         assert!(matches!(
-            generate_parallel(&config, 2),
+            generate_parallel_with(&config, 2, None),
             Err(DatasetError::UnknownProfile(_))
         ));
     }
@@ -568,14 +548,16 @@ mod tests {
             }
             attack::attack_locked(locked, cfg)
         }));
-        let (data, report) = generate_parallel_with(&config, 3, None).unwrap();
-        assert_eq!(data.instances.len(), 5, "only the sick instance is lost");
-        assert_eq!(report.quarantined(), 1);
-        let f = &report.failures[0];
-        assert_eq!(f.index, 2);
-        assert!(f.failure.message.contains("injected fault"));
-        assert_eq!(f.failure.attempts, 2);
-        assert!(report.summary().contains("quarantined instance 2"));
+        for jobs in [1, 3] {
+            let (data, report) = generate_parallel_with(&config, jobs, None).unwrap();
+            assert_eq!(data.instances.len(), 5, "only the sick instance is lost");
+            assert_eq!(report.quarantined(), 1, "jobs={jobs}");
+            let f = &report.failures[0];
+            assert_eq!(f.index, 2);
+            assert!(f.failure.message.contains("injected fault"));
+            assert_eq!(f.failure.attempts, 2, "jobs={jobs}");
+            assert!(report.summary().contains("quarantined instance 2"));
+        }
     }
 
     #[test]
@@ -588,7 +570,7 @@ mod tests {
             }
             attack::attack_locked(locked, cfg)
         }));
-        match generate_parallel(&config, 2) {
+        match generate_parallel_with(&config, 2, None) {
             Err(DatasetError::Quarantined { instance: 2, .. }) => {}
             other => panic!("expected fatal quarantine of instance 2, got {other:?}"),
         }
@@ -685,7 +667,7 @@ mod tests {
         // The healed dataset is byte-identical to a never-budgeted run:
         // labels that completed under the budget were never perturbed by it
         // (perturbed completions quarantine instead of labeling).
-        let baseline = generate(&small_config()).unwrap();
+        let baseline = serial(&small_config());
         assert_eq!(data, baseline);
     }
 
@@ -704,23 +686,25 @@ mod tests {
             }
             attack::attack_locked(locked, cfg)
         }));
-        let (data, report) = generate_parallel_with(&config, 2, None).unwrap();
-        assert_eq!(data.instances.len(), 5, "only the hung instance is lost");
-        assert_eq!(report.quarantined(), 1);
-        let f = &report.failures[0];
-        assert_eq!(f.index, 2);
-        assert_eq!(f.failure.kind, crate::supervise::FailureKind::Stalled);
-        assert!(
-            f.failure.message.contains("watchdog"),
-            "{}",
-            f.failure.message
-        );
+        for jobs in [1, 2] {
+            let (data, report) = generate_parallel_with(&config, jobs, None).unwrap();
+            assert_eq!(data.instances.len(), 5, "only the hung instance is lost");
+            assert_eq!(report.quarantined(), 1, "jobs={jobs}");
+            let f = &report.failures[0];
+            assert_eq!(f.index, 2);
+            assert_eq!(f.failure.kind, crate::supervise::FailureKind::Stalled);
+            assert!(
+                f.failure.message.contains("watchdog"),
+                "{}",
+                f.failure.message
+            );
+        }
     }
 
     #[test]
     fn healthy_instances_are_identical_with_and_without_a_sick_neighbor() {
         let clean = small_config();
-        let baseline = generate(&clean).unwrap();
+        let baseline = serial(&clean);
         let mut sick = clean.clone();
         sick.attack_hook = Some(Arc::new(|index, locked, cfg| {
             if index == 4 {

@@ -180,7 +180,7 @@ impl fmt::Display for InstanceFailure {
 
 /// What supervising one instance's attack produced.
 #[derive(Debug)]
-pub enum Supervised {
+pub(crate) enum Supervised {
     /// The attack completed (key recovered or deterministic budget hit);
     /// the result is labelable.
     Done(AttackResult),
@@ -210,7 +210,7 @@ pub(crate) fn sanitize_line(text: &str) -> String {
 
 /// One-line quarantine message naming the wall-clock bound that actually
 /// expired (the attack reports which via [`ExpiredDeadline`]).
-pub(crate) fn timeout_message(which: ExpiredDeadline, config: &AttackConfig) -> String {
+fn timeout_message(which: ExpiredDeadline, config: &AttackConfig) -> String {
     let bound = match which {
         ExpiredDeadline::Attack => config.deadline,
         ExpiredDeadline::PerQuery => config.per_query_deadline,
@@ -221,7 +221,10 @@ pub(crate) fn timeout_message(which: ExpiredDeadline, config: &AttackConfig) -> 
 /// Runs the attack for instance `index` of `config` under full supervision:
 /// panic isolation, retry with escalation, and failure typing. The attack
 /// config `base` must already carry the sweep's cancel token (when any).
-pub fn supervise_attack(
+///
+/// This is the only place an [`AttackOutcome`] or [`AttackError`] becomes a
+/// label, a quarantine, or a shutdown.
+pub(crate) fn supervise_attack(
     config: &DatasetConfig,
     locked: &LockedCircuit,
     index: usize,

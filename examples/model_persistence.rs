@@ -5,14 +5,14 @@
 //! cargo run --release -p bench --example model_persistence
 //! ```
 
-use dataset::{generate, graph_features, DatasetConfig};
+use dataset::{generate_parallel_with, graph_features, DatasetConfig};
 use icnet::{Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind, TrainConfig};
 use std::error::Error;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // Train.
-    let data = generate(&DatasetConfig::quick_demo())?;
+    let (data, _) = generate_parallel_with(&DatasetConfig::quick_demo(), 1, None)?;
     let graph = CircuitGraph::from_circuit(&data.circuit);
     let op = Arc::new(ModelKind::ICNet.operator(&graph));
     let xs = graph_features(&data.circuit, &data.instances, FeatureSet::All);

@@ -10,7 +10,7 @@
 //! ```
 
 use attack::{attack_locked, AttackConfig};
-use dataset::{generate, graph_features, DatasetConfig};
+use dataset::{generate_parallel_with, graph_features, DatasetConfig};
 use icnet::{
     encode_features, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind, TrainConfig,
 };
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     config.scheme = scheme;
     config.num_instances = 24;
     config.key_range = (1, 8);
-    let data = generate(&config)?;
+    let (data, _) = generate_parallel_with(&config, 1, None)?;
     println!(
         "training data: {} attacked instances on {}",
         data.instances.len(),

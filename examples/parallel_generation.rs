@@ -1,15 +1,15 @@
 //! Parallel, checkpointed dataset generation.
 //!
-//! Runs the quick-demo sweep three ways — serially, on four workers, and
-//! resumed from a checkpoint — and shows that all three produce the same
-//! dataset. Usage:
+//! Runs the quick-demo sweep three ways — on one worker (the serial
+//! sweep), on four workers, and resumed from a checkpoint — and shows that
+//! all three produce the same dataset. Usage:
 //!
 //! ```text
 //! cargo run --release --example parallel_generation [-- --trace t.jsonl] [--progress] [--fault-plan <spec>]
 //! ```
 
 use bench::cli;
-use dataset::{generate, generate_parallel_with, CheckpointLog, DatasetConfig};
+use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig};
 use std::time::Instant;
 
 fn main() {
@@ -22,9 +22,9 @@ fn main() {
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = 16;
 
-    println!("== serial sweep ==");
+    println!("== 1-worker sweep (the serial reference) ==");
     let start = Instant::now();
-    let serial = generate(&config).expect("serial generation");
+    let (serial, _) = generate_parallel_with(&config, 1, None).expect("serial generation");
     println!(
         "{} instances in {:.2?}\n",
         serial.instances.len(),

@@ -6,7 +6,7 @@
 //! ```
 
 use attack::{attack_locked, AttackConfig, AttackOutcome};
-use dataset::{generate, graph_features, DatasetConfig};
+use dataset::{generate_parallel_with, graph_features, DatasetConfig};
 use icnet::{Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind, TrainConfig};
 use obfuscate::{lock_random, SchemeKind};
 use std::error::Error;
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     //    runtime) and train ICNet to predict the runtime from the netlist
     //    topology + encryption locations alone.
     let config = DatasetConfig::quick_demo();
-    let data = generate(&config)?;
+    let (data, _) = generate_parallel_with(&config, 1, None)?;
     println!(
         "\ndataset: {} instances on {} ({} gates)",
         data.instances.len(),

@@ -6,9 +6,9 @@
 //! cargo run --release -p bench --example runtime_predictor
 //! ```
 
-use bench::harness::{evaluate_baselines, evaluate_gnn};
+use bench::harness::{evaluate_baselines, evaluate_gnn, train_config};
 use bench::methods::BaselineKind;
-use dataset::{generate, train_test_split, DatasetConfig, FlatAggregation};
+use dataset::{generate_parallel_with, train_test_split, DatasetConfig, FlatAggregation};
 use icnet::{Aggregation, FeatureSet, ModelKind};
 use std::error::Error;
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = 32;
     config.key_range = (1, 12);
-    let data = generate(&config)?;
+    let (data, _) = generate_parallel_with(&config, 1, None)?;
     println!(
         "dataset: {} instances on {} ({:.0}% censored)",
         data.instances.len(),
@@ -58,7 +58,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         (ModelKind::ChebNet { k: 3 }, Aggregation::Nn),
         (ModelKind::ICNet, Aggregation::Nn),
     ] {
-        let (result, model) = evaluate_gnn(&data, &split, kind, agg, FeatureSet::All, 200, 5);
+        let (result, model) = evaluate_gnn(
+            &data,
+            &split,
+            kind,
+            agg,
+            FeatureSet::All,
+            &train_config(200),
+            5,
+            &icnet::TrainControl::default(),
+        );
         println!(
             "{:<12} {:>12}",
             result.method,

@@ -10,7 +10,7 @@
 //! matter which neighbours share the batch — the property serve-side
 //! micro-batching leans on.
 
-use dataset::{generate, graph_features, DatasetConfig};
+use dataset::{generate_parallel_with, graph_features, DatasetConfig};
 use icnet::{
     encode_features, train, Aggregation, BatchedGraph, CircuitGraph, FeatureSet, GradEngine,
     GraphModel, ModelKind, TrainConfig,
@@ -21,7 +21,9 @@ use tensor::{CsrMatrix, Matrix};
 fn demo_task() -> (Arc<CsrMatrix>, Vec<Matrix>, Vec<f64>) {
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = 12;
-    let data = generate(&config).expect("demo dataset generates");
+    let data = generate_parallel_with(&config, 1, None)
+        .expect("demo dataset generates")
+        .0;
     let graph = CircuitGraph::from_circuit(&data.circuit);
     let op = Arc::new(ModelKind::ICNet.operator(&graph));
     let xs = graph_features(&data.circuit, &data.instances, FeatureSet::All);

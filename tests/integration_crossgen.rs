@@ -5,7 +5,7 @@
 //! directions — a raised deadline re-attacks resistant quarantines, while a
 //! changed scheme parameter never reuses a stale label.
 
-use dataset::{generate, generate_parallel_with, CheckpointLog, DatasetConfig, RetryPolicy};
+use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig, RetryPolicy};
 use obfuscate::SchemeKind;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -29,6 +29,11 @@ fn sweep(scheme: SchemeKind, gates: usize, instances: usize) -> DatasetConfig {
     config
 }
 
+/// The reference sweep: one worker, no checkpoint.
+fn serial(config: &DatasetConfig) -> dataset::Dataset {
+    generate_parallel_with(config, 1, None).unwrap().0
+}
+
 fn median_iterations(instances: &[dataset::Instance]) -> f64 {
     let mut iters: Vec<usize> = instances.iter().map(|i| i.iterations).collect();
     iters.sort_unstable();
@@ -48,10 +53,10 @@ fn median_iterations(instances: &[dataset::Instance]) -> f64 {
 fn anti_sat_needs_more_dips_than_baselines_at_equal_key_bits() {
     let n = 9;
     // 8 key bits each: 8 XOR gates, 8 MUX gates, 2 LUT-2 gates, 1 w=4 block.
-    let antisat = generate(&sweep(SchemeKind::AntiSat { key_width: 4 }, 1, n)).unwrap();
-    let xor = generate(&sweep(SchemeKind::XorLock, 8, n)).unwrap();
-    let mux = generate(&sweep(SchemeKind::MuxLock, 8, n)).unwrap();
-    let lut = generate(&sweep(SchemeKind::LutLock { lut_size: 2 }, 2, n)).unwrap();
+    let antisat = serial(&sweep(SchemeKind::AntiSat { key_width: 4 }, 1, n));
+    let xor = serial(&sweep(SchemeKind::XorLock, 8, n));
+    let mux = serial(&sweep(SchemeKind::MuxLock, 8, n));
+    let lut = serial(&sweep(SchemeKind::LutLock { lut_size: 2 }, 2, n));
 
     let resistant = median_iterations(&antisat.instances);
     for (label, baseline) in [("xor", &xor), ("mux", &mux), ("lut2", &lut)] {
@@ -74,13 +79,13 @@ fn anti_sat_needs_more_dips_than_baselines_at_equal_key_bits() {
 #[test]
 fn anti_sat_generation_is_bit_identical_across_worker_counts() {
     let config = sweep(SchemeKind::AntiSat { key_width: 3 }, 2, 6);
-    let serial = generate(&config).unwrap();
+    let reference = serial(&config);
     for jobs in [2, 3, 5] {
         let (parallel, report) = generate_parallel_with(&config, jobs, None).unwrap();
         assert_eq!(report.quarantined(), 0);
         assert_eq!(
-            serial.instances, parallel.instances,
-            "jobs={jobs} must be bit-identical to the serial sweep"
+            reference.instances, parallel.instances,
+            "jobs={jobs} must be bit-identical to the 1-worker sweep"
         );
     }
 }
@@ -115,7 +120,7 @@ fn raised_deadline_reattacks_anti_sat_quarantines() {
     // The recovered labels match a deadline-free sweep bit for bit.
     let mut clean = config.clone();
     clean.attack.deadline = None;
-    assert_eq!(data.instances, generate(&clean).unwrap().instances);
+    assert_eq!(data.instances, serial(&clean).instances);
 }
 
 /// Direction two: changing a scheme *parameter* (here the Anti-SAT key

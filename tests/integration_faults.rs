@@ -4,7 +4,7 @@
 //! the final artifacts against a clean run. No hand-built corrupt inputs:
 //! if a fault cannot be reached by a plan, it is not covered here.
 
-use bench::harness::{dataset_cache_path, load_or_generate_parallel, unseal_csv};
+use bench::harness::{dataset_cache_path, load_or_generate, unseal_csv};
 use dataset::{dataset_to_csv, generate_parallel_with, CheckpointLog, DatasetConfig, FailureKind};
 use std::sync::Mutex;
 
@@ -206,7 +206,7 @@ fn torn_cache_write_is_a_checksum_miss_next_run() {
     let first = {
         let _cleanup = Disarm;
         faults::arm_str("cache.write:torn@o0", None).unwrap();
-        load_or_generate_parallel(&config, &out_dir, 1, None)
+        load_or_generate(&config, &out_dir, 1, None)
     };
     let path = dataset_cache_path(&config, &out_dir);
     let torn = std::fs::read_to_string(&path).expect("torn prefix was written");
@@ -216,11 +216,11 @@ fn torn_cache_write_is_a_checksum_miss_next_run() {
         "err: {err}"
     );
 
-    let second = load_or_generate_parallel(&config, &out_dir, 1, None);
+    let second = load_or_generate(&config, &out_dir, 1, None);
     assert_eq!(second.instances, first.instances, "regenerated identically");
     let sealed = std::fs::read_to_string(&path).unwrap();
     unseal_csv(&sealed).expect("cache re-sealed after the miss");
-    let third = load_or_generate_parallel(&config, &out_dir, 1, None);
+    let third = load_or_generate(&config, &out_dir, 1, None);
     assert_eq!(third.instances, first.instances, "now a clean cache hit");
 }
 
@@ -473,7 +473,7 @@ fn armed_but_unmatched_plan_perturbs_nothing() {
 
     let run = || {
         let out_dir = tmp_dir("equivalence");
-        let data = load_or_generate_parallel(&config, &out_dir, 2, None);
+        let data = load_or_generate(&config, &out_dir, 2, None);
         let csv = dataset_to_csv(&data.instances);
         let split = dataset::train_test_split(data.instances.len(), 0.25, seed);
         let (_, trained) = bench::harness::evaluate_gnn(
@@ -482,8 +482,9 @@ fn armed_but_unmatched_plan_perturbs_nothing() {
             icnet::ModelKind::ICNet,
             icnet::Aggregation::Nn,
             icnet::FeatureSet::All,
-            epochs,
+            &bench::harness::train_config(epochs),
             seed,
+            &icnet::TrainControl::default(),
         );
         let bits: Vec<u64> = trained
             .model

@@ -3,7 +3,7 @@
 //! produce a byte-identical dataset and bit-identical trained parameters,
 //! while the JSONL trace captures every instrumented layer.
 
-use bench::harness::{evaluate_gnn, load_or_generate_parallel, run_mse_suite_jobs};
+use bench::harness::{evaluate_gnn, load_or_generate, run_mse_suite, train_config, SuiteControl};
 use bench::methods::BaselineKind;
 use dataset::{dataset_to_csv, generate_parallel_with, train_test_split, DatasetConfig};
 use icnet::{Aggregation, FeatureSet, ModelKind};
@@ -63,8 +63,9 @@ fn tracing_is_invisible_to_results_and_captures_every_event_family() {
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        epochs,
+        &train_config(epochs),
         seed,
+        &icnet::TrainControl::default(),
     );
     let reference_params = param_bits(&trained.model);
 
@@ -88,8 +89,9 @@ fn tracing_is_invisible_to_results_and_captures_every_event_family() {
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        epochs,
+        &train_config(epochs),
         seed,
+        &icnet::TrainControl::default(),
     );
     assert_eq!(
         param_bits(&retrained.model),
@@ -100,9 +102,16 @@ fn tracing_is_invisible_to_results_and_captures_every_event_family() {
     // Exercise the harness layer too, so bench.* events appear: a cache
     // miss + write, then a one-baseline suite.
     let out_dir = dir.join("out");
-    let harness_data = load_or_generate_parallel(&config, out_dir.to_str().unwrap(), 2, None);
+    let harness_data = load_or_generate(&config, out_dir.to_str().unwrap(), 2, None);
     assert_eq!(dataset_to_csv(&harness_data.instances), reference_csv);
-    let results = run_mse_suite_jobs(&harness_data, &[BaselineKind::Lr], epochs, seed, 1);
+    let results = run_mse_suite(
+        &harness_data,
+        &[BaselineKind::Lr],
+        epochs,
+        seed,
+        1,
+        &SuiteControl::default(),
+    );
     assert!(!results.is_empty());
 
     let summary = obs::finish().expect("sink was initialised");

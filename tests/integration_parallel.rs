@@ -2,7 +2,7 @@
 //! invariance, interrupted-sweep resume, and the parallel speedup the
 //! pipeline exists for.
 
-use dataset::{generate, generate_parallel, generate_parallel_with, CheckpointLog, DatasetConfig};
+use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -17,9 +17,13 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn quick_demo_is_worker_count_invariant() {
     let config = DatasetConfig::quick_demo();
-    let serial = generate(&config).expect("serial sweep");
+    let serial = generate_parallel_with(&config, 1, None)
+        .expect("serial sweep")
+        .0;
     for jobs in [1, 2, 4] {
-        let parallel = generate_parallel(&config, jobs).expect("parallel sweep");
+        let parallel = generate_parallel_with(&config, jobs, None)
+            .expect("parallel sweep")
+            .0;
         assert_eq!(
             serial, parallel,
             "dataset must be byte-identical with {jobs} workers"
@@ -34,7 +38,9 @@ fn interrupted_sweep_resumes_to_the_uninterrupted_result() {
     let n = config.num_instances;
     let k = 3; // records surviving the simulated crash
 
-    let uninterrupted = generate(&config).expect("reference sweep");
+    let uninterrupted = generate_parallel_with(&config, 1, None)
+        .expect("reference sweep")
+        .0;
 
     // First run records all n instances...
     let path = tmp("resume.ckpt");
@@ -82,14 +88,18 @@ fn four_workers_beat_serial_on_a_quick_demo_scale_sweep() {
     config.num_instances = 24;
     config.key_range = (1, 10);
 
-    let warm = generate_parallel(&config, 1).expect("warmup"); // prime allocator/caches
+    let warm = generate_parallel_with(&config, 1, None).expect("warmup").0; // prime allocator/caches
     let start = Instant::now();
-    let serial = generate_parallel(&config, 1).expect("serial sweep");
+    let serial = generate_parallel_with(&config, 1, None)
+        .expect("serial sweep")
+        .0;
     let serial_time = start.elapsed();
     assert_eq!(warm, serial);
 
     let start = Instant::now();
-    let parallel = generate_parallel(&config, 4).expect("parallel sweep");
+    let parallel = generate_parallel_with(&config, 4, None)
+        .expect("parallel sweep")
+        .0;
     let parallel_time = start.elapsed();
 
     assert_eq!(serial, parallel);

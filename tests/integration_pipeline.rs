@@ -2,11 +2,11 @@
 //! training → held-out evaluation, spanning the dataset, icnet, regress,
 //! and bench crates.
 
-use bench::harness::{evaluate_baselines, evaluate_gnn, take};
+use bench::harness::{evaluate_baselines, evaluate_gnn, take, train_config};
 use bench::methods::BaselineKind;
 use dataset::{
-    dataset_from_csv, dataset_to_csv, flat_features, generate, train_test_split, DatasetConfig,
-    FlatAggregation, StructureEncoding,
+    dataset_from_csv, dataset_to_csv, flat_features, generate_parallel_with, train_test_split,
+    DatasetConfig, FlatAggregation, StructureEncoding,
 };
 use icnet::{Aggregation, FeatureSet, ModelKind};
 use regress::metrics;
@@ -15,7 +15,9 @@ fn demo_dataset(n: usize) -> dataset::Dataset {
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = n;
     config.key_range = (1, 10);
-    generate(&config).expect("demo dataset generates")
+    generate_parallel_with(&config, 1, None)
+        .expect("demo dataset generates")
+        .0
 }
 
 #[test]
@@ -26,7 +28,9 @@ fn icnet_beats_the_mean_predictor_on_held_out_data() {
     config.num_instances = 32;
     config.scheme = obfuscate::SchemeKind::LutLock { lut_size: 2 };
     config.key_range = (1, 20);
-    let data = generate(&config).expect("demo dataset generates");
+    let data = generate_parallel_with(&config, 1, None)
+        .expect("demo dataset generates")
+        .0;
     let split = train_test_split(data.instances.len(), 0.25, 3);
     let y = data.labels();
     let y_test = take(&y, &split.test);
@@ -40,8 +44,9 @@ fn icnet_beats_the_mean_predictor_on_held_out_data() {
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        250,
+        &train_config(250),
         3,
+        &icnet::TrainControl::default(),
     );
     let icnet_mse = result.mse.expect("gnn always fits");
     assert!(
@@ -60,7 +65,9 @@ fn baselines_learn_the_key_count_signal() {
     config.num_instances = 28;
     config.scheme = obfuscate::SchemeKind::LutLock { lut_size: 2 };
     config.key_range = (1, 20);
-    let data = generate(&config).expect("demo dataset generates");
+    let data = generate_parallel_with(&config, 1, None)
+        .expect("demo dataset generates")
+        .0;
     let split = train_test_split(data.instances.len(), 0.25, 4);
     let y = data.labels();
     let y_test = take(&y, &split.test);
@@ -123,7 +130,9 @@ fn labels_are_log_scale_and_censoring_is_flagged() {
     config.num_instances = 6;
     config.key_range = (8, 12);
     config.attack.work_budget = Some(1_000); // absurdly tight: all censored
-    let data = generate(&config).expect("generates");
+    let data = generate_parallel_with(&config, 1, None)
+        .expect("generates")
+        .0;
     assert!(data.censored_fraction() > 0.9);
     for inst in &data.instances {
         assert!((inst.log_seconds - inst.seconds.max(1e-6).ln()).abs() < 1e-12);
@@ -140,8 +149,9 @@ fn attention_distribution_is_a_probability_vector() {
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        60,
+        &train_config(60),
         9,
+        &icnet::TrainControl::default(),
     );
     let attn = model.feature_attention().expect("NN aggregation");
     assert_eq!(attn.len(), 7);
@@ -159,7 +169,16 @@ fn gcn_chebnet_icnet_all_produce_finite_mse() {
         ModelKind::ICNet,
     ] {
         for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Nn] {
-            let (result, _) = evaluate_gnn(&data, &split, kind, agg, FeatureSet::All, 30, 2);
+            let (result, _) = evaluate_gnn(
+                &data,
+                &split,
+                kind,
+                agg,
+                FeatureSet::All,
+                &train_config(30),
+                2,
+                &icnet::TrainControl::default(),
+            );
             assert!(
                 result.mse.expect("fits").is_finite(),
                 "{kind} {agg} must produce a finite MSE"

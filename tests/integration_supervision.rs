@@ -5,9 +5,7 @@
 //! checkpoint log), the process exits cleanly, and a resumed sweep skips
 //! exactly the quarantined instances.
 
-use dataset::{
-    generate, generate_parallel_with, CheckpointLog, DatasetConfig, FailureKind, RetryPolicy,
-};
+use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig, FailureKind, RetryPolicy};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,7 +49,9 @@ fn faulty_config() -> DatasetConfig {
 fn healthy_subset() -> Vec<dataset::Instance> {
     let mut clean = faulty_config();
     clean.attack_hook = None;
-    let baseline = generate(&clean).expect("clean sweep");
+    let baseline = generate_parallel_with(&clean, 1, None)
+        .expect("clean sweep")
+        .0;
     baseline
         .instances
         .into_iter()
@@ -156,7 +156,10 @@ fn raising_the_deadline_reattacks_quarantined_instances_on_resume() {
     // finished attack gets.
     let mut clean = config.clone();
     clean.attack.deadline = None;
-    assert_eq!(data.instances, generate(&clean).unwrap().instances);
+    assert_eq!(
+        data.instances,
+        generate_parallel_with(&clean, 1, None).unwrap().0.instances
+    );
 }
 
 #[test]

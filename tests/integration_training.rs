@@ -3,9 +3,9 @@
 //! job-count invariance of the Table I/II suite, the wall-clock speedup the
 //! fan-out exists for, and divergence surfacing as N/A instead of NaN.
 
-use bench::harness::{evaluate_gnn_with, run_mse_suite, run_mse_suite_jobs, EvalResult};
+use bench::harness::{evaluate_gnn, run_mse_suite, EvalResult, SuiteControl};
 use bench::methods::BaselineKind;
-use dataset::{generate, graph_features, train_test_split, Dataset, DatasetConfig};
+use dataset::{generate_parallel_with, graph_features, train_test_split, Dataset, DatasetConfig};
 use icnet::{train, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind, TrainConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -13,7 +13,9 @@ use std::time::Instant;
 fn demo_dataset(instances: usize) -> Dataset {
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = instances;
-    generate(&config).expect("demo dataset generates")
+    generate_parallel_with(&config, 1, None)
+        .expect("demo dataset generates")
+        .0
 }
 
 #[test]
@@ -54,8 +56,9 @@ fn parallel_training_is_bit_identical_to_serial_on_a_real_dataset() {
 fn mse_suite_is_independent_of_jobs() {
     let data = demo_dataset(12);
     let roster = [BaselineKind::Lr, BaselineKind::Rr, BaselineKind::Theil];
-    let serial = run_mse_suite(&data, &roster, 3, 2);
-    let parallel = run_mse_suite_jobs(&data, &roster, 3, 2, 4);
+    let control = SuiteControl::default();
+    let serial = run_mse_suite(&data, &roster, 3, 2, 1, &control);
+    let parallel = run_mse_suite(&data, &roster, 3, 2, 4, &control);
     assert_eq!(serial.len(), parallel.len());
     let key = |r: &EvalResult| {
         (
@@ -80,14 +83,15 @@ fn four_suite_workers_beat_serial() {
     let data = demo_dataset(12);
     let roster = [BaselineKind::Lr, BaselineKind::Rr];
 
-    let warm = run_mse_suite_jobs(&data, &roster, 4, 1, 1); // prime allocator/caches
+    let control = SuiteControl::default();
+    let warm = run_mse_suite(&data, &roster, 4, 1, 1, &control); // prime allocator/caches
     let start = Instant::now();
-    let serial = run_mse_suite_jobs(&data, &roster, 4, 1, 1);
+    let serial = run_mse_suite(&data, &roster, 4, 1, 1, &control);
     let serial_time = start.elapsed();
     assert_eq!(warm.len(), serial.len());
 
     let start = Instant::now();
-    let parallel = run_mse_suite_jobs(&data, &roster, 4, 1, 4);
+    let parallel = run_mse_suite(&data, &roster, 4, 1, 4, &control);
     let parallel_time = start.elapsed();
 
     assert_eq!(serial.len(), parallel.len());
@@ -119,7 +123,7 @@ fn divergent_training_surfaces_as_na_not_nan() {
         lr: 1e80, // absurd on purpose: overflows after the first step
         ..TrainConfig::default()
     };
-    let (result, trained) = evaluate_gnn_with(
+    let (result, trained) = evaluate_gnn(
         &data,
         &split,
         ModelKind::ICNet,
@@ -127,6 +131,7 @@ fn divergent_training_surfaces_as_na_not_nan() {
         FeatureSet::All,
         &config,
         1,
+        &icnet::TrainControl::default(),
     );
     assert!(result.mse.is_none(), "diverged cell must be N/A");
     assert!(result.note.contains("diverged"));
