@@ -21,16 +21,13 @@ fn main() {
     let mut models_dir = "models".to_owned();
     let mut queue_depth = 64usize;
     let mut max_payload = serve::protocol::DEFAULT_MAX_PAYLOAD;
-    let mut batch_window_ms = 1.0f64;
-    let mut max_batch = 16usize;
     let mut mem_watermark_mb: Option<u64> = None;
     let mut write_demo: Option<String> = None;
 
     let opts = Options::parse_extended(
         std::env::args().skip(1),
         "--addr <host:port> --models <dir> --queue <n> --max-payload <bytes> \
-         --batch-window-ms <ms> --max-batch <n> --mem-watermark-mb <mb> \
-         --write-demo-model <name>",
+         --mem-watermark-mb <mb> --write-demo-model <name>",
         |flag, value| match flag {
             "--addr" => {
                 addr = value("--addr");
@@ -46,14 +43,6 @@ fn main() {
             }
             "--max-payload" => {
                 max_payload = value("--max-payload").parse().expect("u32 max-payload");
-                true
-            }
-            "--batch-window-ms" => {
-                batch_window_ms = value("--batch-window-ms").parse().expect("f64 window");
-                true
-            }
-            "--max-batch" => {
-                max_batch = value("--max-batch").parse().expect("usize max-batch");
                 true
             }
             "--mem-watermark-mb" => {
@@ -114,8 +103,6 @@ fn main() {
             .deadline
             .map(Duration::from_secs_f64)
             .unwrap_or(Duration::from_secs(5)),
-        batch_window: Duration::from_secs_f64(batch_window_ms.max(0.0) / 1e3),
-        max_batch: max_batch.max(1),
         mem_watermark: mem_watermark_mb.map(|mb| mb * 1024 * 1024),
         cancel: cli::interrupt_token().clone(),
         ..Default::default()
@@ -137,7 +124,7 @@ fn main() {
     let stats = server.join();
     eprintln!(
         "# drained: {} admitted, {} ok, {} shed, {} errors, {} worker deaths ({} respawned), \
-         {} inference batches ({} requests micro-batched), peak request {} bytes",
+         {} forward passes, peak request {} bytes",
         stats.admitted,
         stats.completed,
         stats.shed,
@@ -145,7 +132,6 @@ fn main() {
         stats.worker_deaths,
         stats.respawns,
         stats.infer_batches,
-        stats.batched_requests,
         stats.peak_request_bytes,
     );
     cli::exit_if_interrupted();

@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod loadgen;
-mod microbatch;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -18,8 +18,9 @@
 //!    fast with `DeadlineExceeded` instead of wasting inference on it.
 //!
 //! Workers pull admitted connections, serve every frame on them (a
-//! connection may carry many sequential requests), and reply with typed
-//! errors for every malformed, oversized, truncated, or expired request.
+//! connection may carry many sequential requests), run each request's GNN
+//! forward pass themselves, and reply with typed errors for every
+//! malformed, oversized, truncated, or expired request.
 //! A worker death (panic or injected `serve.worker` die fault) is detected
 //! by the monitor thread, which respawns the pool back to strength.
 //!
@@ -28,7 +29,6 @@
 //! [`ErrorCode::ShuttingDown`]), workers finish every admitted request at a
 //! request boundary, and `join` returns only when the pool is idle.
 
-use crate::microbatch::{self, BatchStats, InferJob, InferOutcome};
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, FrameReadError, FrameType, Reply, Request,
     DEFAULT_MAX_PAYLOAD,
@@ -82,12 +82,6 @@ pub struct ServeConfig {
     /// shedding protects this process on this machine and never feeds a
     /// label (see the `budget` crate for the logical/physical split).
     pub mem_watermark: Option<u64>,
-    /// How long the inference micro-batcher holds the first queued request
-    /// while it waits for company (never past any held request's deadline).
-    /// `0` runs every request alone through the same path.
-    pub batch_window: Duration,
-    /// Most requests one batched forward pass may serve.
-    pub max_batch: usize,
     /// Cooperative shutdown token (the binaries pass the SIGINT token).
     pub cancel: CancelToken,
 }
@@ -106,8 +100,6 @@ impl Default for ServeConfig {
             request_timeout: Duration::from_secs(10),
             max_requests_per_conn: 1024,
             mem_watermark: None,
-            batch_window: Duration::from_millis(1),
-            max_batch: 16,
             cancel: CancelToken::default(),
         }
     }
@@ -122,6 +114,7 @@ struct Counters {
     errors: AtomicU64,
     worker_deaths: AtomicU64,
     respawns: AtomicU64,
+    forward_passes: AtomicU64,
     peak_request_bytes: AtomicU64,
 }
 
@@ -140,10 +133,11 @@ pub struct ServeStats {
     pub worker_deaths: u64,
     /// Replacement workers spawned by the monitor.
     pub respawns: u64,
-    /// Batched forward passes the micro-batcher executed (including
-    /// singleton groups).
+    /// Forward passes run: one per request that reached inference, on the
+    /// worker that serves it.
     pub infer_batches: u64,
-    /// Requests answered through a micro-batch of size ≥ 2.
+    /// Always 0: requests are never batched together. Kept only because the
+    /// repository benchmark reads it, until a benchmark change drops it.
     pub batched_requests: u64,
     /// Peak logical bytes any one request's inference inputs reached
     /// (propagation operator + feature matrix). Logical bytes are bytes
@@ -157,10 +151,6 @@ struct Shared {
     config: ServeConfig,
     queue_len: AtomicUsize,
     counters: Counters,
-    batch_stats: Arc<BatchStats>,
-    /// Sender side of the micro-batcher queue; `join` takes it to let the
-    /// batcher thread drain and exit.
-    infer_tx: Mutex<Option<SyncSender<InferJob>>>,
 }
 
 impl Shared {
@@ -172,8 +162,8 @@ impl Shared {
             errors: self.counters.errors.load(Ordering::Relaxed),
             worker_deaths: self.counters.worker_deaths.load(Ordering::Relaxed),
             respawns: self.counters.respawns.load(Ordering::Relaxed),
-            infer_batches: self.batch_stats.batches.load(Ordering::Relaxed),
-            batched_requests: self.batch_stats.batched_jobs.load(Ordering::Relaxed),
+            infer_batches: self.counters.forward_passes.load(Ordering::Relaxed),
+            batched_requests: 0,
             peak_request_bytes: self.counters.peak_request_bytes.load(Ordering::Relaxed),
         }
     }
@@ -195,7 +185,6 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: std::thread::JoinHandle<()>,
     monitor: std::thread::JoinHandle<()>,
-    batcher: std::thread::JoinHandle<()>,
 }
 
 impl Server {
@@ -210,19 +199,11 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let cancel = config.cancel.clone();
-        // The inference queue: every worker blocks on its own reply before
-        // sending another job, so a bound of one slot per worker can never
-        // stall the pool.
-        let (infer_sender, infer_receiver) =
-            std::sync::mpsc::sync_channel::<InferJob>(config.workers.max(1));
-        let batch_stats = Arc::new(BatchStats::default());
         let shared = Arc::new(Shared {
             registry,
             config,
             queue_len: AtomicUsize::new(0),
             counters: Counters::default(),
-            batch_stats: Arc::clone(&batch_stats),
-            infer_tx: Mutex::new(Some(infer_sender)),
         });
         let (sender, receiver) =
             std::sync::mpsc::sync_channel::<Job>(shared.config.queue_depth.max(1));
@@ -232,17 +213,6 @@ impl Server {
         for id in 0..shared.config.workers.max(1) {
             workers.push(spawn_worker(id, Arc::clone(&shared), Arc::clone(&receiver)));
         }
-
-        let batcher = {
-            let window = shared.config.batch_window;
-            let max_batch = shared.config.max_batch.max(1);
-            std::thread::Builder::new()
-                .name("serve-batcher".into())
-                .spawn(move || {
-                    microbatch::run_batcher(infer_receiver, window, max_batch, batch_stats)
-                })
-                .expect("spawn batcher")
-        };
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -266,7 +236,6 @@ impl Server {
             shared,
             acceptor,
             monitor,
-            batcher,
         })
     }
 
@@ -292,16 +261,6 @@ impl Server {
     pub fn join(self) -> ServeStats {
         let _ = self.acceptor.join();
         let _ = self.monitor.join();
-        // Workers are all gone now; dropping the last sender lets the
-        // batcher drain its queue and exit.
-        drop(
-            self.shared
-                .infer_tx
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take(),
-        );
-        let _ = self.batcher.join();
         self.shared.snapshot()
     }
 }
@@ -914,9 +873,6 @@ fn handle_predict(shared: &Shared, payload: &[u8], request_start: Instant) -> Re
         return expired();
     }
 
-    // The cheap per-request stages stay on this worker; the expensive GNN
-    // forward pass goes through the micro-batcher, which packs concurrent
-    // same-model requests into one batched inference.
     let graph = CircuitGraph::from_circuit(&circuit);
     let op = Arc::new(entry.model.kind.operator(&graph));
     let x = encode_features(&circuit, &selected, entry.features);
@@ -938,52 +894,15 @@ fn handle_predict(shared: &Shared, payload: &[u8], request_start: Instant) -> Re
         return expired();
     }
 
-    let sender = shared
-        .infer_tx
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    let Some(tx) = sender else {
-        // The batcher is gone (shutdown drain); in-flight requests still
-        // deserve an answer, so fall back to a direct forward pass.
-        let value = entry.model.predict(&op, &x);
-        return finish_prediction(value, &entry.name, &deadline, expired);
-    };
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    let job = InferJob {
-        model_name: entry.name.clone(),
-        model: Arc::clone(&entry.model),
-        op,
-        x,
-        deadline: deadline.0,
-        reply: reply_tx,
-    };
-    if let Err(std::sync::mpsc::SendError(job)) = tx.send(job) {
-        // The batcher hung up between the clone and the send; same fallback.
-        let value = entry.model.predict(&job.op, &job.x);
-        return finish_prediction(value, &entry.name, &deadline, expired);
-    }
-
-    // The batcher answers within deadline + window by construction; the
-    // extra slack only guards against a wedged thread.
-    let wait = deadline
-        .0
-        .saturating_duration_since(Instant::now())
-        .saturating_add(shared.config.batch_window)
-        .saturating_add(Duration::from_secs(1));
-    match reply_rx.recv_timeout(wait) {
-        Ok(InferOutcome::Value(value)) => finish_prediction(value, &entry.name, &deadline, expired),
-        Ok(InferOutcome::Expired) => expired(),
-        Ok(InferOutcome::NonFinite(message)) => error(ErrorCode::BadRequest, message),
-        Ok(InferOutcome::Panicked) => error(
-            ErrorCode::Internal,
-            "prediction pipeline panicked; the worker survived".into(),
-        ),
-        Err(_) => error(
-            ErrorCode::Internal,
-            "inference batcher did not answer".into(),
-        ),
-    }
+    // The forward pass runs on this worker as a batch of one, with the
+    // worker's own thread-local buffer pool. A panic inside it is caught by
+    // `serve_connection` and answered `Internal`.
+    shared
+        .counters
+        .forward_passes
+        .fetch_add(1, Ordering::Relaxed);
+    let value = entry.model.predict(&op, &x);
+    finish_prediction(value, &entry.name, &deadline, expired)
 }
 
 /// Stamps the post-inference deadline check and wraps the value.

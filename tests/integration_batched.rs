@@ -7,8 +7,8 @@
 //! layouts only the gradient summation order changes, so results agree to
 //! floating-point re-association tolerance (1e-12). The forward pass has no
 //! cross-instance reduction at all, so a prediction is bit-identical no
-//! matter which neighbours share the batch — the property serve-side
-//! micro-batching leans on.
+//! matter which neighbours share the batch — so a served batch-of-one
+//! answer equals the same graph's answer inside a packed evaluation batch.
 
 use dataset::{generate_parallel_with, graph_features, DatasetConfig};
 use icnet::{

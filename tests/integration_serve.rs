@@ -30,16 +30,19 @@ impl Drop for Disarm {
     }
 }
 
-fn demo_registry() -> ModelRegistry {
-    let model = icnet::GraphModel::new(
+fn demo_model() -> icnet::GraphModel {
+    icnet::GraphModel::new(
         icnet::ModelKind::Gcn,
         icnet::Aggregation::Sum,
         icnet::NUM_FEATURES_ALL,
         8,
         8,
         7,
-    );
-    ModelRegistry::from_models([("demo".to_owned(), model)]).expect("demo registry")
+    )
+}
+
+fn demo_registry() -> ModelRegistry {
+    ModelRegistry::from_models([("demo".to_owned(), demo_model())]).expect("demo registry")
 }
 
 fn start_server(config: ServeConfig) -> Server {
@@ -376,24 +379,20 @@ fn expired_on_arrival_requests_never_reach_inference() {
 }
 
 #[test]
-fn micro_batched_neighbors_do_not_change_each_others_answers() {
+fn concurrent_workers_answer_bit_identically_to_a_solo_request() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = start_server(ServeConfig {
         workers: 4,
-        // A generous window so the concurrent requests below reliably land
-        // in one batched forward pass instead of racing it.
-        batch_window: Duration::from_millis(200),
-        max_batch: 8,
         ..ServeConfig::default()
     });
 
-    // Solo baseline: one request, alone in its batch.
     let mut stream = connect(&server);
     let solo = expect_prediction(protocol::call(&mut stream, &valid_request(0)).unwrap());
     drop(stream);
 
-    // Four concurrent requests: whatever grouping the batcher forms, every
-    // answer must equal the solo prediction bit-for-bit.
+    // Four concurrent requests, each run by its own worker with its own
+    // thread-local buffer pool: every answer must equal the solo prediction
+    // bit-for-bit.
     let addr = server.local_addr();
     let values: Vec<f64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
@@ -416,20 +415,62 @@ fn micro_batched_neighbors_do_not_change_each_others_answers() {
         assert_eq!(
             value.to_bits(),
             solo.to_bits(),
-            "co-batched neighbours changed an answer: {values:?} vs solo {solo}"
+            "a concurrent request changed an answer: {values:?} vs solo {solo}"
         );
     }
 
     let stats = server.shutdown();
     assert_eq!(stats.completed, 5);
-    assert!(
-        stats.batched_requests >= 2,
-        "the 200 ms window must have micro-batched at least one group: {stats:?}"
-    );
-    assert!(
-        stats.infer_batches < 5,
-        "five solo passes means no batching happened: {stats:?}"
-    );
+    assert_eq!(stats.infer_batches, 5, "one forward pass per request");
+}
+
+#[test]
+fn forward_pass_failures_are_typed_and_the_worker_survives() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // A first conv weight of the wrong shape makes the forward pass panic.
+    let mut misshapen = demo_model();
+    misshapen.params_mut()[0] = tensor::Matrix::zeros(3, 3);
+    // A NaN output bias makes every prediction NaN.
+    let mut nan = demo_model();
+    let bias = nan.params_mut().last_mut().expect("bias parameter");
+    bias.as_mut_slice().fill(f64::NAN);
+    let registry = ModelRegistry::from_models([
+        ("misshapen".to_owned(), misshapen),
+        ("nan".to_owned(), nan),
+        ("demo".to_owned(), demo_model()),
+    ])
+    .expect("registry");
+    // One worker: the healthy request at the end runs on the very thread
+    // that took the panic.
+    let server = Server::start(
+        registry,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server binds");
+    let for_model = |name: &str| Request {
+        model: name.to_owned(),
+        ..valid_request(0)
+    };
+
+    let mut stream = connect(&server);
+    let reply = protocol::call(&mut stream, &for_model("misshapen")).unwrap();
+    let message = expect_error(reply, ErrorCode::Internal);
+    assert!(message.contains("panicked"), "{message}");
+    let reply = protocol::call(&mut stream, &for_model("nan")).unwrap();
+    let message = expect_error(reply, ErrorCode::BadRequest);
+    assert!(message.contains("non-finite"), "{message}");
+    expect_prediction(protocol::call(&mut stream, &for_model("demo")).unwrap());
+    drop(stream);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.infer_batches, 3);
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.errors, 2);
+    assert_eq!(stats.worker_deaths, 0);
+    assert_eq!(stats.respawns, 0);
 }
 
 #[test]
