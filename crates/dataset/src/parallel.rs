@@ -221,7 +221,7 @@ pub fn generate_parallel_with(
         }
         obs::emit(obs::EventKind::InstanceQuarantined {
             index: index as u64,
-            kind: failure.kind.tag(),
+            failure: failure.kind.tag(),
             attempts: failure.attempts as u64,
             reused,
         });

@@ -2,218 +2,12 @@
 //!
 //! Usage: `validate <trace.jsonl> [required-kind ...]`
 //!
-//! Checks that every line parses as a JSON object, that `ts` fields are
-//! monotone nondecreasing across the file, and that every required `kind`
-//! tag appears at least once. Exits non-zero with a diagnostic on failure.
-//! Used by the CI smoke job; the parser is a minimal self-contained JSON
-//! reader so the crate stays dependency-free.
+//! Checks every line with [`obs::check_line`] (envelope, declared kind,
+//! payload keys in declared order), that `ts` fields are monotone
+//! nondecreasing across the file, and that every required `kind` tag
+//! appears at least once. Exits non-zero with a diagnostic on failure.
 
 use std::process::ExitCode;
-
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn parse_document(mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.error("trailing garbage"));
-        }
-        Ok(value)
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected '{word}'")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            // Surrogate pairs never appear in our traces;
-                            // map unpaired surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from a &str, so
-                    // byte-level copying is safe; find the char boundary).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = rest.chars().next().unwrap();
-                    if (ch as u32) < 0x20 {
-                        return Err(self.error("unescaped control character"));
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| self.error("bad number"))
-    }
-}
-
-fn field<'j>(object: &'j Json, key: &str) -> Option<&'j Json> {
-    match object {
-        Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
 
 fn run(args: &[String]) -> Result<String, String> {
     let path = args
@@ -223,34 +17,21 @@ fn run(args: &[String]) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
 
     let mut last_ts: u64 = 0;
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
     let mut lines = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
+    for (lineno, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
         lines += 1;
-        let value = Parser::new(line)
-            .parse_document()
-            .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let ts = match field(&value, "ts") {
-            Some(Json::Number(n)) if *n >= 0.0 => *n as u64,
-            _ => return Err(format!("{path}:{}: missing numeric 'ts'", lineno + 1)),
-        };
-        if ts < last_ts {
+        let event = obs::check_line(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
+        if event.ts < last_ts {
             return Err(format!(
-                "{path}:{}: timestamp {ts} goes backwards (previous {last_ts})",
-                lineno + 1
+                "{path}:{}: timestamp {} goes backwards (previous {last_ts})",
+                lineno + 1,
+                event.ts
             ));
         }
-        last_ts = ts;
-        match field(&value, "kind") {
-            Some(Json::String(kind)) => {
-                if !seen.iter().any(|k| k == kind) {
-                    seen.push(kind.clone());
-                }
-            }
-            _ => return Err(format!("{path}:{}: missing string 'kind'", lineno + 1)),
+        last_ts = event.ts;
+        if !seen.contains(&event.kind) {
+            seen.push(event.kind);
         }
     }
     if lines == 0 {
@@ -258,7 +39,7 @@ fn run(args: &[String]) -> Result<String, String> {
     }
     let missing: Vec<&&str> = required
         .iter()
-        .filter(|want| !seen.iter().any(|k| k == **want))
+        .filter(|want| !seen.contains(want))
         .collect();
     if !missing.is_empty() {
         return Err(format!(
@@ -266,7 +47,7 @@ fn run(args: &[String]) -> Result<String, String> {
         ));
     }
     Ok(format!(
-        "ok: {lines} events, monotone timestamps, kinds {seen:?}"
+        "ok: {lines} events, monotone timestamps, declared fields, kinds {seen:?}"
     ))
 }
 
@@ -311,7 +92,8 @@ mod tests {
     fn rejects_backwards_timestamps() {
         let path = write_temp(
             "backwards.jsonl",
-            "{\"ts\":5,\"kind\":\"stage\"}\n{\"ts\":4,\"kind\":\"stage\"}\n",
+            "{\"ts\":5,\"thread\":0,\"kind\":\"stage\",\"stage\":\"a\",\"wall_ns\":1}\n\
+             {\"ts\":4,\"thread\":0,\"kind\":\"stage\",\"stage\":\"b\",\"wall_ns\":1}\n",
         );
         let err = run(&[path]).unwrap_err();
         assert!(err.contains("goes backwards"), "{err}");
@@ -319,12 +101,34 @@ mod tests {
 
     #[test]
     fn rejects_missing_required_kind_and_garbage() {
-        let path = write_temp("short.jsonl", "{\"ts\":1,\"kind\":\"stage\"}\n");
+        let path = write_temp(
+            "short.jsonl",
+            "{\"ts\":1,\"thread\":0,\"kind\":\"stage\",\"stage\":\"a\",\"wall_ns\":1}\n",
+        );
         let err = run(&[path, "attack.iteration".into()]).unwrap_err();
         assert!(err.contains("missing required event kinds"), "{err}");
 
         let path = write_temp("torn.jsonl", "{\"ts\":1,\"kind\":\"st");
         let err = run(&[path]).unwrap_err();
         assert!(err.contains("unterminated string"), "{err}");
+    }
+
+    /// One malformed line per row, with the diagnostic it must produce.
+    #[rustfmt::skip]
+    #[test]
+    fn rejects_lines_that_break_the_declared_schema() {
+        for (line, want) in [
+            (r#"{"ts":1,"thread":0,"kind":"stage.x"}"#, r#"undeclared kind "stage.x""#),
+            (r#"{"ts":1,"thread":0,"kind":"stage","wall_ns":1,"stage":"a"}"#,
+             r#"stage payload keys ["wall_ns", "stage"] differ"#),
+            (r#"{"ts":1,"thread":0,"kind":"train.checkpoint","step":1}"#, "payload keys"),
+            (r#"{"ts":1,"kind":"stage","stage":"a","wall_ns":1}"#, "is not ts, thread"),
+            (r#"{"ts":-1,"thread":0,"kind":"stage"}"#, "'ts' must be"),
+            (r#"{"ts":1,"thread":0,"kind":"stage","stage":[1]}"#, "not a JSON scalar"),
+            (r#"{"ts":1,"thread":0,"kind":"train.checkpoint","epoch":1} "#, "expected ','"),
+        ] {
+            let err = run(&[write_temp("bad.jsonl", line)]).unwrap_err();
+            assert!(err.contains(":1: ") && err.contains(want), "{line}: {err}");
+        }
     }
 }

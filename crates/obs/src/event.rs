@@ -1,11 +1,13 @@
-//! Typed observability events and their JSONL serialization.
-//!
-//! Every event is one line of JSON in the trace file. The envelope carries a
-//! monotonic timestamp (nanoseconds since `obs::init`), the id of the emitting
-//! thread, and the instance index from the ambient [`crate::context`] guard if
-//! one was active. Serialization is hand-rolled so the crate stays free of
-//! external dependencies; non-finite floats are written as `null` because JSON
-//! has no NaN/Inf literals.
+//! Typed observability events, their JSONL serialization, and the reader
+//! that checks a trace line (a flat JSON object of scalars) against the
+//! declared schema. Every line's envelope carries a monotonic timestamp
+//! (nanoseconds since `obs::init`), the id of the emitting thread, and the
+//! instance index from the ambient [`crate::context`] guard if one was
+//! active. Serialization is hand-rolled so the crate stays free of external
+//! dependencies; non-finite floats are written as `null` because JSON has no
+//! NaN/Inf literals.
+
+use std::fmt::Write as _;
 
 /// One recorded event: envelope plus payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,91 +22,149 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// The typed event payloads emitted across the pipeline.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+/// One payload value, as [`EventKind::fields`] lists it for the writer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'a> {
+    U64(u64),
+    /// Written as `null` when non-finite.
+    F64(f64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+/// `Value::from(&field)` for each payload field type the event table uses.
+macro_rules! value_from {
+    ($($ty:ty => |$v:ident| $value:expr,)*) => {$(
+        impl<'a> From<&'a $ty> for Value<'a> {
+            fn from($v: &'a $ty) -> Self {
+                $value
+            }
+        }
+    )*};
+}
+
+value_from! {
+    u64 => |v| Value::U64(*v),
+    f64 => |v| Value::F64(*v),
+    bool => |v| Value::Bool(*v),
+    &'static str => |v| Value::Str(v),
+    String => |v| Value::Str(v),
+}
+
+/// Expands the event table below into [`EventKind`], [`EventKind::tag`],
+/// [`EventKind::fields`] and [`SCHEMA`].
+macro_rules! declare_events {
+    ($(
+        $(#[$meta:meta])*
+        $variant:ident = $tag:literal {
+            $( $(#[$field_meta:meta])* $field:ident: $ty:ty ),* $(,)?
+        }
+    )*) => {
+        /// The typed event payloads emitted across the pipeline.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $( $(#[$meta])* $variant { $( $(#[$field_meta])* $field: $ty, )* }, )*
+        }
+
+        /// Every declared kind: its `kind` tag and its payload keys in
+        /// trace order.
+        pub const SCHEMA: &[(&str, &[&str])] = &[
+            $( ($tag, &[$(stringify!($field)),*]), )*
+        ];
+
+        impl EventKind {
+            /// Stable machine-readable tag written to the `kind` JSON field.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// The payload as `(key, value)` pairs in trace order.
+            pub fn fields(&self) -> Vec<(&'static str, Value<'_>)> {
+                match self {
+                    $( EventKind::$variant { $($field),* } => {
+                        vec![$( (stringify!($field), Value::from($field)) ),*]
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+// The one declaration of every event kind: variant, `kind` tag, and payload
+// fields in trace order (each field name is its JSON key). Adding a kind is
+// one entry here, plus a `progress_line` arm if it should show under
+// `--progress`. Trace keys are read by `perfbench` (`wall_ns`, `wait_ns`,
+// `infer_ns`, `outcome`), so renaming one is a benchmark change.
+declare_events! {
     /// Periodic `sat::Solver` counter snapshot (also emitted once per solve).
-    SolverProgress {
-        decisions: u64,
-        propagations: u64,
-        conflicts: u64,
-        restarts: u64,
+    SolverProgress = "solver.progress" {
+        decisions: u64, propagations: u64, conflicts: u64, restarts: u64,
         /// Live learnt clauses (learnt minus deleted).
         learnt_live: u64,
-    },
+    }
     /// One DIP iteration of the oracle-guided attack.
-    AttackIteration {
+    AttackIteration = "attack.iteration" {
         iteration: u64,
         /// Solver work spent on this iteration's distinguishing query.
         query_work: u64,
         /// Cumulative solver work across the attack so far.
         total_work: u64,
         /// Miter size when the iteration finished (vars / clause slots).
-        miter_vars: u64,
-        miter_clauses: u64,
+        miter_vars: u64, miter_clauses: u64,
         wall_ns: u64,
-    },
+    }
     /// A sweep worker picked up an instance.
-    InstanceStarted { index: u64, worker: u64 },
+    InstanceStarted = "dataset.instance.start" { index: u64, worker: u64 }
     /// A sweep worker finished an instance (freshly attacked or reused).
-    InstanceFinished {
-        index: u64,
-        worker: u64,
-        reused: bool,
-        wall_ns: u64,
+    InstanceFinished = "dataset.instance.finish" {
+        index: u64, worker: u64, reused: bool, wall_ns: u64,
         /// Deterministic solver work recorded in the instance label.
         work: u64,
-    },
+    }
     /// A supervised attempt failed and will be retried.
-    InstanceRetry {
+    InstanceRetry = "dataset.instance.retry" {
         index: u64,
         /// 1-based attempt number that is about to run.
         attempt: u64,
         reason: &'static str,
-    },
+    }
     /// An instance exhausted its retry budget and was quarantined.
-    InstanceQuarantined {
+    InstanceQuarantined = "dataset.instance.quarantine" {
         index: u64,
-        kind: &'static str,
+        /// Failure kind tag, e.g. `"timeout"` or `"memory"`.
+        failure: &'static str,
         attempts: u64,
         /// True when the quarantine record was replayed from a checkpoint.
         reused: bool,
-    },
+    }
     /// One training epoch completed.
-    TrainEpoch {
-        epoch: u64,
-        loss: f64,
-        grad_norm: f64,
-        wall_ns: u64,
-    },
+    TrainEpoch = "train.epoch" { epoch: u64, loss: f64, grad_norm: f64, wall_ns: u64 }
     /// A cell of the Table I/II evaluation grid started.
-    CellStarted { label: String },
+    CellStarted = "bench.cell.start" { label: String }
     /// A cell of the Table I/II evaluation grid finished.
-    CellFinished { label: String, wall_ns: u64 },
+    CellFinished = "bench.cell.finish" { label: String, wall_ns: u64 }
     /// Dataset cache probe outcome in `bench::harness`.
-    Cache { hit: bool, path: String },
+    Cache = "bench.cache" { hit: bool, path: String }
     /// A training epoch checkpoint was durably written.
-    TrainCheckpointSaved { epoch: u64 },
+    TrainCheckpointSaved = "train.checkpoint" { epoch: u64 }
     /// An armed fault plan fired at a named site.
-    FaultInjected {
-        site: String,
-        action: &'static str,
-        occurrence: u64,
-    },
+    FaultInjected = "fault.injected" { site: String, action: &'static str, occurrence: u64 }
     /// A named coarse stage (RAII timer) finished.
-    StageFinished { stage: String, wall_ns: u64 },
+    StageFinished = "stage" { stage: String, wall_ns: u64 }
     /// Peak logical bytes observed for one metered scope (an attack's
     /// solver, a training run's tape buffers, a serve request's inference).
     /// Logical bytes are bytes *requested*, not allocator overhead, so the
     /// value is deterministic and machine-independent (see `budget`).
-    MemHighwater {
+    MemHighwater = "mem.highwater" {
         /// What was metered: `"attack"`, `"train"`, `"serve"`, ...
         scope: &'static str,
         /// Peak logical bytes over the scope's lifetime.
         bytes: u64,
-    },
+    }
     /// One request handled (or shed) by the prediction service.
-    ServeRequest {
+    ServeRequest = "serve.request" {
         /// Connection sequence number assigned at accept time.
         seq: u64,
         /// Admission-queue depth observed when the outcome was recorded.
@@ -118,31 +178,10 @@ pub enum EventKind {
         /// Outcome tag: `"ok"` or a `serve::ErrorCode` tag such as
         /// `"overloaded"` / `"deadline_exceeded"`.
         outcome: &'static str,
-    },
+    }
 }
 
 impl EventKind {
-    /// Stable machine-readable tag written to the `kind` JSON field.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::SolverProgress { .. } => "solver.progress",
-            EventKind::AttackIteration { .. } => "attack.iteration",
-            EventKind::InstanceStarted { .. } => "dataset.instance.start",
-            EventKind::InstanceFinished { .. } => "dataset.instance.finish",
-            EventKind::InstanceRetry { .. } => "dataset.instance.retry",
-            EventKind::InstanceQuarantined { .. } => "dataset.instance.quarantine",
-            EventKind::TrainEpoch { .. } => "train.epoch",
-            EventKind::CellStarted { .. } => "bench.cell.start",
-            EventKind::CellFinished { .. } => "bench.cell.finish",
-            EventKind::Cache { .. } => "bench.cache",
-            EventKind::TrainCheckpointSaved { .. } => "train.checkpoint",
-            EventKind::FaultInjected { .. } => "fault.injected",
-            EventKind::StageFinished { .. } => "stage",
-            EventKind::MemHighwater { .. } => "mem.highwater",
-            EventKind::ServeRequest { .. } => "serve.request",
-        }
-    }
-
     /// Human-readable one-liner for the live progress sink, or `None` for
     /// high-frequency kinds that would flood a terminal.
     pub fn progress_line(&self) -> Option<String> {
@@ -168,11 +207,11 @@ impl EventKind {
             } => Some(format!("instance {index} retry #{attempt} after {reason}")),
             EventKind::InstanceQuarantined {
                 index,
-                kind,
+                failure,
                 attempts,
                 reused,
             } => Some(format!(
-                "instance {index} quarantined ({kind}, {attempts} attempts{})",
+                "instance {index} quarantined ({failure}, {attempts} attempts{})",
                 if *reused { ", replayed" } else { "" },
             )),
             EventKind::TrainEpoch {
@@ -217,188 +256,29 @@ impl EventKind {
 }
 
 impl Event {
-    /// Serialize as one JSON object (no trailing newline).
+    /// Serialize as one JSON object (no trailing newline): the envelope
+    /// `ts, thread, [ctx], kind`, then the payload fields in declared order.
     pub fn to_json(&self) -> String {
+        let envelope = [
+            ("ts", Value::U64(self.ts_ns)),
+            ("thread", Value::U64(u64::from(self.thread))),
+        ]
+        .into_iter()
+        .chain(self.ctx.map(|ctx| ("ctx", Value::U64(ctx))))
+        .chain([("kind", Value::Str(self.kind.tag()))]);
         let mut out = String::with_capacity(128);
-        out.push('{');
-        push_u64(&mut out, "ts", self.ts_ns);
-        out.push(',');
-        push_u64(&mut out, "thread", u64::from(self.thread));
-        if let Some(ctx) = self.ctx {
-            out.push(',');
-            push_u64(&mut out, "ctx", ctx);
-        }
-        out.push(',');
-        push_str(&mut out, "kind", self.kind.tag());
-        match &self.kind {
-            EventKind::SolverProgress {
-                decisions,
-                propagations,
-                conflicts,
-                restarts,
-                learnt_live,
-            } => {
-                for (k, v) in [
-                    ("decisions", decisions),
-                    ("propagations", propagations),
-                    ("conflicts", conflicts),
-                    ("restarts", restarts),
-                    ("learnt_live", learnt_live),
-                ] {
-                    out.push(',');
-                    push_u64(&mut out, k, *v);
-                }
-            }
-            EventKind::AttackIteration {
-                iteration,
-                query_work,
-                total_work,
-                miter_vars,
-                miter_clauses,
-                wall_ns,
-            } => {
-                for (k, v) in [
-                    ("iteration", iteration),
-                    ("query_work", query_work),
-                    ("total_work", total_work),
-                    ("miter_vars", miter_vars),
-                    ("miter_clauses", miter_clauses),
-                    ("wall_ns", wall_ns),
-                ] {
-                    out.push(',');
-                    push_u64(&mut out, k, *v);
-                }
-            }
-            EventKind::InstanceStarted { index, worker } => {
-                out.push(',');
-                push_u64(&mut out, "index", *index);
-                out.push(',');
-                push_u64(&mut out, "worker", *worker);
-            }
-            EventKind::InstanceFinished {
-                index,
-                worker,
-                reused,
-                wall_ns,
-                work,
-            } => {
-                out.push(',');
-                push_u64(&mut out, "index", *index);
-                out.push(',');
-                push_u64(&mut out, "worker", *worker);
-                out.push(',');
-                push_bool(&mut out, "reused", *reused);
-                out.push(',');
-                push_u64(&mut out, "wall_ns", *wall_ns);
-                out.push(',');
-                push_u64(&mut out, "work", *work);
-            }
-            EventKind::InstanceRetry {
-                index,
-                attempt,
-                reason,
-            } => {
-                out.push(',');
-                push_u64(&mut out, "index", *index);
-                out.push(',');
-                push_u64(&mut out, "attempt", *attempt);
-                out.push(',');
-                push_str(&mut out, "reason", reason);
-            }
-            EventKind::InstanceQuarantined {
-                index,
-                kind,
-                attempts,
-                reused,
-            } => {
-                out.push(',');
-                push_u64(&mut out, "index", *index);
-                out.push(',');
-                push_str(&mut out, "failure", kind);
-                out.push(',');
-                push_u64(&mut out, "attempts", *attempts);
-                out.push(',');
-                push_bool(&mut out, "reused", *reused);
-            }
-            EventKind::TrainEpoch {
-                epoch,
-                loss,
-                grad_norm,
-                wall_ns,
-            } => {
-                out.push(',');
-                push_u64(&mut out, "epoch", *epoch);
-                out.push(',');
-                push_f64(&mut out, "loss", *loss);
-                out.push(',');
-                push_f64(&mut out, "grad_norm", *grad_norm);
-                out.push(',');
-                push_u64(&mut out, "wall_ns", *wall_ns);
-            }
-            EventKind::CellStarted { label } => {
-                out.push(',');
-                push_str(&mut out, "label", label);
-            }
-            EventKind::CellFinished { label, wall_ns } => {
-                out.push(',');
-                push_str(&mut out, "label", label);
-                out.push(',');
-                push_u64(&mut out, "wall_ns", *wall_ns);
-            }
-            EventKind::Cache { hit, path } => {
-                out.push(',');
-                push_bool(&mut out, "hit", *hit);
-                out.push(',');
-                push_str(&mut out, "path", path);
-            }
-            EventKind::TrainCheckpointSaved { epoch } => {
-                out.push(',');
-                push_u64(&mut out, "epoch", *epoch);
-            }
-            EventKind::FaultInjected {
-                site,
-                action,
-                occurrence,
-            } => {
-                out.push(',');
-                push_str(&mut out, "site", site);
-                out.push(',');
-                push_str(&mut out, "action", action);
-                out.push(',');
-                push_u64(&mut out, "occurrence", *occurrence);
-            }
-            EventKind::StageFinished { stage, wall_ns } => {
-                out.push(',');
-                push_str(&mut out, "stage", stage);
-                out.push(',');
-                push_u64(&mut out, "wall_ns", *wall_ns);
-            }
-            EventKind::MemHighwater { scope, bytes } => {
-                out.push(',');
-                push_str(&mut out, "scope", scope);
-                out.push(',');
-                push_u64(&mut out, "bytes", *bytes);
-            }
-            EventKind::ServeRequest {
-                seq,
-                queue_depth,
-                wait_ns,
-                infer_ns,
-                wall_ns,
-                outcome,
-            } => {
-                for (k, v) in [
-                    ("seq", seq),
-                    ("queue_depth", queue_depth),
-                    ("wait_ns", wait_ns),
-                    ("infer_ns", infer_ns),
-                    ("wall_ns", wall_ns),
-                ] {
-                    out.push(',');
-                    push_u64(&mut out, k, *v);
-                }
-                out.push(',');
-                push_str(&mut out, "outcome", outcome);
+        for (i, (key, value)) in envelope.chain(self.kind.fields()).enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            push_str(&mut out, key);
+            out.push(':');
+            match value {
+                // `Display` is the shortest representation that round-trips;
+                // bare integers like `3` are valid JSON numbers.
+                Value::U64(v) => write!(out, "{v}").unwrap(),
+                Value::F64(v) if v.is_finite() => write!(out, "{v}").unwrap(),
+                Value::F64(_) => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                Value::Str(s) => push_str(&mut out, s),
             }
         }
         out.push('}');
@@ -406,35 +286,7 @@ impl Event {
     }
 }
 
-fn push_key(out: &mut String, key: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-}
-
-fn push_u64(out: &mut String, key: &str, value: u64) {
-    push_key(out, key);
-    out.push_str(&value.to_string());
-}
-
-fn push_bool(out: &mut String, key: &str, value: bool) {
-    push_key(out, key);
-    out.push_str(if value { "true" } else { "false" });
-}
-
-fn push_f64(out: &mut String, key: &str, value: f64) {
-    push_key(out, key);
-    if value.is_finite() {
-        // `to_string` produces the shortest representation that round-trips.
-        out.push_str(&value.to_string());
-        // Bare integers like `3` are valid JSON numbers; keep them as-is.
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_str(out: &mut String, key: &str, value: &str) {
-    push_key(out, key);
+fn push_str(out: &mut String, value: &str) {
     out.push('"');
     for ch in value.chars() {
         match ch {
@@ -443,13 +295,95 @@ fn push_str(out: &mut String, key: &str, value: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// One trace line read back by [`check_line`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceLine<'a> {
+    pub ts: u64,
+    /// The declared `kind` tag.
+    pub kind: &'static str,
+    /// Every key with its raw JSON value, envelope included, in line order.
+    pub fields: Vec<(&'a str, &'a str)>,
+}
+
+/// Read back one line written by [`Event::to_json`] and check its shape: a
+/// flat JSON object of scalars whose envelope is `ts, thread, [ctx], kind`,
+/// whose tag is declared in [`SCHEMA`], and whose payload keys are exactly
+/// that kind's declared fields, in order.
+pub fn check_line(line: &str) -> Result<TraceLine<'_>, String> {
+    let fields = split_object(line)?;
+    let keys: Vec<&str> = fields.iter().map(|(key, _)| *key).collect();
+    let ([("ts", ts), ("thread", _), ("ctx", _), ("kind", tag), payload @ ..]
+    | [("ts", ts), ("thread", _), ("kind", tag), payload @ ..]) = fields.as_slice()
+    else {
+        return Err(format!("envelope {keys:?} is not ts, thread, [ctx], kind"));
+    };
+    let ts = ts
+        .parse()
+        .map_err(|_| format!("'ts' must be a nonnegative integer, got {ts}"))?;
+    let tag = tag.trim_matches('"');
+    let (kind, declared) = SCHEMA
+        .iter()
+        .find(|(declared, _)| *declared == tag)
+        .ok_or_else(|| format!("undeclared kind {tag:?}"))?;
+    let payload = &keys[keys.len() - payload.len()..];
+    if payload != *declared {
+        return Err(format!(
+            "{kind} payload keys {payload:?} differ from the declared {declared:?}"
+        ));
+    }
+    Ok(TraceLine { ts, kind, fields })
+}
+
+/// Split a flat JSON object, written without whitespace as the writer emits
+/// it, into `(key, raw value)` pairs, checking that every value is a scalar.
+fn split_object(line: &str) -> Result<Vec<(&str, &str)>, String> {
+    let mut rest = line.strip_prefix('{').ok_or("not a JSON object line")?;
+    let mut fields = Vec::new();
+    loop {
+        let key = string_literal(rest)?;
+        rest = rest[key.len()..].strip_prefix(':').ok_or("expected ':'")?;
+        let value = if rest.starts_with('"') {
+            string_literal(rest)?
+        } else {
+            let raw = &rest[..rest.find([',', '}']).unwrap_or(rest.len())];
+            // `ends_with` a digit rules out `inf`/`NaN`, which `parse` accepts.
+            let number = raw.ends_with(|c: char| c.is_ascii_digit()) && raw.parse::<f64>().is_ok();
+            if !(number || matches!(raw, "true" | "false" | "null")) {
+                return Err(format!("{raw:?} is not a JSON scalar"));
+            }
+            raw
+        };
+        fields.push((&key[1..key.len() - 1], value));
+        rest = &rest[value.len()..];
+        match rest.strip_prefix(',') {
+            Some(next) => rest = next,
+            None if rest == "}" => return Ok(fields),
+            None => return Err(format!("expected ',' or '}}' before {rest:?}")),
+        }
+    }
+}
+
+/// The string literal, quotes included, at the start of `text`.
+fn string_literal(text: &str) -> Result<&str, String> {
+    let body = text
+        .strip_prefix('"')
+        .ok_or_else(|| format!("expected a string before {text:?}"))?;
+    let mut escaped = false;
+    for (i, byte) in body.bytes().enumerate() {
+        match byte {
+            b'"' if !escaped => return Ok(&text[..i + 2]),
+            b'\\' => escaped = !escaped,
+            _ => escaped = false,
+        }
+    }
+    Err("unterminated string".into())
 }
 
 /// Render a wall-clock duration in nanoseconds as a short human string.
@@ -523,22 +457,11 @@ mod tests {
 
     #[test]
     fn progress_lines_skip_hot_kinds() {
-        let hot = EventKind::SolverProgress {
-            decisions: 1,
-            propagations: 2,
-            conflicts: 3,
-            restarts: 0,
-            learnt_live: 0,
-        };
+        let hot = next_sample(None).unwrap();
+        assert_eq!(hot.tag(), "solver.progress");
         assert!(hot.progress_line().is_none());
-        let attack = EventKind::AttackIteration {
-            iteration: 1,
-            query_work: 1,
-            total_work: 1,
-            miter_vars: 1,
-            miter_clauses: 1,
-            wall_ns: 1,
-        };
+        let attack = next_sample(Some(&hot)).unwrap();
+        assert_eq!(attack.tag(), "attack.iteration");
         assert!(attack.progress_line().is_none());
         let cell = EventKind::CellFinished {
             label: "gcn d=2".into(),
@@ -555,5 +478,89 @@ mod tests {
         assert_eq!(fmt_wall(2_500_000_000), "2.50s");
         assert_eq!(fmt_wall(2_500_000), "2.50ms");
         assert_eq!(fmt_wall(900), "1\u{b5}s");
+    }
+
+    /// The sample after `prev` (`None` starts the walk). The match is
+    /// exhaustive, so a new variant fails to compile until it has an arm;
+    /// `every_kind_round_trips` checks the walk visits every declared tag.
+    #[rustfmt::skip]
+    fn next_sample(prev: Option<&EventKind>) -> Option<EventKind> {
+        use EventKind::*;
+        Some(match prev {
+            None => SolverProgress {
+                decisions: 1, propagations: 2, conflicts: 3, restarts: 4, learnt_live: 5,
+            },
+            Some(SolverProgress { .. }) => AttackIteration {
+                iteration: 1, query_work: 2, total_work: 3, miter_vars: 4, miter_clauses: 5,
+                wall_ns: u64::MAX,
+            },
+            Some(AttackIteration { .. }) => InstanceStarted { index: 1, worker: 2 },
+            Some(InstanceStarted { .. }) => InstanceFinished {
+                index: 1, worker: 2, reused: true, wall_ns: 3, work: 4,
+            },
+            Some(InstanceFinished { .. }) => InstanceRetry {
+                index: 1, attempt: 2, reason: "panic",
+            },
+            Some(InstanceRetry { .. }) => InstanceQuarantined {
+                index: 1, failure: "timeout", attempts: 3, reused: false,
+            },
+            Some(InstanceQuarantined { .. }) => TrainEpoch {
+                epoch: 1, loss: f64::NAN, grad_norm: 0.25, wall_ns: 3,
+            },
+            Some(TrainEpoch { .. }) => CellStarted { label: "gcn d=2".into() },
+            Some(CellStarted { .. }) => CellFinished { label: "gcn d=2".into(), wall_ns: 9 },
+            Some(CellFinished { .. }) => Cache { hit: false, path: "out/dataset.csv".into() },
+            Some(Cache { .. }) => TrainCheckpointSaved { epoch: 7 },
+            Some(TrainCheckpointSaved { .. }) => FaultInjected {
+                site: "sat.solve".into(), action: "panic", occurrence: 0,
+            },
+            // The writer must escape this, and it holds the reader's delimiters.
+            Some(FaultInjected { .. }) => StageFinished {
+                stage: "we\"ird\\ ,}:\n\r\t\u{1} \u{e9}".into(), wall_ns: 5,
+            },
+            Some(StageFinished { .. }) => MemHighwater { scope: "attack", bytes: 12_345 },
+            Some(MemHighwater { .. }) => ServeRequest {
+                seq: 1, queue_depth: 2, wait_ns: 3, infer_ns: 4, wall_ns: 5, outcome: "ok",
+            },
+            Some(ServeRequest { .. }) => return None,
+        })
+    }
+
+    #[test]
+    fn every_kind_round_trips() {
+        let samples: Vec<EventKind> =
+            std::iter::successors(next_sample(None), |k| next_sample(Some(k))).collect();
+        let tags: Vec<&str> = samples.iter().map(EventKind::tag).collect();
+        let declared: Vec<&str> = SCHEMA.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, declared, "one sample per declared kind");
+        for (i, tag) in tags.iter().enumerate() {
+            assert!(!tags[..i].contains(tag), "duplicate tag {tag}");
+        }
+        for (kind, (_, schema)) in samples.into_iter().zip(SCHEMA) {
+            for (ctx, envelope) in [
+                (None, &["ts", "thread", "kind"][..]),
+                (Some(3), &["ts", "thread", "ctx", "kind"]),
+            ] {
+                let json = Event {
+                    ts_ns: 42,
+                    thread: 1,
+                    ctx,
+                    kind: kind.clone(),
+                }
+                .to_json();
+                let line = check_line(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+                assert_eq!((line.ts, line.kind), (42, kind.tag()));
+                let keys: Vec<&str> = line.fields.iter().map(|(key, _)| *key).collect();
+                assert_eq!(keys, [envelope, schema].concat(), "{json}");
+                let raw = |key| line.fields.iter().find(|(k, _)| *k == key).unwrap().1;
+                match kind {
+                    EventKind::TrainEpoch { .. } => assert_eq!(raw("loss"), "null"),
+                    EventKind::StageFinished { .. } => {
+                        assert_eq!(raw("stage"), r#""we\"ird\\ ,}:\n\r\t\u0001 é""#)
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 }

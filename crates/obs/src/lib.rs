@@ -38,7 +38,7 @@
 mod event;
 mod summary;
 
-pub use event::{fmt_wall, Event, EventKind};
+pub use event::{check_line, fmt_wall, Event, EventKind, TraceLine, Value, SCHEMA};
 pub use summary::{StageRow, Summary};
 
 use std::cell::{Cell, OnceCell};
@@ -108,12 +108,7 @@ pub fn emit(kind: EventKind) {
             drop(guard);
         }
     }
-    let event = Event {
-        ts_ns,
-        thread: 0, // patched below with the registered id
-        ctx: CTX.with(Cell::get),
-        kind,
-    };
+    let ctx = CTX.with(Cell::get);
     BUF.with(|cell| {
         let buf = cell.get_or_init(|| {
             let mut registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
@@ -126,8 +121,10 @@ pub fn emit(kind: EventKind) {
         });
         let mut events = buf.events.lock().unwrap_or_else(|e| e.into_inner());
         events.push(Event {
+            ts_ns,
             thread: buf.id,
-            ..event
+            ctx,
+            kind,
         });
     });
 }
@@ -197,17 +194,13 @@ pub fn finish() -> Option<Summary> {
     ENABLED.store(false, Ordering::Relaxed);
     PROGRESS.store(false, Ordering::Relaxed);
 
+    // Deterministic merge: concatenate buffers in registration order (each
+    // buffer is already in emission order with nondecreasing timestamps),
+    // then stable-sort by timestamp so ties keep the (thread id, emission
+    // order) tie-break.
     let mut events: Vec<Event> = Vec::new();
-    {
-        let registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-        // Deterministic merge: concatenate buffers in registration order
-        // (each buffer is already in emission order with nondecreasing
-        // timestamps), then stable-sort by timestamp so ties keep the
-        // (thread id, emission order) tie-break.
-        for buf in registry.iter() {
-            let mut local = buf.events.lock().unwrap_or_else(|e| e.into_inner());
-            events.append(&mut local);
-        }
+    for buf in REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        events.append(&mut buf.events.lock().unwrap_or_else(|e| e.into_inner()));
     }
     events.sort_by_key(|ev| ev.ts_ns);
 
@@ -328,14 +321,8 @@ mod tests {
         let text = std::fs::read_to_string(&trace).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
-        // Monotone timestamps across the merged stream.
-        let ts: Vec<u64> = lines
-            .iter()
-            .map(|l| {
-                let rest = l.strip_prefix("{\"ts\":").unwrap();
-                rest[..rest.find(',').unwrap()].parse().unwrap()
-            })
-            .collect();
+        // Every line matches the schema; timestamps are monotone.
+        let ts: Vec<u64> = lines.iter().map(|l| check_line(l).unwrap().ts).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{ts:?}");
         // Context guard nesting: start(3) has ctx 3, start(4) has ctx 4,
         // finish(3) back to ctx 3.

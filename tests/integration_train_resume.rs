@@ -269,6 +269,9 @@ fn converged_checkpoint_resumes_to_the_same_report() {
 #[test]
 #[should_panic(expected = "different hyper-parameters")]
 fn mismatched_hyperparameters_refuse_to_resume() {
+    // Training consults the global `train.interrupt` occurrence counter, so
+    // running beside a test that arms it would steal its occurrences.
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (op, xs, ys) = setup();
     let path = ckpt_path("fingerprint_mismatch");
     let control = TrainControl {
