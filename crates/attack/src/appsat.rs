@@ -24,7 +24,7 @@ use crate::dip::ExpiredDeadline;
 use crate::error::AttackError;
 use crate::oracle::Oracle;
 use crate::runtime::AttackRuntime;
-use cnf::{encode_circuit_with, encode_miter, fix_vars, EncodeOptions};
+use cnf::{encode_io_constraint, encode_miter};
 use netlist::Circuit;
 use obfuscate::Key;
 use rand::rngs::StdRng;
@@ -162,16 +162,7 @@ pub fn appsat(
 
     let add_io_constraint = |solver: &mut Solver, inputs: &[bool], outputs: &[bool]| {
         for key_vars in [&miter.key1, &miter.key2] {
-            let enc = encode_circuit_with(
-                locked,
-                solver,
-                EncodeOptions {
-                    input_vars: None,
-                    key_vars: Some(key_vars.clone()),
-                },
-            );
-            fix_vars(solver, &enc.input_vars(locked), inputs);
-            fix_vars(solver, &enc.output_vars(locked), outputs);
+            encode_io_constraint(locked, solver, key_vars, inputs, outputs);
         }
     };
 

@@ -3,7 +3,7 @@
 use crate::error::AttackError;
 use crate::oracle::{Oracle, SimOracle};
 use crate::runtime::AttackRuntime;
-use cnf::{encode_circuit_with, encode_miter, fix_vars, EncodeOptions};
+use cnf::{encode_io_constraint, encode_miter};
 use netlist::Circuit;
 use obfuscate::{Key, LockedCircuit};
 use sat::{SolveResult, Solver, SolverStats};
@@ -232,7 +232,9 @@ pub fn attack(
     let miter = encode_miter(locked, &mut solver);
     // One preprocessing pass over the freshly-encoded miter before any DIP
     // query: Tseitin encodings leave subsumed and strengthenable clauses,
-    // and no assumptions are in flight yet.
+    // and no assumptions are in flight yet. It is the only pass: each DIP
+    // constraint below is encoded without its constant gates, so there are
+    // no satisfied clauses for a periodic sweep to clear.
     solver.preprocess();
 
     // Why the loop ended early, when it did. Timeouts are kept distinct
@@ -329,16 +331,7 @@ pub fn attack(
                 debug_assert_eq!(response.len(), locked.outputs().len());
                 // Constrain both key copies to reproduce the oracle on this DIP.
                 for key_vars in [&miter.key1, &miter.key2] {
-                    let enc = encode_circuit_with(
-                        locked,
-                        &mut solver,
-                        EncodeOptions {
-                            input_vars: None,
-                            key_vars: Some(key_vars.clone()),
-                        },
-                    );
-                    fix_vars(&mut solver, &enc.input_vars(locked), &dip);
-                    fix_vars(&mut solver, &enc.output_vars(locked), &response);
+                    encode_io_constraint(locked, &mut solver, key_vars, &dip, &response);
                 }
                 iterations += 1;
                 if observing {
@@ -355,16 +348,6 @@ pub fn attack(
                 }
                 if config.record_dips {
                     dips.push(dip);
-                }
-                // Each DIP fixes hundreds of copy inputs/outputs at the root
-                // level; periodically preprocess (root sweep, subsumption,
-                // self-subsuming resolution, bounded probing) so the solver
-                // isn't dragging two freshly-encoded circuit copies' worth of
-                // satisfied clauses through every propagation. Safe here:
-                // assumptions are per-solve, and between iterations none are
-                // in flight.
-                if iterations.is_multiple_of(4) {
-                    solver.preprocess();
                 }
             }
         }

@@ -4,6 +4,9 @@
 //! abstraction is [`ClauseSink`], implemented both by [`CnfFormula`] (an
 //! in-memory clause list, convertible to DIMACS) and by [`sat::Solver`]
 //! (direct incremental encoding, which is what the SAT attack uses).
+//! [`encode_io_constraint`] is the attack's per-DIP constraint: one key copy
+//! pinned to an oracle observation, encoded over the key-dependent gates
+//! only.
 //!
 //! # Example
 //!
@@ -24,10 +27,12 @@
 
 mod encode;
 mod formula;
+mod io_constraint;
 mod miter;
 
 pub use encode::{encode_circuit, encode_circuit_with, CircuitEncoding, EncodeOptions};
 pub use formula::CnfFormula;
+pub use io_constraint::{encode_io_constraint, key_independent_values};
 pub use miter::{encode_miter, MiterEncoding};
 
 use sat::{Lit, Var};

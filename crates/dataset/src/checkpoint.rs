@@ -66,7 +66,21 @@ fn record_crc(body: &str) -> u64 {
     fnv1a(FNV_OFFSET, body.as_bytes())
 }
 
-/// The configuration fields that decide what label a finished attack gets:
+/// Revision of the labelling algorithm: the attack loop, its constraint
+/// encoder and the solver. A change there shifts `SolverWork` labels and
+/// DIP sequences while every configuration field stays equal, so each such
+/// change bumps this number, and [`label_fingerprint`] carries it so that a
+/// resumed log or a cached dataset never mixes labels from two algorithms.
+/// The golden-label test in `generate.rs` fails on an unbumped change.
+///
+/// * 1 — every DIP re-encodes two full circuit copies; inprocessing every
+///   4th DIP (fingerprints had no revision field then).
+/// * 2 — each DIP constraint is encoded over the key-dependent gates only
+///   (`cnf::encode_io_constraint`); inprocessing once, after the miter.
+pub(crate) const LABEL_REVISION: u32 = 2;
+
+/// What decides the label a finished attack gets: the labelling
+/// algorithm's revision (`LABEL_REVISION`) and the configuration fields —
 /// the scheme identity *with its parameters* (`SchemeKind`'s `Display`
 /// carries LUT size / Anti-SAT key width), the work budget, the per-solve
 /// conflict cap, and the runtime measure. Wall-clock deadlines, the retry
@@ -78,7 +92,7 @@ fn record_crc(body: &str) -> u64 {
 /// which configurations share labels.
 pub fn label_fingerprint(config: &DatasetConfig) -> String {
     format!(
-        "scheme={};budget={:?};conflicts={:?};measure={:?}",
+        "rev={LABEL_REVISION};scheme={};budget={:?};conflicts={:?};measure={:?}",
         config.scheme, config.attack.work_budget, config.attack.conflicts_per_solve, config.measure
     )
 }

@@ -321,6 +321,45 @@ mod tests {
     }
 
     #[test]
+    fn golden_labels_pin_the_labelling_algorithm() {
+        // "iterations work label" of fixed `(config, index)` instances. Any
+        // change to the attack, its constraint encoder or the solver that
+        // moves one of these must bump `LABEL_REVISION` and re-record them.
+        assert_eq!(
+            crate::checkpoint::LABEL_REVISION,
+            2,
+            "re-record the golden labels"
+        );
+        let xor = DatasetConfig {
+            num_instances: 2,
+            ..DatasetConfig::quick_demo()
+        };
+        let lut4 = DatasetConfig {
+            scheme: SchemeKind::LutLock { lut_size: 4 },
+            key_range: (2, 4),
+            ..xor.clone()
+        };
+        let anti_sat = DatasetConfig {
+            scheme: SchemeKind::AntiSat { key_width: 4 },
+            key_range: (1, 1),
+            ..xor.clone()
+        };
+        for (config, golden) in [
+            (&xor, ["1 54187 -5.911047", "4 44604 -6.105664"]),
+            (&lut4, ["21 83311 -5.480907", "38 171848 -4.756877"]),
+            (&anti_sat, ["16 77032 -5.559267", "16 76668 -5.564003"]),
+        ] {
+            let got: Vec<String> = sweep(config)
+                .unwrap()
+                .instances
+                .iter()
+                .map(|i| format!("{} {} {:.6}", i.iterations, i.work, i.log_seconds))
+                .collect();
+            assert_eq!(got, golden, "{}", config.scheme);
+        }
+    }
+
+    #[test]
     fn dataset_presets_have_paper_ranges() {
         let d1 = DatasetConfig::dataset1("c1529", 100);
         assert_eq!(d1.key_range, (1, 350));

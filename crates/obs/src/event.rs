@@ -111,7 +111,9 @@ declare_events! {
         query_work: u64,
         /// Cumulative solver work across the attack so far.
         total_work: u64,
-        /// Miter size when the iteration finished (vars / clause slots).
+        /// Miter size when the iteration finished (vars / clause slots):
+        /// the miter plus every DIP constraint so far, each adding only its
+        /// key-dependent gates.
         miter_vars: u64, miter_clauses: u64,
         wall_ns: u64,
     }

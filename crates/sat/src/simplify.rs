@@ -18,8 +18,9 @@
 //!
 //! The pass is only sound at decision level 0 with no outstanding
 //! assumptions; the solver's own `solve` calls always return at level 0, and
-//! the SAT attack invokes `preprocess` strictly *between* DIP iterations,
-//! never while an assumption-scoped query is in flight.
+//! the SAT attack invokes `preprocess` once, on the freshly encoded miter
+//! before its first DIP query, never while an assumption-scoped query is in
+//! flight.
 
 use crate::arena::ClauseRef;
 use crate::lit::{Lit, Var};

@@ -2,11 +2,20 @@
 //! every `Sat` model of the de-obfuscation miter claims a concrete
 //! disagreement witness — replaying it through `netlist` simulation must
 //! reproduce that disagreement, or the CNF encoding and the simulator
-//! have diverged.
+//! have diverged. The attack's per-DIP constraint gets the same treatment:
+//! the folded encoding must admit exactly the keys the full-copy encoding
+//! and the simulator admit.
 
-use cnf::encode_miter;
+use cnf::{
+    encode_circuit_with, encode_io_constraint, encode_miter, fix_vars, key_independent_values,
+    EncodeOptions,
+};
+use netlist::Circuit;
 use obfuscate::{lock_random, SchemeKind};
-use sat::{Lit, SolveResult, Solver};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sat::{Lit, SolveResult, Solver, Var};
 
 /// Solves the miter of `locked` for up to `max_models` distinguishing
 /// models; for each, replays inputs and both keys through the simulator and
@@ -81,4 +90,143 @@ fn miter_models_reproduce_under_simulation_for_mux_locking() {
     let locked = lock_random(&base, SchemeKind::MuxLock, 5, 2).expect("lockable");
     let checked = check_miter_models(&locked.locked, 8);
     assert!(checked > 0, "a MUX-locked c432 miter must have DIPs");
+}
+
+/// The keys (as bit masks, bit `i` = key input `i`) a solver holding a
+/// constraint over `key_vars` admits.
+fn admitted_keys(solver: &mut Solver, key_vars: &[Var]) -> Vec<u32> {
+    (0..1u32 << key_vars.len())
+        .filter(|&key| {
+            let assume: Vec<Lit> = key_vars
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| Lit::new(v, key >> i & 1 == 0))
+                .collect();
+            matches!(solver.solve_with_assumptions(&assume), SolveResult::Sat(_))
+        })
+        .collect()
+}
+
+/// The keys admitted by the folded constraint, by the full-copy
+/// encode-then-fix constraint, and by simulation, in that order.
+fn key_sets(locked: &Circuit, dip: &[bool], response: &[bool]) -> [Vec<u32>; 3] {
+    let nk = locked.keys().len();
+    let mut folded = Solver::new();
+    let folded_keys = folded.new_vars(nk);
+    encode_io_constraint(locked, &mut folded, &folded_keys, dip, response);
+    let mut full = Solver::new();
+    let full_keys = full.new_vars(nk);
+    let enc = encode_circuit_with(
+        locked,
+        &mut full,
+        EncodeOptions {
+            input_vars: None,
+            key_vars: Some(full_keys.clone()),
+        },
+    );
+    fix_vars(&mut full, &enc.input_vars(locked), dip);
+    fix_vars(&mut full, &enc.output_vars(locked), response);
+    let simulated = (0..1u32 << nk)
+        .filter(|&key| {
+            let bits: Vec<bool> = (0..nk).map(|i| key >> i & 1 == 1).collect();
+            locked.simulate_bool(dip, &bits).expect("widths match") == response
+        })
+        .collect();
+    [
+        admitted_keys(&mut folded, &folded_keys),
+        admitted_keys(&mut full, &full_keys),
+        simulated,
+    ]
+}
+
+/// Asserts every gate the ternary pass calls constant under `dip` takes
+/// that value under every key.
+fn check_constants(locked: &Circuit, dip: &[bool]) {
+    let nk = locked.keys().len();
+    let values = key_independent_values(locked, dip);
+    let inputs: Vec<u64> = dip.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
+    for base in (0..1u64 << nk).step_by(64) {
+        let lanes = (1u64 << nk) - base;
+        let mask = if lanes >= 64 {
+            u64::MAX
+        } else {
+            (1 << lanes) - 1
+        };
+        // Lane `p` carries key `base + p`.
+        let keys: Vec<u64> = (0..nk)
+            .map(|i| (0..64).fold(0, |w, p| w | ((base + p) >> i & 1) << p))
+            .collect();
+        let sim = locked.simulate_words(&inputs, &keys).expect("widths match");
+        for (index, value) in values.iter().enumerate() {
+            if let Some(b) = *value {
+                let word = sim.words()[index] & mask;
+                assert_eq!(
+                    word,
+                    if b { mask } else { 0 },
+                    "gate {index} is not constant {b}"
+                );
+            }
+        }
+    }
+}
+
+/// A random locking of c17 or a small synthetic circuit with at most 10
+/// key bits.
+fn small_locking(rng: &mut StdRng) -> obfuscate::LockedCircuit {
+    let base = if rng.gen::<bool>() {
+        netlist::c17()
+    } else {
+        synth::generate(&synth::GeneratorConfig::new("small", 7, 4, 40).with_seed(rng.gen()))
+    };
+    let (scheme, count) = match rng.gen_range(0..5) {
+        0 => (SchemeKind::XorLock, rng.gen_range(1..=6)),
+        1 => (SchemeKind::MuxLock, rng.gen_range(1..=6)),
+        2 => (SchemeKind::LutLock { lut_size: 2 }, rng.gen_range(1..=2)),
+        3 => (SchemeKind::LutLock { lut_size: 3 }, 1),
+        _ => (
+            SchemeKind::AntiSat {
+                key_width: rng.gen_range(2..=5),
+            },
+            1,
+        ),
+    };
+    let locked = lock_random(&base, scheme, count, rng.gen()).expect("small lockings fit");
+    assert!(
+        locked.locked.keys().len() <= 10,
+        "{scheme}: too many key bits"
+    );
+    locked
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The folded per-DIP constraint admits exactly the keys the full-copy
+    /// constraint admits, for the oracle's response, another key's
+    /// response, and an arbitrary (often unreachable) response.
+    #[test]
+    fn folded_io_constraint_admits_the_full_copy_key_set(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let locked = small_locking(&mut rng);
+        let circuit = &locked.locked;
+        let nk = circuit.keys().len();
+        for source in 0..3 {
+            let dip: Vec<bool> = (0..circuit.inputs().len()).map(|_| rng.gen()).collect();
+            let response = match source {
+                0 => locked.original.simulate_bool(&dip, &[]).unwrap(),
+                1 => {
+                    let key: Vec<bool> = (0..nk).map(|_| rng.gen()).collect();
+                    circuit.simulate_bool(&dip, &key).unwrap()
+                }
+                _ => (0..circuit.outputs().len()).map(|_| rng.gen()).collect(),
+            };
+            let [folded, full, simulated] = key_sets(circuit, &dip, &response);
+            prop_assert_eq!(&folded, &full, "dip {:?} response {:?}", dip, response);
+            prop_assert_eq!(&full, &simulated);
+            if source < 2 {
+                prop_assert!(!folded.is_empty(), "a reachable response admits a key");
+            }
+            check_constants(circuit, &dip);
+        }
+    }
 }
