@@ -1,11 +1,13 @@
 //! Block-diagonal packing of a mini-batch of circuit graphs.
 //!
-//! A batch of B instances is one graph problem: the per-graph operators are
-//! stacked into a single block-diagonal CSR matrix, the per-graph feature
-//! matrices into one tall dense matrix, and a [`Segments`] table records
-//! which stacked rows belong to which graph. One spmm/matmul chain then
-//! processes the whole batch per layer, instead of B separate tapes
-//! (DESIGN.md §10).
+//! A batch of B instances of one circuit is one graph problem: B copies of
+//! the graph operator are stacked into a single block-diagonal CSR matrix,
+//! the per-instance feature matrices into one tall dense matrix, and a
+//! [`Segments`] table records which stacked rows belong to which instance.
+//! One spmm/matmul chain then processes the whole batch per layer, instead
+//! of B separate tapes (DESIGN.md §10). Because every copy shares one
+//! operator, a row whose inputs match a reference copy's is computed once
+//! and copied ([`RowReuse`], DESIGN.md §10.5).
 //!
 //! The packing is purely structural — it depends on the batch *layout*
 //! (which operator, how many copies) and not on the feature data — so a
@@ -14,40 +16,37 @@
 //! into every fresh tape via [`Tape::seed_transpose`](tensor::Tape)).
 
 use std::sync::{Arc, OnceLock};
-use tensor::{CsrMatrix, Matrix, Segments};
+use tensor::{CsrMatrix, Matrix, RowReuse, Segments};
 
-/// B graphs packed into one block-diagonal operator plus row segments.
+/// B copies of one graph packed into one block-diagonal operator plus row
+/// segments.
 #[derive(Debug)]
 pub struct BatchedGraph {
     op: Arc<CsrMatrix>,
     segments: Arc<Segments>,
     op_t: OnceLock<Arc<CsrMatrix>>,
+    // The transpose of one copy of the operator: row `c` lists the rows
+    // that read column `c`, which is all a row-reuse hop needs.
+    fan_out: OnceLock<CsrMatrix>,
 }
 
 impl BatchedGraph {
-    /// Packs an explicit list of (possibly distinct) graph operators.
+    /// Packs `count` copies of one operator: every instance shares the
+    /// circuit topology and differs only in its feature matrix (encryption
+    /// mask).
     ///
     /// # Panics
     ///
-    /// Panics if any operator is non-square (graph operators always are).
-    pub fn from_ops(ops: &[&CsrMatrix]) -> Self {
-        for op in ops {
-            assert_eq!(op.rows(), op.cols(), "graph operators must be square");
-        }
-        let lens: Vec<usize> = ops.iter().map(|op| op.rows()).collect();
-        BatchedGraph {
-            op: Arc::new(CsrMatrix::block_diag(ops)),
-            segments: Arc::new(Segments::from_lens(&lens)),
-            op_t: OnceLock::new(),
-        }
-    }
-
-    /// Packs `count` copies of one operator — the common training case where
-    /// every instance shares the circuit topology and differs only in its
-    /// feature matrix (encryption mask).
+    /// Panics if the operator is non-square (graph operators always are).
     pub fn replicate(op: &CsrMatrix, count: usize) -> Self {
-        let ops: Vec<&CsrMatrix> = (0..count).map(|_| op).collect();
-        BatchedGraph::from_ops(&ops)
+        assert_eq!(op.rows(), op.cols(), "graph operators must be square");
+        let ops = vec![op; count];
+        BatchedGraph {
+            op: Arc::new(CsrMatrix::block_diag(&ops)),
+            segments: Arc::new(Segments::from_lens(&vec![op.rows(); count])),
+            op_t: OnceLock::new(),
+            fan_out: OnceLock::from(op.transpose()),
+        }
     }
 
     /// Wraps a single graph as a batch of one, reusing the operator `Arc`
@@ -59,6 +58,7 @@ impl BatchedGraph {
             op,
             segments,
             op_t: OnceLock::new(),
+            fan_out: OnceLock::new(),
         }
     }
 
@@ -86,6 +86,17 @@ impl BatchedGraph {
     /// layout and shared by every tape that trains on it.
     pub fn operator_transpose(&self) -> Arc<CsrMatrix> {
         Arc::clone(self.op_t.get_or_init(|| Arc::new(self.op.transpose())))
+    }
+
+    /// The rows `plan` marks dirty, grown by one hop of the operator: the
+    /// rows of `op · H` that read a dirty row of `H`. A clean plan stays
+    /// clean without touching the operator.
+    pub fn hop(&self, plan: &RowReuse) -> RowReuse {
+        if plan.is_clean() {
+            plan.clone()
+        } else {
+            plan.hop(self.fan_out.get_or_init(|| self.op.transpose()))
+        }
     }
 
     /// Stacks per-graph feature matrices into one tall matrix whose row
@@ -221,18 +232,31 @@ mod tests {
     }
 
     #[test]
-    fn from_ops_allows_heterogeneous_sizes() {
-        let a = op(2);
-        let b = op(5);
-        let batch = BatchedGraph::from_ops(&[&a, &b]);
-        assert_eq!(batch.num_graphs(), 2);
-        assert_eq!(batch.total_nodes(), 7);
-        assert_eq!(batch.segments().range(1), 2..7);
+    fn hop_follows_the_operator_edges() {
+        // Path 0 -> 1 -> 2 (row r reads column r - 1) plus self-loops.
+        let path = CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 1.0),
+                (2, 1, 1.0),
+                (2, 2, 1.0),
+            ],
+        );
+        let batch = BatchedGraph::replicate(&path, 2);
+        let x = Matrix::from_vec(6, 1, vec![0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        let plan = RowReuse::diff(&x, Arc::clone(batch.segments()));
+        assert_eq!(plan.dirty(1), &[0]);
+        assert_eq!(batch.hop(&plan).dirty(1), &[0, 1]);
+        let clean = RowReuse::diff(&Matrix::zeros(6, 1), Arc::clone(batch.segments()));
+        assert!(batch.hop(&clean).is_clean());
     }
 
     #[test]
     fn empty_batch_is_representable() {
-        let batch = BatchedGraph::from_ops(&[]);
+        let batch = BatchedGraph::replicate(&op(3), 0);
         assert_eq!(batch.num_graphs(), 0);
         assert_eq!(batch.total_nodes(), 0);
         let stacked = batch.stack_features(&[]);

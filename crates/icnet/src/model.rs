@@ -6,7 +6,7 @@ use crate::graph::CircuitGraph;
 use crate::pool_lease::PoolLease;
 use std::fmt;
 use std::sync::Arc;
-use tensor::{init, CsrMatrix, Matrix, Segments, Tape, VarId};
+use tensor::{init, CsrMatrix, Matrix, RowReuse, Segments, Tape, VarId};
 
 /// Which graph operator (and hence which model of the paper) to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -308,48 +308,65 @@ impl GraphModel {
     /// [`conv`](Self::conv), with the dense products routed through
     /// segment-aware matmuls so weight gradients fold per graph in batch
     /// order (the reduction the per-instance trainer performs explicitly).
+    ///
+    /// `plan` marks the rows of `input` that differ from its reference
+    /// instance; the layer's spmm and matmul products compute only those
+    /// rows (and their operator neighbours) per instance and copy the rest
+    /// from the reference. Returns the layer output and its dirty rows
+    /// (DESIGN.md §10.5).
     fn conv_batched(
         &self,
         tape: &mut Tape,
-        op: &Arc<CsrMatrix>,
-        segments: &Arc<Segments>,
+        batch: &BatchedGraph,
         grad_scale: f64,
         input: VarId,
+        plan: &RowReuse,
         weights: &[VarId],
-    ) -> VarId {
-        let mixed = match self.kind {
+    ) -> (VarId, RowReuse) {
+        let op = batch.operator();
+        let (mixed, plan) = match self.kind {
             ModelKind::Gcn | ModelKind::ICNet => {
-                let propagated = tape.spmm(Arc::clone(op), input);
-                tape.matmul_seg(propagated, weights[0], Arc::clone(segments), grad_scale)
+                let hop = batch.hop(plan);
+                let propagated = tape.spmm_reuse(Arc::clone(op), input, plan, &hop);
+                let mixed = tape.matmul_seg_reuse(propagated, weights[0], &hop, grad_scale);
+                (mixed, hop)
             }
             ModelKind::ChebNet { k } => {
-                let mut terms: Vec<VarId> = Vec::with_capacity(k);
-                terms.push(input);
+                let mut terms: Vec<(VarId, RowReuse)> = Vec::with_capacity(k);
+                terms.push((input, plan.clone()));
                 if k > 1 {
-                    terms.push(tape.spmm(Arc::clone(op), input));
+                    let hop = batch.hop(plan);
+                    terms.push((tape.spmm_reuse(Arc::clone(op), input, plan, &hop), hop));
                 }
                 for j in 2..k {
-                    let prop = tape.spmm(Arc::clone(op), terms[j - 1]);
+                    let hop = batch.hop(&terms[j - 1].1);
+                    let prop =
+                        tape.spmm_reuse(Arc::clone(op), terms[j - 1].0, &terms[j - 1].1, &hop);
                     let doubled = tape.scale(prop, 2.0);
-                    let t = tape.sub(doubled, terms[j - 2]);
-                    terms.push(t);
+                    let t = tape.sub(doubled, terms[j - 2].0);
+                    let dirty = hop.union(&terms[j - 2].1);
+                    terms.push((t, dirty));
                 }
                 let mut acc =
-                    tape.matmul_seg(terms[0], weights[0], Arc::clone(segments), grad_scale);
-                for (j, &t) in terms.iter().enumerate().skip(1) {
-                    let contrib = tape.matmul_seg(t, weights[j], Arc::clone(segments), grad_scale);
+                    tape.matmul_seg_reuse(terms[0].0, weights[0], &terms[0].1, grad_scale);
+                let mut acc_plan = terms[0].1.clone();
+                for (j, (t, t_plan)) in terms.iter().enumerate().skip(1) {
+                    let contrib = tape.matmul_seg_reuse(*t, weights[j], t_plan, grad_scale);
                     acc = tape.add(acc, contrib);
+                    acc_plan = acc_plan.union(t_plan);
                 }
-                acc
+                (acc, acc_plan)
             }
         };
-        tape.relu(mixed)
+        (tape.relu(mixed), plan)
     }
 
     /// Builds the forward graph for a whole mini-batch on one tape: the
     /// block-diagonal operator propagates every instance at once and the
     /// per-graph stages (pooling, softmax attention, head) walk the batch
-    /// via its [`Segments`]. Returns a `B x 1` prediction node.
+    /// via its [`Segments`]. Returns a `B x 1` prediction node. The
+    /// convolutions compute a row once when every instance's inputs to it
+    /// match the reference instance's, and copy it (DESIGN.md §10.5).
     ///
     /// `grad_scale` is the weight each instance's parameter gradient carries
     /// in the backward fold (`1/batch_size` during training, `1.0` for pure
@@ -376,9 +393,12 @@ impl GraphModel {
             "stacked features must cover every node in the batch"
         );
         let seg = Arc::clone(batch.segments());
-        let op = batch.operator();
         let k = self.kind.cheb_order();
         let b = seg.len();
+        // Rows of each instance that differ from the reference instance's.
+        // The Θfeat spread below is one row broadcast everywhere, so it
+        // keeps this plan.
+        let mut plan = RowReuse::diff(&x, Arc::clone(&seg));
         let mut x_node = tape.constant(x);
 
         let mut idx = self.conv_layers * k;
@@ -401,12 +421,12 @@ impl GraphModel {
 
         let mut h2 = x_node;
         for layer in 0..self.conv_layers {
-            h2 = self.conv_batched(
+            (h2, plan) = self.conv_batched(
                 tape,
-                op,
-                &seg,
+                batch,
                 grad_scale,
                 h2,
+                &plan,
                 &param_ids[layer * k..(layer + 1) * k],
             );
         }
@@ -426,7 +446,7 @@ impl GraphModel {
             }
             Aggregation::Nn => {
                 let tg = theta_g.expect("Nn aggregation carries Θgate");
-                let scores = tape.matmul_seg(h2, tg, Arc::clone(&seg), grad_scale); // n x 1
+                let scores = tape.matmul_seg_reuse(h2, tg, &plan, grad_scale); // n x 1
                 let attn = tape.segment_softmax_col(scores, Arc::clone(&seg));
                 tape.segment_weighted_sum(h2, attn, Arc::clone(&seg)) // B x h
             }
@@ -716,6 +736,150 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Random 1–6-gate selections over the non-input gates of `circuit`.
+    fn random_selections(
+        circuit: &netlist::Circuit,
+        count: usize,
+        seed: u64,
+    ) -> Vec<Vec<netlist::GateId>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let gates: Vec<netlist::GateId> = circuit
+            .iter()
+            .filter(|(_, g)| !g.kind().is_input())
+            .map(|(id, _)| id)
+            .collect();
+        (0..count)
+            .map(|_| {
+                let keys = rng.gen_range(1..=6);
+                (0..keys)
+                    .map(|_| gates[rng.gen_range(0..gates.len())])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs the batched convolutions of `model` on `xs` and returns each
+    /// layer's stacked output value with the dirty rows it was planned with.
+    fn batched_layers(
+        model: &GraphModel,
+        op: &CsrMatrix,
+        xs: &[Matrix],
+    ) -> Vec<(Matrix, RowReuse)> {
+        let batch = BatchedGraph::replicate(op, xs.len());
+        let refs: Vec<&Matrix> = xs.iter().collect();
+        let x = batch.stack_features(&refs);
+        let mut tape = Tape::new();
+        let ids = model.insert_params(&mut tape);
+        let k = model.kind.cheb_order();
+        let mut plan = RowReuse::diff(&x, Arc::clone(batch.segments()));
+        let mut h = tape.constant(x);
+        let mut layers = Vec::new();
+        for layer in 0..model.conv_layers {
+            (h, plan) = model.conv_batched(
+                &mut tape,
+                &batch,
+                1.0,
+                h,
+                &plan,
+                &ids[layer * k..(layer + 1) * k],
+            );
+            layers.push((tape.value(h).clone(), plan.clone()));
+        }
+        layers
+    }
+
+    #[test]
+    fn reuse_plan_covers_every_row_that_differs_from_the_reference() {
+        // Brute force: each instance through the per-instance layers on its
+        // own tape. Every row whose bits differ from the reference
+        // instance's must be planned dirty, and the batched layers must
+        // equal the per-instance ones bit for bit.
+        let circuit = synth::iscas::circuit("c432", 7).expect("known profile");
+        let graph = CircuitGraph::from_circuit(&circuit);
+        let mut sels = random_selections(&circuit, 5, 12);
+        sels.push(Vec::new());
+        sels.push(circuit.outputs().to_vec());
+        let xs: Vec<Matrix> = sels
+            .iter()
+            .map(|s| encode_features(&circuit, s, FeatureSet::All))
+            .collect();
+        let n = circuit.num_gates();
+        for kind in [
+            ModelKind::Gcn,
+            ModelKind::ChebNet { k: 3 },
+            ModelKind::ICNet,
+        ] {
+            let op = Arc::new(kind.operator(&graph));
+            let model = GraphModel::new(kind, Aggregation::Sum, 7, 8, 8, 5);
+            let k = kind.cheb_order();
+            let solo: Vec<Vec<Matrix>> = xs
+                .iter()
+                .map(|x| {
+                    let mut tape = Tape::new();
+                    let ids = model.insert_params(&mut tape);
+                    let mut h = tape.constant(x.clone());
+                    (0..model.conv_layers)
+                        .map(|layer| {
+                            h = model.conv(&mut tape, &op, h, &ids[layer * k..(layer + 1) * k]);
+                            tape.value(h).clone()
+                        })
+                        .collect()
+                })
+                .collect();
+            for (layer, (stacked, plan)) in batched_layers(&model, &op, &xs).iter().enumerate() {
+                let reference = plan.reference();
+                assert_eq!(reference, 5, "the empty selection is the reference");
+                for (s, per_instance) in solo.iter().enumerate() {
+                    let rows = s * n..(s + 1) * n;
+                    let mine = Matrix::from_fn(n, 8, |r, c| stacked.get(rows.start + r, c));
+                    assert_eq!(
+                        bits(&mine),
+                        bits(&per_instance[layer]),
+                        "{kind} layer {layer} instance {s}"
+                    );
+                    for r in 0..n {
+                        if per_instance[layer]
+                            .row(r)
+                            .iter()
+                            .zip(solo[reference][layer].row(r))
+                            .any(|(a, b)| a.to_bits() != b.to_bits())
+                        {
+                            assert!(
+                                plan.dirty(s).contains(&(r as u32)),
+                                "{kind} layer {layer}: row {r} of instance {s} differs but is planned clean"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reuse_plan_spares_most_rows_on_c1529() {
+        // The paper's workload: 16 lockings of c1529 with 1–6 key gates.
+        // After both ICNet convolutions at least 75% of the stacked rows
+        // must still be copies, or the row-reuse speedup is gone.
+        let circuit = synth::iscas::circuit("c1529", 0).expect("known profile");
+        let graph = CircuitGraph::from_circuit(&circuit);
+        let op = Arc::new(ModelKind::ICNet.operator(&graph));
+        let xs: Vec<Matrix> = random_selections(&circuit, 16, 3)
+            .iter()
+            .map(|s| encode_features(&circuit, s, FeatureSet::All))
+            .collect();
+        let model = GraphModel::new(ModelKind::ICNet, Aggregation::Sum, 7, 16, 16, 1);
+        let layers = batched_layers(&model, &op, &xs);
+        let plan = &layers.last().expect("two layers").1;
+        let total = plan.segments().total_rows();
+        let reused = plan.reused_rows() as f64 / total as f64;
+        assert!(reused >= 0.75, "only {:.1}% of rows reused", 100.0 * reused);
     }
 
     #[test]

@@ -123,6 +123,11 @@ impl CsrMatrix {
             + self.values.len() * std::mem::size_of::<f64>()) as u64
     }
 
+    /// The column indices stored in row `r`, in ascending order.
+    pub(crate) fn row_indices(&self, r: usize) -> &[u32] {
+        &self.indices[self.indptr[r]..self.indptr[r + 1]]
+    }
+
     /// Iterates over `(row, col, value)` of stored entries.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.rows).flat_map(move |r| {
@@ -193,7 +198,7 @@ impl CsrMatrix {
         }
         let jobs = jobs.max(1).min(self.rows);
         if jobs == 1 {
-            self.spmm_rows(rhs.as_slice(), f, out.as_mut_slice(), 0);
+            self.spmm_rows(rhs.as_slice(), f, out.as_mut_slice(), 0, |c| c);
             return;
         }
         let band = self.rows.div_ceil(jobs);
@@ -202,7 +207,7 @@ impl CsrMatrix {
             for (chunk_idx, out_band) in out.as_mut_slice().chunks_mut(band * f).enumerate() {
                 let this = &*self;
                 scope.spawn(move || {
-                    this.spmm_rows(rhs_data, f, out_band, chunk_idx * band);
+                    this.spmm_rows(rhs_data, f, out_band, chunk_idx * band, |c| c);
                 });
             }
         });
@@ -213,22 +218,32 @@ impl CsrMatrix {
     /// its accumulation (while it is cache-hot), so `out_band` may hold
     /// stale contents on entry and no separate whole-matrix zeroing pass is
     /// needed; the per-element accumulation order is unchanged.
-    fn spmm_rows(&self, rhs_data: &[f64], f: usize, out_band: &mut [f64], row0: usize) {
+    ///
+    /// Column `c` reads right-hand row `source(c)`; the row-reuse kernels
+    /// point it at a bitwise-equal row that is already in cache.
+    pub(crate) fn spmm_rows(
+        &self,
+        rhs_data: &[f64],
+        f: usize,
+        out_band: &mut [f64],
+        row0: usize,
+        source: impl Fn(usize) -> usize + Copy,
+    ) {
         // Register-resident accumulators for the common narrow widths (the
         // GNN feature/hidden sizes); bit-identical to the generic loop.
         match f {
-            4 => return self.spmm_rows_w::<4>(rhs_data, out_band, row0),
-            7 => return self.spmm_rows_w::<7>(rhs_data, out_band, row0),
-            8 => return self.spmm_rows_w::<8>(rhs_data, out_band, row0),
-            16 => return self.spmm_rows_w::<16>(rhs_data, out_band, row0),
-            32 => return self.spmm_rows_w::<32>(rhs_data, out_band, row0),
+            4 => return self.spmm_rows_w::<4>(rhs_data, out_band, row0, source),
+            7 => return self.spmm_rows_w::<7>(rhs_data, out_band, row0, source),
+            8 => return self.spmm_rows_w::<8>(rhs_data, out_band, row0, source),
+            16 => return self.spmm_rows_w::<16>(rhs_data, out_band, row0, source),
+            32 => return self.spmm_rows_w::<32>(rhs_data, out_band, row0, source),
             _ => {}
         }
         for (local, dst) in out_band.chunks_exact_mut(f).enumerate() {
             let r = row0 + local;
             dst.fill(0.0);
             for i in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[i] as usize;
+                let c = source(self.indices[i] as usize);
                 let v = self.values[i];
                 let src = &rhs_data[c * f..(c + 1) * f];
                 for (o, &x) in dst.iter_mut().zip(src) {
@@ -242,12 +257,18 @@ impl CsrMatrix {
     /// `W`: the destination row accumulates in registers and is stored once.
     /// Per-element accumulation order (ascending nonzero index from 0.0) is
     /// unchanged, so results are bit-identical to the generic kernel.
-    fn spmm_rows_w<const W: usize>(&self, rhs_data: &[f64], out_band: &mut [f64], row0: usize) {
+    fn spmm_rows_w<const W: usize>(
+        &self,
+        rhs_data: &[f64],
+        out_band: &mut [f64],
+        row0: usize,
+        source: impl Fn(usize) -> usize + Copy,
+    ) {
         for (local, dst) in out_band.chunks_exact_mut(W).enumerate() {
             let r = row0 + local;
             let mut acc = [0.0f64; W];
             for i in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[i] as usize;
+                let c = source(self.indices[i] as usize);
                 let v = self.values[i];
                 let src: &[f64; W] = rhs_data[c * W..(c + 1) * W].try_into().expect("W-wide row");
                 for (o, &x) in acc.iter_mut().zip(src) {

@@ -10,8 +10,9 @@
 //! data-parallel trainer can run one tape per worker thread against the
 //! same operator (see `icnet::train`).
 
-use crate::matrix::Matrix;
+use crate::matrix::{matmul_rows, Matrix};
 use crate::pool::BufferPool;
+use crate::reuse::RowReuse;
 use crate::segments::Segments;
 use crate::sparse::CsrMatrix;
 use std::sync::Arc;
@@ -88,20 +89,47 @@ enum Op {
     },
 }
 
+impl Op {
+    /// The nodes this op reads (at most two).
+    fn inputs(&self) -> [Option<VarId>; 2] {
+        match *self {
+            Op::Leaf { .. } => [None, None],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Hadamard(a, b)
+            | Op::AddBiasRow(a, b)
+            | Op::MatMulSeg { a, b, .. }
+            | Op::AddBiasRowSeg { x: a, bias: b, .. }
+            | Op::SegmentWeightedSum { h: a, attn: b, .. } => [Some(a), Some(b)],
+            Op::SpMM { dense: a, .. }
+            | Op::Scale(a, _)
+            | Op::Relu(a)
+            | Op::Exp(a)
+            | Op::Transpose(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SoftmaxCol(a)
+            | Op::SegmentSum { a, .. }
+            | Op::SegmentSoftmaxCol { a, .. }
+            | Op::BroadcastSoftmaxSeg { theta: a, .. } => [Some(a), None],
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     value: Matrix,
     grad: Option<Matrix>,
     op: Op,
+    /// Whether a trainable leaf reaches this node, fixed at push time. A
+    /// node without it never collects a gradient, so the backward pass
+    /// skips every product that would only feed it.
+    needs_grad: bool,
 }
 
 fn wants_grad(node: &Node) -> bool {
-    !matches!(
-        node.op,
-        Op::Leaf {
-            requires_grad: false
-        }
-    )
+    node.needs_grad
 }
 
 /// Adds an owned gradient contribution to node `v` (moves the matrix into
@@ -269,10 +297,19 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> VarId {
+        let needs_grad = match op {
+            Op::Leaf { requires_grad } => requires_grad,
+            _ => op
+                .inputs()
+                .into_iter()
+                .flatten()
+                .any(|v| self.nodes[v.0].needs_grad),
+        };
         self.nodes.push(Node {
             value,
             grad: None,
             op,
+            needs_grad,
         });
         VarId(self.nodes.len() - 1)
     }
@@ -334,6 +371,68 @@ impl Tape {
         let cols = self.value(dense).cols();
         let mut value = self.pool.alloc(sparse.rows(), cols);
         sparse.spmm_into_jobs(self.value(dense), &mut value, jobs);
+        self.push(value, Op::SpMM { sparse, dense })
+    }
+
+    /// [`Tape::spmm`] over a replicated batch: `sparse` is the
+    /// block-diagonal replica of one operator over the plans' segments,
+    /// `input` marks the rows of `dense` that differ from the reference
+    /// segment's, and `output` marks every row that reads one of them
+    /// (`input` grown by one hop, see [`RowReuse::hop`]). The reference is
+    /// computed in full and every other segment copies it and recomputes
+    /// only its dirty rows, reading clean input rows from the reference
+    /// (they hold the same bits) and every row's nonzeros from the first
+    /// block. The value is bit-identical to
+    /// [`Tape::spmm`]; the backward pass is the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch between `sparse`, `dense` and the plans,
+    /// or if the plans disagree on layout or reference.
+    pub fn spmm_reuse(
+        &mut self,
+        sparse: Arc<CsrMatrix>,
+        dense: VarId,
+        input: &RowReuse,
+        output: &RowReuse,
+    ) -> VarId {
+        let (rows, cols) = (sparse.rows(), self.value(dense).cols());
+        assert_eq!(
+            sparse.cols(),
+            self.value(dense).rows(),
+            "spmm inner dimensions"
+        );
+        let segments = output.segments();
+        assert_eq!(
+            rows,
+            segments.total_rows(),
+            "spmm_reuse segments must cover the operator rows"
+        );
+        assert!(
+            input.segments() == segments && input.reference() == output.reference(),
+            "spmm_reuse plans must share one layout and reference"
+        );
+        let n = segments.iter().next().map_or(0, |r| r.len());
+        let mut dirty_in = vec![false; rows];
+        for (s, range) in segments.iter().enumerate() {
+            for &r in input.dirty(s) {
+                dirty_in[range.start + r as usize] = true;
+            }
+        }
+        let ref_row0 = output.reference() * n;
+        let mut value = self.pool.alloc(rows, cols);
+        let rhs = self.value(dense).as_slice();
+        // Every block of `sparse` is the same operator, so each segment's
+        // rows are computed from the first block's (cache-hot) CSR rows,
+        // with its local columns mapped into the segment.
+        output.fill(value.as_mut_slice(), cols, self.jobs, |row0, band| {
+            let seg_row0 = row0 - row0 % n;
+            // Indexed, not branched on: dirty and clean columns interleave
+            // unpredictably.
+            let origin = [ref_row0, seg_row0];
+            let src = |c: usize| origin[usize::from(dirty_in[seg_row0 + c])] + c;
+            sparse.spmm_rows(rhs, cols, band, row0 - seg_row0, src)
+        });
         self.push(value, Op::SpMM { sparse, dense })
     }
 
@@ -464,6 +563,46 @@ impl Tape {
         let mut value = self.pool.alloc(rows, cols);
         self.value(a)
             .matmul_into_jobs(self.value(b), &mut value, jobs);
+        self.push(
+            value,
+            Op::MatMulSeg {
+                a,
+                b,
+                segments,
+                scale,
+            },
+        )
+    }
+
+    /// [`Tape::matmul_seg`] over `reuse`'s segments, where `reuse` marks
+    /// the rows of `a` that differ from the reference segment's: the
+    /// reference is computed in full and every other segment copies it and
+    /// recomputes only its dirty rows. Value and backward are bit-identical
+    /// to [`Tape::matmul_seg`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch between `a`, `b` and `reuse`.
+    pub fn matmul_seg_reuse(&mut self, a: VarId, b: VarId, reuse: &RowReuse, scale: f64) -> VarId {
+        let segments = Arc::clone(reuse.segments());
+        let (rows, ak) = self.value(a).shape();
+        let (br, cols) = self.value(b).shape();
+        assert_eq!(ak, br, "matmul inner dimensions");
+        assert_eq!(
+            rows,
+            segments.total_rows(),
+            "matmul_seg segments must cover the stacked rows"
+        );
+        let mut value = self.pool.alloc(rows, cols);
+        if ak == 0 {
+            value.as_mut_slice().fill(0.0); // empty inner dimension
+        } else {
+            let (av, bv) = (self.value(a).as_slice(), self.value(b).as_slice());
+            reuse.fill(value.as_mut_slice(), cols, self.jobs, |row0, band| {
+                let end = row0 + band.len() / cols;
+                matmul_rows(&av[row0 * ak..end * ak], ak, bv, cols, band)
+            });
+        }
         self.push(
             value,
             Op::MatMulSeg {
@@ -803,20 +942,27 @@ impl Tape {
                     scale,
                 } => {
                     let (a, b, scale) = (*a, *b, *scale);
-                    let mut da = pool.alloc(grad.rows(), head[b.0].value.rows());
-                    grad.matmul_nt_into_jobs(&head[b.0].value, &mut da, jobs);
-                    // Parameter gradient: per-segment A_i^T dC_i products,
-                    // folded with `scale` in segment order — the same fold
-                    // the per-instance trainer performs across a batch.
-                    let (br, bc) = head[b.0].value.shape();
-                    let av = &head[a.0].value;
-                    let mut db = Matrix::zeros(br, bc);
-                    for range in segments.iter() {
-                        let g = av.matmul_tn_rows(grad, range);
-                        db.axpy(scale, &g);
+                    // A first-layer input is built from constants only; its
+                    // gradient would be thrown away, so it is not computed.
+                    if wants_grad(&head[a.0]) {
+                        let mut da = pool.alloc(grad.rows(), head[b.0].value.rows());
+                        grad.matmul_nt_into_jobs(&head[b.0].value, &mut da, jobs);
+                        accumulate_owned(head, pool, a, da);
                     }
-                    accumulate_owned(head, pool, a, da);
-                    accumulate_owned(head, pool, b, db);
+                    if wants_grad(&head[b.0]) {
+                        // Parameter gradient: per-segment A_i^T dC_i
+                        // products, folded with `scale` in segment order —
+                        // the same fold the per-instance trainer performs
+                        // across a batch.
+                        let (br, bc) = head[b.0].value.shape();
+                        let av = &head[a.0].value;
+                        let mut db = Matrix::zeros(br, bc);
+                        for range in segments.iter() {
+                            let g = av.matmul_tn_rows(grad, range);
+                            db.axpy(scale, &g);
+                        }
+                        accumulate_owned(head, pool, b, db);
+                    }
                 }
                 Op::SegmentSum { a, segments } => {
                     let (ar, cols) = head[a.0].value.shape();
@@ -1416,6 +1562,93 @@ mod tests {
         let base = run(1);
         for jobs in [2, 3, 8] {
             assert_eq!(run(jobs), base, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn gradients_that_reach_only_constants_are_pruned() {
+        let s = Arc::new(CsrMatrix::from_triplets(
+            4,
+            4,
+            &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, -1.0), (3, 3, 0.5)],
+        ));
+        let seg = Arc::new(Segments::from_lens(&[2, 2]));
+        let x = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f64 * 0.3 - 1.0);
+        let run = |trainable_input: bool| {
+            let mut tape = Tape::new();
+            let xv = if trainable_input {
+                tape.leaf(x.clone())
+            } else {
+                tape.constant(x.clone())
+            };
+            let w = tape.leaf(Matrix::from_rows(&[&[0.2, -0.4], &[0.6, 0.1]]));
+            let h = tape.spmm(Arc::clone(&s), xv);
+            let m = tape.matmul_seg(h, w, Arc::clone(&seg), 0.5);
+            let sq = tape.hadamard(m, m);
+            let l = tape.sum_all(sq);
+            tape.backward(l);
+            let bits: Vec<u64> = tape
+                .grad(w)
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            (tape.try_grad(h).is_some(), bits)
+        };
+        let (pruned_h, pruned_w) = run(false);
+        let (full_h, full_w) = run(true);
+        assert!(!pruned_h, "spmm over a constant collects no gradient");
+        assert!(full_h, "spmm over a trainable leaf does");
+        assert_eq!(pruned_w, full_w, "parameter gradient bits unchanged");
+    }
+
+    #[test]
+    fn reuse_kernels_are_bit_identical_to_the_full_products() {
+        let base = CsrMatrix::from_triplets(
+            4,
+            4,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 2.0),
+                (2, 0, -1.0),
+                (2, 2, 0.3),
+                (3, 3, 0.5),
+            ],
+        );
+        let s = Arc::new(CsrMatrix::block_diag(&[&base, &base, &base]));
+        let seg = Arc::new(Segments::from_lens(&[4, 4, 4]));
+        // Segments 1 and 2 differ from segment 0 in local rows 2 and 3.
+        let x = Matrix::from_fn(12, 2, |r, c| {
+            let v = ((r % 4) * 2 + c) as f64 * 0.3 - 1.0;
+            if r == 6 || r == 11 {
+                v + 0.125
+            } else {
+                v
+            }
+        });
+        let run = |reuse: bool, jobs: usize| {
+            let mut tape = Tape::new();
+            tape.set_jobs(jobs);
+            let xv = tape.constant(x.clone());
+            let w = tape.leaf(Matrix::from_rows(&[&[0.2, -0.4, 0.7], &[0.6, 0.1, -0.3]]));
+            let m = if reuse {
+                let plan = RowReuse::diff(&x, Arc::clone(&seg));
+                let hop = plan.hop(&s.transpose());
+                let h = tape.spmm_reuse(Arc::clone(&s), xv, &plan, &hop);
+                tape.matmul_seg_reuse(h, w, &hop, 0.5)
+            } else {
+                let h = tape.spmm(Arc::clone(&s), xv);
+                tape.matmul_seg(h, w, Arc::clone(&seg), 0.5)
+            };
+            let sq = tape.hadamard(m, m);
+            let l = tape.sum_all(sq);
+            tape.backward(l);
+            let bits = |v: &Matrix| v.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            (bits(tape.value(m)), bits(tape.grad(w)))
+        };
+        let full = run(false, 1);
+        for jobs in [1, 2, 4] {
+            assert_eq!(run(true, jobs), full, "jobs={jobs}");
         }
     }
 

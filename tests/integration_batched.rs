@@ -13,8 +13,9 @@
 use dataset::{generate_parallel_with, graph_features, DatasetConfig};
 use icnet::{
     encode_features, train, Aggregation, BatchedGraph, CircuitGraph, FeatureSet, GradEngine,
-    GraphModel, ModelKind, TrainConfig,
+    GraphModel, ModelKind, OutputHead, TrainConfig,
 };
+use netlist::{Circuit, GateId};
 use std::sync::Arc;
 use tensor::{CsrMatrix, Matrix};
 
@@ -29,6 +30,43 @@ fn demo_task() -> (Arc<CsrMatrix>, Vec<Matrix>, Vec<f64>) {
     let xs = graph_features(&data.circuit, &data.instances, FeatureSet::All);
     let ys = data.labels();
     (op, xs, ys)
+}
+
+/// Feature matrices for a batch that stresses row reuse on a synthetic
+/// c432: random 1–6-gate selections, duplicates of one of them and of the
+/// empty selection, every gate selected (every row dirty), and selections
+/// on primary inputs and on primary outputs.
+fn reuse_stress_instances() -> (Circuit, Vec<Matrix>) {
+    let circuit = synth::iscas::circuit("c432", 7).expect("known profile");
+    let gates: Vec<GateId> = circuit
+        .iter()
+        .filter(|(_, g)| !g.kind().is_input())
+        .map(|(id, _)| id)
+        .collect();
+    let mut rng = XorShift(0x005e_ed0f_c432);
+    let mut random = || -> Vec<GateId> {
+        (0..1 + rng.below(6))
+            .map(|_| gates[rng.below(gates.len())])
+            .collect()
+    };
+    let (a, b, c) = (random(), random(), random());
+    let all: Vec<GateId> = circuit.iter().map(|(id, _)| id).collect();
+    let selections = vec![
+        a.clone(),
+        b,
+        Vec::new(),
+        a,
+        all,
+        circuit.inputs()[..3].to_vec(),
+        Vec::new(),
+        circuit.outputs()[..3].to_vec(),
+        c,
+    ];
+    let xs = selections
+        .iter()
+        .map(|sel| encode_features(&circuit, sel, FeatureSet::All))
+        .collect();
+    (circuit, xs)
 }
 
 /// Tiny deterministic xorshift so layouts are "random" but reproducible.
@@ -138,26 +176,6 @@ fn forward_values_are_independent_of_co_batched_neighbors() {
 }
 
 #[test]
-fn heterogeneous_graphs_batch_bit_identically() {
-    // Two genuinely different graphs in one block-diagonal batch: the demo
-    // dataset circuit next to c17. Each must predict its solo value.
-    let (op_a, xs_a, _) = demo_task();
-    let c17 = netlist::c17();
-    let graph_b = CircuitGraph::from_circuit(&c17);
-    let op_b = Arc::new(ModelKind::ICNet.operator(&graph_b));
-    let x_b = encode_features(&c17, &[c17.find("n10").expect("gate")], FeatureSet::All);
-
-    let model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 16, 16, 11);
-    let solo_a = model.predict(&op_a, &xs_a[0]);
-    let solo_b = model.predict(&op_b, &x_b);
-
-    let batch = BatchedGraph::from_ops(&[op_a.as_ref(), op_b.as_ref()]);
-    let values = model.predict_batched(&batch, &[&xs_a[0], &x_b]);
-    assert_eq!(values[0].to_bits(), solo_a.to_bits());
-    assert_eq!(values[1].to_bits(), solo_b.to_bits());
-}
-
-#[test]
 fn permuted_batch_layouts_agree_to_reassociation_tolerance() {
     // Permuting the instances inside one full batch changes only the order
     // of the gradient reduction — a floating-point re-association. The two
@@ -198,5 +216,86 @@ fn permuted_batch_layouts_agree_to_reassociation_tolerance() {
     }
     for (i, (&a, &b)) in preds_a.iter().zip(&preds_b).enumerate() {
         assert!(close(a, b), "prediction {i} drifted: {a} vs {b}");
+    }
+}
+
+#[test]
+fn row_reuse_predictions_match_batch_of_one_for_every_model() {
+    // A batch of one computes its only segment in full, so it is the
+    // per-instance value; every batched prediction must equal it bit for
+    // bit, whichever instance is the reference segment.
+    let (circuit, xs) = reuse_stress_instances();
+    let graph = CircuitGraph::from_circuit(&circuit);
+    for kind in [
+        ModelKind::Gcn,
+        ModelKind::ChebNet { k: 3 },
+        ModelKind::ICNet,
+    ] {
+        let op = Arc::new(kind.operator(&graph));
+        for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Nn] {
+            for output in [OutputHead::Identity, OutputHead::Exp] {
+                let model = GraphModel::new(kind, agg, 7, 8, 8, 21).with_output(output);
+                let solo: Vec<u64> = xs.iter().map(|x| model.predict(&op, x).to_bits()).collect();
+                for reversed in [false, true] {
+                    let mut order: Vec<usize> = (0..xs.len()).collect();
+                    if reversed {
+                        order.reverse();
+                    }
+                    let batch = BatchedGraph::replicate(&op, order.len());
+                    let refs: Vec<&Matrix> = order.iter().map(|&i| &xs[i]).collect();
+                    let got = model.predict_batched(&batch, &refs);
+                    for (&i, value) in order.iter().zip(&got) {
+                        assert_eq!(
+                            value.to_bits(),
+                            solo[i],
+                            "{kind} {agg} {output:?} instance {i} (reversed: {reversed})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn row_reuse_training_is_bit_identical_across_engines_and_jobs() {
+    let (circuit, xs) = reuse_stress_instances();
+    let graph = CircuitGraph::from_circuit(&circuit);
+    let ys: Vec<f64> = (0..xs.len()).map(|i| (i % 4) as f64 * 0.5 - 0.7).collect();
+    for (kind, agg) in [
+        (ModelKind::ICNet, Aggregation::Sum),
+        (ModelKind::ICNet, Aggregation::Nn),
+        (ModelKind::ChebNet { k: 3 }, Aggregation::Mean),
+    ] {
+        let op = Arc::new(kind.operator(&graph));
+        let run = |engine: GradEngine, jobs: usize| {
+            let mut model = GraphModel::new(kind, agg, 7, 8, 8, 4);
+            let config = TrainConfig {
+                max_epochs: 3,
+                batch_size: 4,
+                engine,
+                jobs,
+                ..TrainConfig::default()
+            };
+            let report = train(&mut model, &op, &xs, &ys, &config);
+            assert!(!report.diverged, "{kind} {agg}");
+            let bits: Vec<u64> = model
+                .params()
+                .iter()
+                .flat_map(|p| p.as_slice().iter().map(|v| v.to_bits()))
+                .collect();
+            bits
+        };
+        let reference = run(GradEngine::PerInstance, 1);
+        assert_eq!(
+            run(GradEngine::Batched, 1),
+            reference,
+            "{kind} {agg} batched"
+        );
+        assert_eq!(
+            run(GradEngine::Batched, 4),
+            reference,
+            "{kind} {agg} 4 jobs"
+        );
     }
 }
