@@ -189,9 +189,6 @@ fn main() {
     let t1 = Instant::now();
     let crossgen_stage = obs::stage("crossgen");
     let ckpt_dir = opts.resume.as_ref().map(|p| format!("{p}.train"));
-    if let Some(dir) = &ckpt_dir {
-        std::fs::create_dir_all(dir).expect("create training checkpoint dir");
-    }
     // The slug carries the training-set size: a corpus that grew between
     // runs (quarantines resolved under a raised deadline) is a *different*
     // training run, and must not trip icnet's checkpoint-shape refusal.

@@ -49,9 +49,10 @@ pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> Str
 /// `config.num_instances`, so the next run misses the cache and retries
 /// via the checkpoint log (which skips known-bad instances cheaply).
 ///
-/// An unreadable or torn cache file is a logged cache miss, not an error:
-/// the dataset regenerates and the cache is rewritten atomically (temp file
-/// + rename), so a crash mid-write can never poison the next run.
+/// An unreadable or corrupt cache file is a logged cache miss, not an
+/// error: the dataset regenerates. The cache is footer-sealed and written
+/// with `faults::sealed::write_atomic` (fault site `cache.write`), so a
+/// crash mid-write leaves no cache rather than a torn one.
 ///
 /// A Ctrl-C during generation exits with [`crate::cli::INTERRUPT_EXIT_CODE`]
 /// after the sweep has checkpointed its finished attacks.
@@ -68,8 +69,8 @@ pub fn load_or_generate(
     resume: Option<&str>,
 ) -> Dataset {
     let path = dataset_cache_path(config, out_dir);
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        let parsed = unseal_csv(&text)
+    if let Ok(bytes) = std::fs::read(&path) {
+        let parsed = unseal_csv(&bytes)
             .and_then(|body| dataset::dataset_from_csv(body).map_err(|e| e.to_string()));
         match parsed {
             Ok(instances) if instances.len() == config.num_instances => {
@@ -83,8 +84,8 @@ pub fn load_or_generate(
             }
             Ok(_) => {} // partial dataset from a keep-going run: regenerate
             Err(e) => {
-                // Torn file from a crash mid-write (pre-atomic-rename cache)
-                // or manual editing: regenerating is always safe.
+                // Damaged on disk or edited by hand: regenerating is always
+                // safe.
                 eprintln!("# WARNING: ignoring corrupt dataset cache {path}: {e}");
             }
         }
@@ -120,82 +121,33 @@ pub fn load_or_generate(
             config.num_instances
         );
     }
-    let _ = std::fs::create_dir_all(out_dir);
     if data.instances.is_empty() {
         eprintln!(
             "# WARNING: every instance was quarantined — nothing to train on; raise --deadline, \
              add --retries, or inspect the failures above"
         );
-    } else if let Err(e) = write_atomic(&path, &seal_csv(&dataset::dataset_to_csv(&data.instances)))
-    {
+    } else if let Err(e) = faults::sealed::write_atomic(
+        &path,
+        seal_csv(&dataset::dataset_to_csv(&data.instances)).as_bytes(),
+        "cache.write",
+    ) {
         eprintln!("# WARNING: could not write dataset cache {path}: {e}");
     }
     data
 }
 
-/// Appends the checksum footer (`#fnv <hex>`, the checkpoint-v3 FNV-1a
-/// framing) to a CSV cache body. [`unseal_csv`] is the inverse.
+/// The dataset cache's footer tag: the last line is `#fnv <crc:016x>`.
+const CACHE_FOOTER_TAG: &str = "#fnv ";
+
+/// Seals a CSV cache body with its checksum footer.
 pub fn seal_csv(body: &str) -> String {
-    let crc = faults::fnv1a(faults::FNV_OFFSET, body.as_bytes());
-    format!("{body}#fnv {crc:016x}\n")
+    faults::sealed::seal_footer(body, CACHE_FOOTER_TAG)
 }
 
-/// Verifies and strips a cache file's checksum footer, returning the CSV
-/// body. A missing or mismatched footer is an error string for the caller
-/// to log as a cache miss — never a panic, since regenerating is always
-/// safe.
-pub fn unseal_csv(text: &str) -> Result<&str, String> {
-    let trimmed = text.strip_suffix('\n').unwrap_or(text);
-    let (body, footer) = match trimmed.rfind('\n') {
-        Some(i) => (&text[..i + 1], &trimmed[i + 1..]),
-        None => ("", trimmed),
-    };
-    let Some(stored) = footer.strip_prefix("#fnv ") else {
-        return Err("missing checksum footer (pre-checksum or truncated cache)".to_owned());
-    };
-    let stored =
-        u64::from_str_radix(stored, 16).map_err(|_| "malformed checksum footer".to_owned())?;
-    let actual = faults::fnv1a(faults::FNV_OFFSET, body.as_bytes());
-    if stored != actual {
-        return Err(format!(
-            "checksum mismatch (stored {stored:016x}, computed {actual:016x})"
-        ));
-    }
-    Ok(body)
-}
-
-/// Writes `contents` to `path` atomically: a unique temp file in the same
-/// directory (same filesystem, so the rename cannot cross devices) followed
-/// by a rename. Readers either see the old file or the complete new one,
-/// never a torn prefix.
-fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
-    if let Some(fault) = faults::inject("cache.write") {
-        let written = match fault.action {
-            faults::Action::Torn => contents.len() / 2,
-            _ => 0,
-        };
-        match fault.action {
-            faults::Action::Io => {}
-            faults::Action::Torn => {
-                // Models the pre-atomic failure mode (a torn prefix at the
-                // final path), which is exactly what the checksum footer
-                // exists to catch on the next load.
-                std::fs::write(path, &contents.as_bytes()[..written])?;
-            }
-            _ => fault.unsupported("cache.write"),
-        }
-        return Err(std::io::Error::other(format!(
-            "injected fault: cache.write {} after {written} of {} bytes (occurrence {})",
-            fault.action,
-            contents.len(),
-            fault.occurrence
-        )));
-    }
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+/// Verifies a cache file's bytes and returns the CSV body, or the error to
+/// log as a cache miss (regenerating is always safe).
+pub fn unseal_csv<T: AsRef<[u8]> + ?Sized>(bytes: &T) -> Result<&str, String> {
+    faults::sealed::unseal_footer(bytes.as_ref(), CACHE_FOOTER_TAG).map_err(|e| e.to_string())
 }
 
 /// One cell of a results table.
@@ -620,9 +572,6 @@ pub fn run_mse_suite(
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    if let Some(dir) = &control.train_checkpoint_dir {
-        std::fs::create_dir_all(dir).expect("create training checkpoint dir");
-    }
     let split = train_test_split(data.instances.len(), 0.25, seed);
     let cells = SuiteCell::grid();
     let jobs = jobs.clamp(1, cells.len());

@@ -35,19 +35,17 @@
 //! * failure: `<key:016x> <index> fail <kind>,<attempts>,<iterations>,<work>,<supervision:016x>,<message> #<crc:016x>`
 //!
 //! (see [`crate::dataset_to_csv`] for the instance field list). The index
-//! is informational — the hash is the key. The trailing `#<crc>` is a
-//! 64-bit FNV-1a checksum of the record body before it: any single-byte
-//! substitution in a record changes the checksum (each FNV step is a
-//! bijection on the 64-bit state), so mid-file corruption is detected and
-//! reported at open time rather than silently deserialized into a bogus
-//! label. A truncated *final* line — the crash-mid-append case — is still
-//! recovered, not fatal.
+//! is informational — the hash is the key. Each record is a
+//! `faults::sealed` line, so interior corruption is refused at open; a torn
+//! final line (a crash mid-append) is dropped and truncated away.
 
 use crate::csv::{instance_from_line, instance_to_line};
 use crate::error::DatasetError;
 use crate::generate::DatasetConfig;
 use crate::instance::Instance;
 use crate::supervise::{sanitize_line, FailureKind, InstanceFailure};
+use faults::sealed::{inject_write, seal_line, unseal_line};
+use faults::{fnv1a, FNV_OFFSET};
 use obfuscate::LockedCircuit;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -55,16 +53,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &str = "# icnet-checkpoint v3";
-
-// The checksum lives in `faults` so every checkpoint format in the
-// workspace (this log, the training checkpoint, the dataset cache footer)
-// shares one implementation with identical corruption-detection behavior.
-use faults::{fnv1a, FNV_OFFSET};
-
-/// Checksum of one record body (the line text before ` #<crc>`).
-fn record_crc(body: &str) -> u64 {
-    fnv1a(FNV_OFFSET, body.as_bytes())
-}
 
 /// Revision of the labelling algorithm: the attack loop, its constraint
 /// encoder and the solver. A change there shifts `SolverWork` labels and
@@ -182,30 +170,33 @@ impl CheckpointLog {
             path: path.display().to_string(),
             message: e.to_string(),
         };
-        let existing = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let existing = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_err(e)),
         };
+        // Byte length of the intact prefix. A partial tail line means the
+        // process died mid-append: that record is lost, and the attack that
+        // produced it simply reruns.
+        let keep = existing
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
         let mut entries = HashMap::new();
         let mut failures = HashMap::new();
-        let complete = existing.is_empty() || existing.ends_with('\n');
-        let mut lines: Vec<&str> = existing.lines().collect();
-        if !complete {
-            // Interrupted mid-append: the partial tail record is lost, the
-            // attack that produced it simply reruns.
-            lines.pop();
-        }
-        for (i, line) in lines.iter().enumerate() {
+        for (i, line) in existing[..keep].split(|&b| b == b'\n').enumerate() {
             let lineno = i + 1;
-            if line.trim().is_empty() {
+            if line.trim_ascii().is_empty() {
                 continue;
             }
             if lineno == 1 {
-                if line.trim() != MAGIC {
+                if line.trim_ascii() != MAGIC.as_bytes() {
                     return Err(DatasetError::Checkpoint {
                         line: 1,
-                        message: format!("expected header `{MAGIC}`, found `{line}`"),
+                        message: format!(
+                            "expected header `{MAGIC}`, found `{}`",
+                            String::from_utf8_lossy(line)
+                        ),
                     });
                 }
                 continue;
@@ -219,13 +210,7 @@ impl CheckpointLog {
                 }
             }
         }
-        // Byte length of the intact prefix that survives recovery.
-        let keep = if complete {
-            existing.len()
-        } else {
-            existing.rfind('\n').map_or(0, |i| i + 1)
-        };
-        if !complete {
+        if keep < existing.len() {
             // Truncate the partial tail so it does not resurface as a
             // corrupt record on a later open.
             OpenOptions::new()
@@ -342,53 +327,28 @@ impl CheckpointLog {
     }
 
     fn append(&mut self, body: &str) -> Result<(), DatasetError> {
-        let path = self.path.display().to_string();
-        if self.poisoned {
-            return Err(DatasetError::Io {
-                path,
-                message: "checkpoint log disabled after an earlier failed append \
-                          (the on-disk tail may be partial; reopen to recover)"
-                    .into(),
-            });
-        }
-        let io_err = |e: std::io::Error| DatasetError::Io {
-            path: path.clone(),
-            message: e.to_string(),
-        };
-        let line = format!("{body} #{:016x}\n", record_crc(body));
-        if let Some(fault) = faults::inject("checkpoint.append") {
-            // Simulated crash mid-append: some prefix of the record reaches
-            // disk, then the write "fails". Recovery on the next open must
-            // drop exactly this partial tail.
-            self.poisoned = true;
-            let written = match fault.action {
-                faults::Action::Torn => line.len() / 2,
-                faults::Action::Short => line.len().saturating_sub(4),
-                faults::Action::Io => 0,
-                _ => fault.unsupported("checkpoint.append"),
-            };
-            self.file
-                .write_all(&line.as_bytes()[..written])
-                .and_then(|()| self.file.flush())
-                .map_err(io_err)?;
-            return Err(io_err(std::io::Error::other(format!(
-                "injected fault: checkpoint.append {} after {written} of {} bytes \
-                 (occurrence {})",
-                fault.action,
-                line.len(),
-                fault.occurrence
-            ))));
-        }
-        let result = self
-            .file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush());
-        if let Err(e) = result {
+        let message = if self.poisoned {
+            "checkpoint log disabled after an earlier failed append \
+             (the on-disk tail may be partial; reopen to recover)"
+                .to_owned()
+        } else {
+            // One write per record, handed to the OS before `record` returns
+            // (no fsync): a crash loses at most the record in flight. An
+            // injected fault writes the torn prefix a crash would leave.
+            let line = seal_line(body);
+            let file = &mut self.file;
+            let result = inject_write("checkpoint.append", line.as_bytes(), || Ok(&mut *file))
+                .and_then(|()| file.write_all(line.as_bytes()))
+                .and_then(|()| file.flush());
             // A failed write may have put any prefix of the line on disk.
-            self.poisoned = true;
-            return Err(io_err(e));
-        }
-        Ok(())
+            self.poisoned = result.is_err();
+            match result {
+                Ok(()) => return Ok(()),
+                Err(e) => e.to_string(),
+            }
+        };
+        let path = self.path.display().to_string();
+        Err(DatasetError::Io { path, message })
     }
 }
 
@@ -397,99 +357,59 @@ enum Record {
     Fail(u64, u64, InstanceFailure),
 }
 
-fn parse_record(line: &str, lineno: usize) -> Result<Record, DatasetError> {
+fn parse_record(line: &[u8], lineno: usize) -> Result<Record, DatasetError> {
     let corrupt = |message: String| DatasetError::Checkpoint {
         line: lineno,
         message,
     };
-    let line = line.trim_end();
-    let (body, crc_field) = line
-        .rsplit_once(" #")
-        .ok_or_else(|| corrupt("missing record checksum".into()))?;
-    let crc = u64::from_str_radix(crc_field, 16)
-        .map_err(|_| corrupt(format!("bad checksum field `{crc_field}`")))?;
-    let actual = record_crc(body);
-    if actual != crc {
+    let body = unseal_line(line.trim_ascii_end()).map_err(|e| corrupt(e.to_string()))?;
+    let fields: Vec<&str> = body.splitn(4, ' ').collect();
+    let [key, index, tag, payload] = fields[..] else {
         return Err(corrupt(format!(
-            "checksum mismatch: record says {crc:016x}, contents hash to {actual:016x}"
+            "record `{body}` needs a key, an index, a tag and a payload"
         )));
-    }
-    let mut parts = body.splitn(4, ' ');
-    let key_field = parts.next().unwrap_or("");
-    let key = u64::from_str_radix(key_field, 16)
-        .map_err(|_| corrupt(format!("bad content-hash key `{key_field}`")))?;
-    let index_field = parts
-        .next()
-        .ok_or_else(|| corrupt("missing index".into()))?;
-    index_field
+    };
+    let key = u64::from_str_radix(key, 16)
+        .map_err(|_| corrupt(format!("bad content-hash key `{key}`")))?;
+    index
         .parse::<usize>()
-        .map_err(|_| corrupt(format!("bad index `{index_field}`")))?;
-    let tag = parts
-        .next()
-        .ok_or_else(|| corrupt("missing record tag".into()))?;
-    let rest = parts
-        .next()
-        .ok_or_else(|| corrupt("missing record payload".into()))?;
+        .map_err(|_| corrupt(format!("bad index `{index}`")))?;
     match tag {
-        "ok" => {
-            let inst = instance_from_line(rest, lineno).map_err(|e| match e {
-                DatasetError::ParseCsv { message, .. } => corrupt(message),
-                other => other,
-            })?;
-            Ok(Record::Ok(key, inst))
-        }
-        "fail" => {
-            let (supervision, failure) = parse_failure(rest, lineno)?;
-            Ok(Record::Fail(key, supervision, failure))
-        }
+        "ok" => match instance_from_line(payload, lineno) {
+            Ok(inst) => Ok(Record::Ok(key, inst)),
+            Err(DatasetError::ParseCsv { message, .. }) => Err(corrupt(message)),
+            Err(other) => Err(other),
+        },
+        "fail" => parse_failure(payload)
+            .map(|(supervision, failure)| Record::Fail(key, supervision, failure))
+            .map_err(corrupt),
         other => Err(corrupt(format!("unknown record tag `{other}`"))),
     }
 }
 
-fn parse_failure(payload: &str, lineno: usize) -> Result<(u64, InstanceFailure), DatasetError> {
-    let corrupt = |message: String| DatasetError::Checkpoint {
-        line: lineno,
-        message,
+/// `<kind>,<attempts>,<iterations>,<work>,<supervision:016x>,<message>`.
+/// The message is the free-form tail, so commas inside it survive.
+fn parse_failure(payload: &str) -> Result<(u64, InstanceFailure), String> {
+    let fields: Vec<&str> = payload.splitn(6, ',').collect();
+    let [kind, attempts, iterations, work, supervision, message] = fields[..] else {
+        return Err(format!("failure needs 6 fields, has {}", fields.len()));
     };
-    // The message is the free-form tail: split off exactly five structured
-    // fields so commas inside the message survive.
-    let mut fields = payload.splitn(6, ',');
-    let kind_field = fields.next().unwrap_or("");
-    let kind = FailureKind::from_tag(kind_field)
-        .ok_or_else(|| corrupt(format!("unknown failure kind `{kind_field}`")))?;
-    let mut num = |name: &str| -> Result<u64, DatasetError> {
-        let field = fields
-            .next()
-            .ok_or_else(|| corrupt(format!("missing failure field `{name}`")))?;
+    let num = |name: &str, field: &str| {
         field
             .parse::<u64>()
-            .map_err(|_| corrupt(format!("bad failure field `{name}`: `{field}`")))
+            .map_err(|_| format!("bad failure field `{name}`: `{field}`"))
     };
-    let attempts = num("attempts")? as usize;
-    let iterations = num("iterations")? as usize;
-    let work = num("work")?;
-    let supervision_field = fields
-        .next()
-        .ok_or_else(|| corrupt("missing failure field `supervision`".into()))?;
-    let supervision = u64::from_str_radix(supervision_field, 16).map_err(|_| {
-        corrupt(format!(
-            "bad failure field `supervision`: `{supervision_field}`"
-        ))
-    })?;
-    let message = fields
-        .next()
-        .ok_or_else(|| corrupt("missing failure message".into()))?
-        .to_owned();
-    Ok((
-        supervision,
-        InstanceFailure {
-            kind,
-            attempts,
-            message,
-            iterations,
-            work,
-        },
-    ))
+    let failure = InstanceFailure {
+        kind: FailureKind::from_tag(kind)
+            .ok_or_else(|| format!("unknown failure kind `{kind}`"))?,
+        attempts: num("attempts", attempts)? as usize,
+        message: message.to_owned(),
+        iterations: num("iterations", iterations)? as usize,
+        work: num("work", work)?,
+    };
+    let supervision = u64::from_str_radix(supervision, 16)
+        .map_err(|_| format!("bad failure field `supervision`: `{supervision}`"))?;
+    Ok((supervision, failure))
 }
 
 #[cfg(test)]
@@ -517,6 +437,12 @@ mod tests {
             iterations: n,
             work: 10 * n as u64,
         }
+    }
+
+    /// The record checksum computed by hand, so hand-framed test lines
+    /// also pin the on-disk framing.
+    fn record_crc(body: &str) -> u64 {
+        fnv1a(FNV_OFFSET, body.as_bytes())
     }
 
     fn tmp(name: &str) -> PathBuf {

@@ -64,9 +64,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// 64-bit FNV-1a offset basis. Public because the checkpoint formats across
-/// the workspace (`dataset::checkpoint` v3, the training checkpoint) share
-/// this one checksum so corruption detection behaves identically everywhere.
+pub mod sealed;
+
+/// 64-bit FNV-1a offset basis. Public because content keys and fingerprints
+/// across the workspace hash with it, as [`sealed`] does every stored file.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// 64-bit FNV-1a over `bytes`, folded into `hash`. Each step is a bijection
@@ -433,7 +434,7 @@ mod tests {
     use super::*;
 
     /// The plan is process-global; serialise tests that arm it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     struct Disarm;
     impl Drop for Disarm {

@@ -1,12 +1,11 @@
 //! Crash-safe training checkpoints.
 //!
-//! One file per training run, rewritten at the end of every epoch via
-//! temp-file + rename, so the file on disk is always a *complete* epoch
-//! state: either the rename happened and the new epoch is fully there, or
-//! it did not and the previous epoch's file is untouched. The framing
-//! mirrors `dataset::checkpoint` v3 — a versioned header and one
-//! ` #<crc:016x>` FNV-1a checksum per line — so corruption detection
-//! behaves identically across both checkpoint formats.
+//! One file per training run, rewritten at the end of every epoch with
+//! `faults::sealed::write_atomic`, so the file on disk is always a
+//! *complete* epoch state: either the rename happened and the new epoch is
+//! fully there, or it did not and the previous epoch's file is untouched.
+//! Every line, the versioned header included, is a `faults::sealed` line
+//! carrying its own checksum.
 //!
 //! Every float (parameters, ADAM moments, loss history, best loss) is
 //! serialized as its IEEE-754 bit pattern in hex. Training resumed from a
@@ -29,9 +28,9 @@
 //! continuing on a different loss surface.
 
 use crate::trainer::TrainConfig;
+use faults::sealed::{seal_line, unseal_line, write_atomic, SealError};
 use faults::{fnv1a, FNV_OFFSET};
-use std::io::Write as _;
-use std::path::Path;
+use std::collections::HashMap;
 use tensor::Matrix;
 
 const MAGIC: &str = "# icnet-train-ckpt v1";
@@ -80,278 +79,167 @@ pub(crate) fn fingerprint(config: &TrainConfig, num_instances: usize, params: &[
     fnv1a(FNV_OFFSET, text.as_bytes())
 }
 
-fn push_line(out: &mut String, body: &str) {
-    out.push_str(body);
-    out.push_str(&format!(" #{:016x}\n", fnv1a(FNV_OFFSET, body.as_bytes())));
+/// ` <bits:016x>` for each value.
+fn bits(values: &[f64]) -> String {
+    values
+        .iter()
+        .map(|v| format!(" {:016x}", v.to_bits()))
+        .collect()
 }
 
-fn matrix_body(tag: &str, index: usize, m: &Matrix) -> String {
-    let mut body = format!("{tag} {index} {} {}", m.rows(), m.cols());
-    for v in m.as_slice() {
-        body.push_str(&format!(" {:016x}", v.to_bits()));
-    }
-    body
+/// One `<tag> <index> <rows> <cols> <value bits>...` body per matrix.
+fn matrix_bodies<'a>(tag: &'a str, list: &'a [Matrix]) -> impl Iterator<Item = String> + 'a {
+    let body = move |(i, m): (usize, &Matrix)| {
+        format!("{tag} {i} {} {}{}", m.rows(), m.cols(), bits(m.as_slice()))
+    };
+    list.iter().enumerate().map(body)
 }
 
 fn render(ckpt: &TrainCheckpoint) -> String {
-    let mut out = String::new();
-    push_line(&mut out, MAGIC);
-    push_line(&mut out, &format!("fingerprint {:016x}", ckpt.fingerprint));
-    push_line(
-        &mut out,
-        &format!(
+    let mut bodies = vec![
+        MAGIC.to_owned(),
+        format!("fingerprint {:016x}", ckpt.fingerprint),
+        format!(
             "epoch {} {} {} {:016x}",
             ckpt.epochs_done,
             u8::from(ckpt.converged),
             ckpt.stall,
             ckpt.best.to_bits()
         ),
-    );
-    let mut history = String::from("history");
-    for v in &ckpt.history {
-        history.push_str(&format!(" {:016x}", v.to_bits()));
-    }
-    push_line(&mut out, &history);
-    for (i, p) in ckpt.params.iter().enumerate() {
-        push_line(&mut out, &matrix_body("param", i, p));
-    }
-    push_line(&mut out, &format!("adam {}", ckpt.adam_t));
-    for (i, m) in ckpt.adam_m.iter().enumerate() {
-        push_line(&mut out, &matrix_body("adam_m", i, m));
-    }
-    for (i, v) in ckpt.adam_v.iter().enumerate() {
-        push_line(&mut out, &matrix_body("adam_v", i, v));
-    }
-    out
+        format!("history{}", bits(&ckpt.history)),
+    ];
+    bodies.extend(matrix_bodies("param", &ckpt.params));
+    bodies.push(format!("adam {}", ckpt.adam_t));
+    bodies.extend(matrix_bodies("adam_m", &ckpt.adam_m));
+    bodies.extend(matrix_bodies("adam_v", &ckpt.adam_v));
+    bodies.iter().map(|body| seal_line(body)).collect()
 }
 
-/// Durably replaces the checkpoint at `path` with `ckpt`: full rewrite to a
-/// sibling temp file, flush, then atomic rename. A crash at any point
-/// leaves either the previous checkpoint or the new one, never a mix.
+/// Durably replaces the checkpoint at `path` with `ckpt`
+/// (`faults::sealed::write_atomic`, fault site `train.checkpoint`). A crash
+/// at any point leaves either the previous checkpoint or the new one, never
+/// a mix.
 ///
 /// # Errors
 ///
 /// Returns a one-line message; the previous checkpoint (if any) survives.
 pub(crate) fn save(path: &str, ckpt: &TrainCheckpoint) -> Result<(), String> {
-    let describe = |e: std::io::Error| format!("writing training checkpoint `{path}`: {e}");
-    let contents = render(ckpt);
-    let injected = faults::inject("train.checkpoint");
-    if let Some(fault) = &injected {
-        match fault.action {
-            faults::Action::Io => {
-                return Err(format!(
-                    "injected fault: train.checkpoint io (occurrence {})",
-                    fault.occurrence
-                ));
-            }
-            faults::Action::Torn | faults::Action::Short => {}
-            _ => fault.unsupported("train.checkpoint"),
-        }
-    }
-    if let Some(parent) = Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(describe)?;
-        }
-    }
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    let mut file = std::fs::File::create(&tmp).map_err(describe)?;
-    if let Some(fault) = &injected {
-        // Simulated crash mid-write: a prefix of the temp file reaches disk
-        // and the rename never happens, so the previous checkpoint stays
-        // authoritative — this is the torn-write case atomicity exists for.
-        let written = match fault.action {
-            faults::Action::Torn => contents.len() / 2,
-            _ => contents.len().saturating_sub(4),
-        };
-        file.write_all(&contents.as_bytes()[..written])
-            .and_then(|()| file.flush())
-            .map_err(describe)?;
-        return Err(format!(
-            "injected fault: train.checkpoint {} after {written} of {} bytes \
-             (occurrence {})",
-            fault.action,
-            contents.len(),
-            fault.occurrence
-        ));
-    }
-    file.write_all(contents.as_bytes()).map_err(describe)?;
-    file.flush().map_err(describe)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(describe)
+    write_atomic(path, render(ckpt).as_bytes(), "train.checkpoint")
+        .map_err(|e| format!("writing training checkpoint `{path}`: {e}"))
 }
 
-/// Loads the checkpoint at `path`. `Ok(None)` when the file does not exist
-/// (a fresh run); `Err` when it exists but is unusable — truncated,
-/// corrupted, or from a different format version. There is no silent
-/// partial recovery here: unlike the append-only dataset log, this file is
+/// Loads the checkpoint at `path`: `Ok(None)` when there is none (a fresh
+/// run), `Err` when it is damaged or from another format version. Unlike
+/// the append-only dataset log there is no partial recovery: the file is
 /// replaced atomically, so *any* damage means something outside the trainer
-/// touched it and resuming from it could silently diverge.
+/// touched it, and resuming from it could silently diverge.
 pub(crate) fn load(path: &str) -> Result<Option<TrainCheckpoint>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("reading training checkpoint `{path}`: {e}")),
     };
-    parse(&text).map(Some)
+    parse(&bytes).map(Some)
 }
 
-fn parse(text: &str) -> Result<TrainCheckpoint, String> {
-    if !text.ends_with('\n') {
-        return Err("truncated file (no final newline)".into());
-    }
-    let mut bodies = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let (body, crc_field) = line
-            .rsplit_once(" #")
-            .ok_or_else(|| format!("line {lineno}: missing checksum"))?;
-        let crc = u64::from_str_radix(crc_field, 16)
-            .map_err(|_| format!("line {lineno}: bad checksum field `{crc_field}`"))?;
-        let actual = fnv1a(FNV_OFFSET, body.as_bytes());
-        if actual != crc {
-            return Err(format!(
-                "line {lineno}: checksum mismatch (record says {crc:016x}, \
-                 contents hash to {actual:016x})"
-            ));
+fn parse(bytes: &[u8]) -> Result<TrainCheckpoint, String> {
+    let text = bytes
+        .strip_suffix(b"\n")
+        .ok_or_else(|| SealError::Truncated.to_string())?;
+    // Record payloads by tag, in file order.
+    let mut records: HashMap<&str, Vec<&str>> = HashMap::new();
+    for (i, line) in text.split(|&b| b == b'\n').enumerate() {
+        let body = unseal_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        if i == 0 && body != MAGIC {
+            return Err(format!("expected header `{MAGIC}`, found `{body}`"));
         }
-        bodies.push((lineno, body));
-    }
-    let mut lines = bodies.into_iter();
-    let (_, header) = lines.next().ok_or("empty file")?;
-    if header != MAGIC {
-        return Err(format!("expected header `{MAGIC}`, found `{header}`"));
-    }
-
-    let mut fingerprint = None;
-    let mut epoch = None;
-    let mut history = None;
-    let mut adam_t = None;
-    let mut params: Vec<Matrix> = Vec::new();
-    let mut adam_m: Vec<Matrix> = Vec::new();
-    let mut adam_v: Vec<Matrix> = Vec::new();
-    for (lineno, body) in lines {
-        let at = |msg: String| format!("line {lineno}: {msg}");
-        let (tag, rest) = body.split_once(' ').unwrap_or((body, ""));
-        match tag {
-            "fingerprint" => {
-                fingerprint = Some(
-                    u64::from_str_radix(rest, 16)
-                        .map_err(|_| at(format!("bad fingerprint `{rest}`")))?,
-                );
-            }
-            "epoch" => {
-                let fields: Vec<&str> = rest.split(' ').collect();
-                if fields.len() != 4 {
-                    return Err(at(format!(
-                        "epoch line needs 4 fields, has {}",
-                        fields.len()
-                    )));
-                }
-                let epochs_done: usize = fields[0]
-                    .parse()
-                    .map_err(|_| at(format!("bad epoch count `{}`", fields[0])))?;
-                let converged = match fields[1] {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(at(format!("bad converged flag `{other}`"))),
-                };
-                let stall: usize = fields[2]
-                    .parse()
-                    .map_err(|_| at(format!("bad stall count `{}`", fields[2])))?;
-                let best = f64::from_bits(
-                    u64::from_str_radix(fields[3], 16)
-                        .map_err(|_| at(format!("bad best-loss bits `{}`", fields[3])))?,
-                );
-                epoch = Some((epochs_done, converged, stall, best));
-            }
-            "history" => {
-                let values = rest
-                    .split(' ')
-                    .filter(|f| !f.is_empty())
-                    .map(|f| {
-                        u64::from_str_radix(f, 16)
-                            .map(f64::from_bits)
-                            .map_err(|_| at(format!("bad history bits `{f}`")))
-                    })
-                    .collect::<Result<Vec<f64>, String>>()?;
-                history = Some(values);
-            }
-            "adam" => {
-                adam_t = Some(
-                    rest.parse::<u64>()
-                        .map_err(|_| at(format!("bad adam step count `{rest}`")))?,
-                );
-            }
-            "param" | "adam_m" | "adam_v" => {
-                let (index, matrix) = parse_matrix(rest).map_err(at)?;
-                let list = match tag {
-                    "param" => &mut params,
-                    "adam_m" => &mut adam_m,
-                    _ => &mut adam_v,
-                };
-                if index != list.len() {
-                    return Err(at(format!(
-                        "{tag} index {index} out of order (expected {})",
-                        list.len()
-                    )));
-                }
-                list.push(matrix);
-            }
-            other => return Err(at(format!("unknown record tag `{other}`"))),
+        if i > 0 {
+            let (tag, rest) = body.split_once(' ').unwrap_or((body, ""));
+            records.entry(tag).or_default().push(rest);
         }
     }
+    let one = |tag: &str| match records.get(tag).map(Vec::as_slice) {
+        Some(&[rest]) => Ok(rest),
+        _ => Err(format!("expected one {tag} record")),
+    };
+    let matrices = |tag: &str| -> Result<Vec<Matrix>, String> {
+        let rests = records.get(tag).map_or(&[][..], Vec::as_slice);
+        let parsed = rests.iter().enumerate();
+        parsed.map(|(i, rest)| parse_matrix(tag, i, rest)).collect()
+    };
 
-    let fingerprint = fingerprint.ok_or("missing fingerprint record")?;
-    let (epochs_done, converged, stall, best) = epoch.ok_or("missing epoch record")?;
-    let history = history.ok_or("missing history record")?;
-    let adam_t = adam_t.ok_or("missing adam record")?;
-    if params.is_empty() {
+    let epoch: Vec<&str> = one("epoch")?.split(' ').collect();
+    let [epochs_done, converged, stall, best] = epoch[..] else {
+        return Err(format!("epoch record needs 4 fields, has {}", epoch.len()));
+    };
+    let history = one("history")?.split(' ').filter(|f| !f.is_empty());
+    let ckpt = TrainCheckpoint {
+        fingerprint: hex(one("fingerprint")?)?,
+        epochs_done: number(epochs_done)?,
+        converged: converged == "1",
+        stall: number(stall)?,
+        best: f64::from_bits(hex(best)?),
+        history: history
+            .map(|f| hex(f).map(f64::from_bits))
+            .collect::<Result<_, _>>()?,
+        params: matrices("param")?,
+        adam_t: number(one("adam")?)?,
+        adam_m: matrices("adam_m")?,
+        adam_v: matrices("adam_v")?,
+    };
+    if ckpt.params.is_empty() {
         return Err("missing param records".into());
     }
-    if adam_m.len() != adam_v.len() {
+    // ADAM keeps one moment of each kind per parameter once a step has run,
+    // and none before: any other count is a file cut at a line boundary.
+    let moments = if ckpt.adam_t == 0 {
+        0
+    } else {
+        ckpt.params.len()
+    };
+    if ckpt.adam_m.len() != moments || ckpt.adam_v.len() != moments {
         return Err(format!(
-            "adam moment count mismatch: {} first vs {} second",
-            adam_m.len(),
-            adam_v.len()
+            "adam moment count mismatch: {} first and {} second, expected {moments} each",
+            ckpt.adam_m.len(),
+            ckpt.adam_v.len()
         ));
     }
-    Ok(TrainCheckpoint {
-        fingerprint,
-        epochs_done,
-        converged,
-        stall,
-        best,
-        history,
-        params,
-        adam_t,
-        adam_m,
-        adam_v,
-    })
+    // A checkpoint is exactly what `render` writes: this refuses unknown,
+    // repeated or reordered records and non-canonical fields (a converged
+    // flag other than `0`/`1`).
+    if render(&ckpt).as_bytes() != bytes {
+        return Err("records differ from the trainer's own rendering".into());
+    }
+    Ok(ckpt)
 }
 
-fn parse_matrix(rest: &str) -> Result<(usize, Matrix), String> {
-    let mut fields = rest.split(' ').filter(|f| !f.is_empty());
-    let mut num = |name: &str| -> Result<usize, String> {
-        let field = fields.next().ok_or_else(|| format!("missing {name}"))?;
-        field.parse().map_err(|_| format!("bad {name} `{field}`"))
+fn number<T: std::str::FromStr>(field: &str) -> Result<T, String> {
+    field.parse().map_err(|_| format!("bad number `{field}`"))
+}
+
+fn hex(field: &str) -> Result<u64, String> {
+    u64::from_str_radix(field, 16).map_err(|_| format!("bad hex field `{field}`"))
+}
+
+/// The `index`-th `tag` matrix: `<index> <rows> <cols> <value bits>...`.
+fn parse_matrix(tag: &str, index: usize, rest: &str) -> Result<Matrix, String> {
+    let fields: Vec<&str> = rest.split(' ').collect();
+    let [at, rows, cols, values @ ..] = &fields[..] else {
+        return Err(format!("{tag} record `{rest}` has no shape"));
     };
-    let index = num("matrix index")?;
-    let rows = num("row count")?;
-    let cols = num("column count")?;
-    let data = fields
-        .map(|f| {
-            u64::from_str_radix(f, 16)
-                .map(f64::from_bits)
-                .map_err(|_| format!("bad value bits `{f}`"))
-        })
-        .collect::<Result<Vec<f64>, String>>()?;
+    if number::<usize>(at)? != index {
+        return Err(format!("{tag} index {at} out of order (expected {index})"));
+    }
+    let (rows, cols): (usize, usize) = (number(rows)?, number(cols)?);
+    let data = values.iter().map(|f| hex(f).map(f64::from_bits));
+    let data = data.collect::<Result<Vec<f64>, String>>()?;
     if data.len() != rows * cols {
         return Err(format!(
-            "matrix {index} has {} values for a {rows}x{cols} shape",
+            "{tag} {index} has {} values for a {rows}x{cols} shape",
             data.len()
         ));
     }
-    Ok((index, Matrix::from_vec(rows, cols, data)))
+    Ok(Matrix::from_vec(rows, cols, data))
 }
 
 #[cfg(test)]
@@ -458,6 +346,40 @@ mod tests {
         .unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.contains("expected header"), "{err}");
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_is_refused() {
+        // A torn write can stop at any byte and a bit can flip anywhere:
+        // every such file must fail to load, never resume a wrong state.
+        let path = tmp("damaged.ckpt");
+        save(&path, &sample()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let refused = |damaged: &[u8], what: &dyn Fn() -> String| {
+            std::fs::write(&path, damaged).unwrap();
+            assert!(load(&path).is_err(), "{} loaded", what());
+        };
+        for cut in 0..bytes.len() {
+            refused(&bytes[..cut], &|| format!("a {cut}-byte prefix"));
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            refused(&flipped, &|| format!("bit {} of byte {}", bit % 8, bit / 8));
+        }
+    }
+
+    #[test]
+    fn saved_bytes_are_pinned() {
+        // Recorded before the framing moved into `faults::sealed`: a
+        // checkpoint written by an older build must keep loading.
+        let path = tmp("pinned.ckpt");
+        save(&path, &sample()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv1a(FNV_OFFSET, &bytes)),
+            (778, 469380545583856724)
+        );
     }
 
     #[test]

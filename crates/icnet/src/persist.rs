@@ -1,7 +1,8 @@
 //! Model persistence: a trained [`GraphModel`] serializes to a small,
 //! versioned, human-readable text format, so a defender can train once and
 //! ship the predictor (the paper's deployment story: prediction is a single
-//! forward pass of a stored model).
+//! forward pass of a stored model). The file is footer-sealed
+//! (`faults::sealed`): its last line checksums every byte before it.
 
 use crate::aggregate::Aggregation;
 use crate::model::{GraphModel, ModelKind, OutputHead};
@@ -33,13 +34,12 @@ impl std::error::Error for ParseModelError {}
 /// rejected as unsupported rather than silently trusted.
 const FORMAT_VERSION: u32 = 2;
 
+/// The footer tag: the last line is `checksum <crc:016x>`.
+const FOOTER_TAG: &str = "checksum ";
+
 impl GraphModel {
-    /// Serializes the model (architecture + parameters) to text.
-    ///
-    /// The last line is a `checksum <fnv1a>` footer over every preceding
-    /// byte, so a truncated or bit-flipped file is rejected at load time
-    /// no matter where the damage landed — a prediction service must not
-    /// boot on half a model.
+    /// Serializes the model (architecture + parameters) to text, sealed by
+    /// a last `checksum <fnv1a>` line over every preceding byte.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -72,61 +72,30 @@ impl GraphModel {
             }
             let _ = writeln!(out);
         }
-        let _ = writeln!(
-            out,
-            "checksum {:016x}",
-            faults::fnv1a(faults::FNV_OFFSET, out.as_bytes())
-        );
-        out
+        faults::sealed::seal_footer(&out, FOOTER_TAG)
     }
 
-    /// Parses a model previously written by [`GraphModel::to_text`].
+    /// Parses a model file written by [`GraphModel::to_text`], given its
+    /// bytes (a `&str` or `&[u8]`). The checksum footer is verified over
+    /// the bytes before anything is decoded, so truncation at any offset
+    /// and any flipped bit are refused.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseModelError`] for version mismatches, malformed
-    /// headers, or parameter shapes inconsistent with the architecture.
-    pub fn from_text(text: &str) -> Result<GraphModel, ParseModelError> {
+    /// Returns [`ParseModelError`] for a damaged or missing footer, version
+    /// mismatches, malformed headers, or parameter shapes inconsistent with
+    /// the architecture.
+    pub fn from_text(text: impl AsRef<[u8]>) -> Result<GraphModel, ParseModelError> {
         let err = |line: usize, message: &str| ParseModelError {
             line,
             message: message.to_owned(),
         };
-        // A complete file ends in a newline; its absence means the tail of
-        // the file (at minimum) was lost to a torn or short write.
-        if !text.ends_with('\n') {
-            return Err(err(
-                text.lines().count().max(1),
-                "missing trailing newline (file truncated?)",
-            ));
-        }
-        // Verify the checksum footer before interpreting anything else:
-        // the last non-empty line must be `checksum <fnv1a of all prior
-        // bytes>`. Truncation at *any* byte offset either damages the
-        // footer itself or changes the bytes it covers — both are caught.
-        let last_line_start = match text.trim_end().rfind('\n') {
-            Some(i) => i + 1,
-            None => 0,
-        };
-        let footer_line_no = text[..last_line_start].lines().count() + 1;
-        let footer = text[last_line_start..].trim();
-        let expected = footer
-            .strip_prefix("checksum ")
-            .filter(|hex| hex.len() == 16)
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| {
-                err(
-                    footer_line_no,
-                    "missing checksum footer (file truncated or predates v2?)",
-                )
-            })?;
-        let actual = faults::fnv1a(faults::FNV_OFFSET, &text.as_bytes()[..last_line_start]);
-        if actual != expected {
-            return Err(err(
-                footer_line_no,
-                &format!("checksum mismatch: footer {expected:016x}, content {actual:016x}"),
-            ));
-        }
-        let body = &text[..last_line_start];
+        let bytes = text.as_ref();
+        let body = faults::sealed::unseal_footer(bytes, FOOTER_TAG).map_err(|e| {
+            // The footer is the last line.
+            let line = bytes.trim_ascii_end().split(|&b| b == b'\n').count();
+            err(line, &e.to_string())
+        })?;
 
         let mut lines = body.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
         let (l, header) = lines.next().ok_or_else(|| err(1, "empty input"))?;
@@ -142,22 +111,16 @@ impl GraphModel {
         let mut params: Vec<Matrix> = Vec::new();
 
         for (l, line) in lines {
-            if line.is_empty() {
-                continue;
-            }
             let mut tokens = line.split_whitespace();
             match tokens.next() {
                 Some("kind") => {
                     kind = Some(match tokens.next() {
                         Some("gcn") => ModelKind::Gcn,
                         Some("icnet") => ModelKind::ICNet,
-                        Some("chebnet") => {
-                            let k = tokens
-                                .next()
-                                .and_then(|t| t.parse().ok())
-                                .ok_or_else(|| err(l, "chebnet requires an order"))?;
-                            ModelKind::ChebNet { k }
-                        }
+                        Some("chebnet") => ModelKind::ChebNet {
+                            k: number(&mut tokens)
+                                .ok_or_else(|| err(l, "chebnet requires an order"))?,
+                        },
                         _ => return Err(err(l, "unknown model kind")),
                     });
                 }
@@ -177,26 +140,18 @@ impl GraphModel {
                     };
                 }
                 Some("features") => {
-                    features = tokens.next().and_then(|t| t.parse().ok());
-                    if features.is_none() {
-                        return Err(err(l, "invalid feature count"));
-                    }
+                    features =
+                        Some(number(&mut tokens).ok_or_else(|| err(l, "invalid feature count"))?);
                 }
                 Some("params") => {
-                    num_params = tokens.next().and_then(|t| t.parse().ok());
-                    if num_params.is_none() {
-                        return Err(err(l, "invalid parameter count"));
-                    }
+                    num_params =
+                        Some(number(&mut tokens).ok_or_else(|| err(l, "invalid parameter count"))?);
                 }
                 Some("matrix") => {
-                    let rows: usize = tokens
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err(l, "invalid matrix rows"))?;
-                    let cols: usize = tokens
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err(l, "invalid matrix cols"))?;
+                    let rows: usize =
+                        number(&mut tokens).ok_or_else(|| err(l, "invalid matrix rows"))?;
+                    let cols: usize =
+                        number(&mut tokens).ok_or_else(|| err(l, "invalid matrix cols"))?;
                     let data: Vec<f64> = tokens
                         .map(|t| t.parse::<f64>())
                         .collect::<Result<_, _>>()
@@ -221,6 +176,11 @@ impl GraphModel {
         GraphModel::from_parts(kind, aggregation, output, features, params)
             .map_err(|message| err(0, &message))
     }
+}
+
+/// The next token, parsed as a number.
+fn number<T: std::str::FromStr>(tokens: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
+    tokens.next()?.parse().ok()
 }
 
 #[cfg(test)]

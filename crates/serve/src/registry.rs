@@ -1,16 +1,18 @@
 //! The checksummed model registry: every persisted [`GraphModel`] the
 //! server is willing to run, loaded once at startup.
 //!
-//! Model files are the `icnet` text format (now carrying a checksum footer,
-//! see `icnet::persist`), one per file, named `<model-name>.model`. Loading
-//! is deliberately strict: a truncated, corrupt, or dimensionally
-//! inconsistent file refuses the whole startup with a typed error naming
-//! the file — a prediction service silently running half its fleet is worse
-//! than one that fails to boot loudly.
+//! Model files are the `icnet` text format, footer-sealed by
+//! `faults::sealed`, one per file, named `<model-name>.model`. Loading is
+//! deliberately strict: a truncated, corrupt, or dimensionally inconsistent
+//! file refuses the whole startup with a typed error naming the file — a
+//! prediction service silently running half its fleet is worse than one
+//! that fails to boot loudly. [`save_model`] replaces a file atomically, so
+//! a crash mid-save cannot leave such a file behind.
 //!
-//! The `serve.model.load` fault site makes both failure axes testable:
-//! `io` fails the read outright, `torn` feeds the parser a half-written
-//! file (which the checksum footer rejects).
+//! Two fault sites make the failure axes testable. `serve.model.load`: `io`
+//! fails the read outright, `torn` feeds the parser a half-written file
+//! (which the checksum footer rejects). `serve.model.save`: `torn`, `short`
+//! and `io` fail the save and leave the previous file in place.
 
 use icnet::{FeatureSet, GraphModel};
 use std::collections::BTreeMap;
@@ -122,22 +124,32 @@ impl ModelRegistry {
     ) -> Result<ModelRegistry, RegistryError> {
         let mut registry = ModelRegistry::default();
         for (name, model) in models {
-            let features = feature_set_for(model.num_features()).ok_or_else(|| {
-                RegistryError::BadFeatureWidth {
-                    path: PathBuf::from(&name),
-                    width: model.num_features(),
-                }
-            })?;
-            registry.entries.insert(
-                name.clone(),
-                ModelEntry {
-                    name,
-                    model: Arc::new(model),
-                    features,
-                },
-            );
+            let path = PathBuf::from(&name);
+            registry.insert(name, model, path)?;
         }
         Ok(registry)
+    }
+
+    /// Registers `model` as `name`; `path` names it in the error.
+    fn insert(
+        &mut self,
+        name: String,
+        model: GraphModel,
+        path: PathBuf,
+    ) -> Result<(), RegistryError> {
+        let width = model.num_features();
+        let features =
+            feature_set_for(width).ok_or(RegistryError::BadFeatureWidth { path, width })?;
+        let (model, key) = (Arc::new(model), name.clone());
+        self.entries.insert(
+            key,
+            ModelEntry {
+                name,
+                model,
+                features,
+            },
+        );
+        Ok(())
     }
 
     /// Loads every `*.model` file under `dir`, in name order.
@@ -166,38 +178,27 @@ impl ModelRegistry {
             });
         }
 
-        let mut models = Vec::new();
+        let mut registry = ModelRegistry::default();
         for path in paths {
-            let mut text = match faults::inject("serve.model.load") {
-                Some(fault) => match fault.action {
+            let mut bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
+            if let Some(fault) = faults::inject("serve.model.load") {
+                match fault.action {
                     faults::Action::Io => {
-                        return Err(RegistryError::Io {
-                            path,
-                            message: format!(
-                                "injected fault: serve.model.load io (occurrence {})",
-                                fault.occurrence
-                            ),
-                        });
+                        let occurrence = fault.occurrence;
+                        let message = format!(
+                            "injected fault: serve.model.load io (occurrence {occurrence})"
+                        );
+                        return Err(RegistryError::Io { path, message });
                     }
                     // A torn load is a half-written file reaching the
                     // parser: the checksum footer must catch it.
-                    faults::Action::Torn => {
-                        let full = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-                        let mut cut = full.len() / 2;
-                        while !full.is_char_boundary(cut) {
-                            cut -= 1;
-                        }
-                        full[..cut].to_owned()
-                    }
+                    faults::Action::Torn => bytes.truncate(bytes.len() / 2),
                     _ => fault.unsupported("serve.model.load"),
-                },
-                None => std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?,
-            };
-            // Normalise CRLF uploads; the format is newline-framed.
-            if text.contains('\r') {
-                text = text.replace('\r', "");
+                }
             }
-            let model = GraphModel::from_text(&text).map_err(|e| RegistryError::Corrupt {
+            // Normalise CRLF uploads; the format is newline-framed.
+            bytes.retain(|&b| b != b'\r');
+            let model = GraphModel::from_text(&bytes).map_err(|e| RegistryError::Corrupt {
                 path: path.clone(),
                 message: e.to_string(),
             })?;
@@ -206,23 +207,7 @@ impl ModelRegistry {
                 .and_then(|s| s.to_str())
                 .unwrap_or("model")
                 .to_owned();
-            models.push((name, model, path));
-        }
-        let mut registry = ModelRegistry::default();
-        for (name, model, path) in models {
-            let features =
-                feature_set_for(model.num_features()).ok_or(RegistryError::BadFeatureWidth {
-                    path,
-                    width: model.num_features(),
-                })?;
-            registry.entries.insert(
-                name.clone(),
-                ModelEntry {
-                    name,
-                    model: Arc::new(model),
-                    features,
-                },
-            );
+            registry.insert(name, model, path)?;
         }
         Ok(registry)
     }
@@ -248,20 +233,20 @@ impl ModelRegistry {
     }
 }
 
-/// Persists `model` as `<dir>/<name>.model` (the registry layout).
+/// Persists `model` as `<dir>/<name>.model` (the registry layout),
+/// replacing any previous file atomically (`faults::sealed::write_atomic`,
+/// fault site `serve.model.save`).
 ///
 /// # Errors
 ///
-/// Returns the OS error message.
+/// Returns the OS error message; the previous file, if any, is unchanged.
 pub fn save_model(
     dir: impl AsRef<Path>,
     name: &str,
     model: &GraphModel,
 ) -> Result<PathBuf, String> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating `{}`: {e}", dir.display()))?;
-    let path = dir.join(format!("{name}.{MODEL_EXTENSION}"));
-    std::fs::write(&path, model.to_text())
+    let path = dir.as_ref().join(format!("{name}.{MODEL_EXTENSION}"));
+    faults::sealed::write_atomic(&path, model.to_text().as_bytes(), "serve.model.save")
         .map_err(|e| format!("writing `{}`: {e}", path.display()))?;
     Ok(path)
 }

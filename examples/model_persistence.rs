@@ -24,18 +24,18 @@ fn main() -> Result<(), Box<dyn Error>> {
         report.epochs_run, report.final_loss
     );
 
-    // Save.
-    let path = std::env::temp_dir().join("icnet_demo_model.txt");
-    std::fs::write(&path, model.to_text())?;
+    // Save: atomically, with a checksum footer, in the registry layout the
+    // prediction service loads.
+    let dir = std::env::temp_dir().join("icnet_demo_models");
+    let path = serve::save_model(&dir, "demo", &model)?;
     println!(
         "saved to {} ({} bytes)",
         path.display(),
-        model.to_text().len()
+        std::fs::metadata(&path)?.len()
     );
 
     // Reload in a "fresh process" and verify predictions are identical.
-    let text = std::fs::read_to_string(&path)?;
-    let reloaded = GraphModel::from_text(&text)?;
+    let reloaded = GraphModel::from_text(std::fs::read(&path)?)?;
     let mut max_diff = 0.0f64;
     for x in &xs {
         let a = model.predict(&op, x);

@@ -194,34 +194,48 @@ fn failed_append_poisons_the_log_handle() {
         .expect("recovered handle writes");
 }
 
-/// cache.write × torn → a torn prefix lands at the cache path; the next run
-/// flags the checksum mismatch, downgrades to a miss, and regenerates an
-/// identical dataset (then re-seals the cache).
+/// cache.write × torn → the crash leaves only a partial temp file, never
+/// renamed, so no cache appears at the path and the next run regenerates
+/// identical labels. A torn cache that reaches the path some other way
+/// (written by hand below) is a checksum miss: the dataset regenerates
+/// identically and the cache is re-sealed.
 #[test]
 fn torn_cache_write_is_a_checksum_miss_next_run() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config = demo_config(4);
     let out_dir = tmp_dir("torn_cache");
+    let path = dataset_cache_path(&config, &out_dir);
 
     let first = {
         let _cleanup = Disarm;
         faults::arm_str("cache.write:torn@o0", None).unwrap();
         load_or_generate(&config, &out_dir, 1, None)
     };
-    let path = dataset_cache_path(&config, &out_dir);
-    let torn = std::fs::read_to_string(&path).expect("torn prefix was written");
-    let err = unseal_csv(&torn).expect_err("torn cache must not verify");
     assert!(
-        err.contains("missing checksum footer") || err.contains("checksum mismatch"),
-        "err: {err}"
+        !std::path::Path::new(&path).exists(),
+        "a torn cache write must leave no cache at the path"
     );
-
     let second = load_or_generate(&config, &out_dir, 1, None);
     assert_eq!(second.instances, first.instances, "regenerated identically");
-    let sealed = std::fs::read_to_string(&path).unwrap();
-    unseal_csv(&sealed).expect("cache re-sealed after the miss");
+    let sealed = std::fs::read(&path).expect("the clean run wrote the cache");
+    unseal_csv(&sealed).expect("the clean run sealed the cache");
+
+    // Reader half: half of a sealed cache at the path is a miss.
+    let torn = &sealed[..sealed.len() / 2];
+    let err = unseal_csv(torn).expect_err("torn cache must not verify");
+    assert!(
+        err.contains("truncated")
+            || err.contains("missing checksum footer")
+            || err.contains("checksum mismatch"),
+        "err: {err}"
+    );
+    std::fs::write(&path, torn).unwrap();
     let third = load_or_generate(&config, &out_dir, 1, None);
-    assert_eq!(third.instances, first.instances, "now a clean cache hit");
+    assert_eq!(third.instances, first.instances, "regenerated identically");
+    let resealed = std::fs::read(&path).unwrap();
+    unseal_csv(&resealed).expect("cache re-sealed after the miss");
+    let fourth = load_or_generate(&config, &out_dir, 1, None);
+    assert_eq!(fourth.instances, first.instances, "now a clean cache hit");
 }
 
 /// dataset.worker × die → the killed worker's instance lands in quarantine

@@ -735,3 +735,44 @@ fn server_meters_the_same_request_bytes_the_client_can_compute() {
     let stats = server.shutdown();
     assert_eq!(stats.peak_request_bytes, expected);
 }
+
+/// serve.model.save × torn / short / io → the save fails, the good
+/// `demo.model` it was replacing stays byte-identical and loadable, and no
+/// partial `.model` file appears for the registry to trip over.
+#[test]
+fn failed_model_save_keeps_the_previous_model() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir()
+        .join("icnet_integration_serve")
+        .join(format!("model_save_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = serve::save_model(&dir, "demo", &demo_model()).expect("clean save");
+    let good = std::fs::read(&path).unwrap();
+    let replacement = icnet::GraphModel::new(
+        icnet::ModelKind::Gcn,
+        icnet::Aggregation::Sum,
+        icnet::NUM_FEATURES_ALL,
+        8,
+        8,
+        8,
+    );
+    for action in ["torn", "short", "io"] {
+        let _cleanup = Disarm;
+        faults::arm_str(&format!("serve.model.save:{action}"), None).unwrap();
+        let err = serve::save_model(&dir, "demo", &replacement).expect_err("the save fails");
+        faults::disarm();
+        assert!(err.contains(&format!("serve.model.save {action}")), "{err}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            good,
+            "{action}: old file intact"
+        );
+        let registry = ModelRegistry::load_dir(&dir).expect("the old model still loads");
+        assert_eq!(
+            registry.names(),
+            vec!["demo"],
+            "{action}: no partial .model file"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

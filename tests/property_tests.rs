@@ -619,3 +619,154 @@ fn every_truncation_offset_recovers_the_intact_prefix() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+// Sealed files: every persisted format rejects truncation and bit flips
+// with a typed error, and every writer's bytes stay pinned.
+
+/// Length and FNV-1a digest of a file's bytes.
+fn digest(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), faults::fnv1a(faults::FNV_OFFSET, bytes))
+}
+
+/// A small fixed model file (ICNet, NN aggregation, 4-wide layers).
+fn sample_model_text() -> String {
+    icnet::GraphModel::new(icnet::ModelKind::ICNet, icnet::Aggregation::Nn, 7, 4, 4, 7).to_text()
+}
+
+/// A small fixed sealed dataset cache (three instances).
+fn sample_sealed_csv() -> String {
+    let instances: Vec<Instance> = (0..3usize)
+        .map(|i| Instance {
+            selected: vec![
+                netlist::GateId::from_index(i),
+                netlist::GateId::from_index(i + 5),
+            ],
+            key_bits: 2 * i + 1,
+            iterations: i + 1,
+            work: 500 + 7 * i as u64,
+            seconds: 0.125 * (i + 1) as f64,
+            log_seconds: (0.125 * (i + 1) as f64).ln(),
+            censored: i == 2,
+        })
+        .collect();
+    bench::harness::seal_csv(&dataset::dataset_to_csv(&instances))
+}
+
+/// The writers' output on fixed inputs, recorded before the framing moved
+/// into `faults::sealed`: a persisted file written by an older build must
+/// keep loading, so these bytes may not drift.
+#[test]
+fn sealed_writers_emit_the_pinned_bytes() {
+    assert_eq!(
+        digest(sample_model_text().as_bytes()),
+        (1455, 4025205265848996650),
+        "model file"
+    );
+    assert_eq!(
+        digest(sample_sealed_csv().as_bytes()),
+        (215, 17174133551612160571),
+        "sealed CSV"
+    );
+    let log = std::fs::read(seeded_checkpoint()).unwrap();
+    assert_eq!(
+        digest(&log),
+        (268, 17120323564526727755),
+        "3-record checkpoint log"
+    );
+}
+
+/// Every copy of `bytes` a torn write or a flipped bit can leave: each
+/// proper prefix, then each single-bit flip of each byte.
+fn damaged_copies(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let cuts = (0..bytes.len()).map(|k| (format!("{k}-byte prefix"), bytes[..k].to_vec()));
+    let flips = (0..bytes.len() * 8).map(|bit| {
+        let mut flipped = bytes.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        (format!("bit {} of byte {}", bit % 8, bit / 8), flipped)
+    });
+    cuts.chain(flips)
+}
+
+/// Whether a reader's answer to damaged bytes is acceptable.
+type Verdict = Result<(), String>;
+
+/// Feeds damaged bytes to one public reader and judges its answer.
+type Reader<'a> = Box<dyn Fn(&[u8]) -> Verdict + 'a>;
+
+fn refused<T: std::fmt::Debug, E>(result: Result<T, E>) -> Verdict {
+    match result {
+        Err(_) => Ok(()),
+        Ok(value) => Err(format!("accepted as {value:?}")),
+    }
+}
+
+/// The one corruption test every sealed format passes through its public
+/// reader: a whole file must be refused with the reader's typed error at
+/// every truncation offset and under every single-bit flip; the append-only
+/// log may instead keep exactly an intact prefix of its records.
+#[test]
+fn every_truncation_and_bit_flip_is_refused_by_every_reader() {
+    let scratch = ckpt_tmp().with_extension("d");
+    std::fs::create_dir_all(&scratch).unwrap();
+    let model_dir = scratch.join("models");
+    std::fs::create_dir_all(&model_dir).unwrap();
+    let log_path = scratch.join("sweep.ckpt");
+    let intact_log = seeded_checkpoint();
+    let log_bytes = std::fs::read(&intact_log).unwrap();
+    let intact = CheckpointLog::open(&intact_log).unwrap();
+    let keys: Vec<u64> = (0..3).map(|i| 0xA0 + i).collect();
+
+    let model = sample_model_text().into_bytes();
+    let readers: Vec<(&str, Vec<u8>, Reader)> = vec![
+        (
+            "GraphModel::from_text",
+            model.clone(),
+            Box::new(|bytes| refused(icnet::GraphModel::from_text(bytes).map(|m| m.to_string()))),
+        ),
+        (
+            "unseal_csv",
+            sample_sealed_csv().into_bytes(),
+            Box::new(|bytes| refused(bench::harness::unseal_csv(bytes))),
+        ),
+        (
+            "ModelRegistry::load_dir",
+            model,
+            Box::new(|bytes| {
+                std::fs::write(model_dir.join("demo.model"), bytes).unwrap();
+                match serve::ModelRegistry::load_dir(&model_dir) {
+                    Err(serve::RegistryError::Corrupt { .. }) => Ok(()),
+                    other => Err(format!("not Corrupt: {other:?}")),
+                }
+            }),
+        ),
+        (
+            "CheckpointLog::open",
+            log_bytes,
+            Box::new(|bytes| {
+                std::fs::write(&log_path, bytes).unwrap();
+                match CheckpointLog::open(&log_path) {
+                    Err(DatasetError::Checkpoint { .. }) => Ok(()),
+                    Err(other) => Err(format!("not a Checkpoint error: {other:?}")),
+                    Ok(log) => {
+                        let kept = log.len();
+                        let prefix = log.num_quarantined() == 0
+                            && keys.iter().enumerate().all(|(i, &key)| {
+                                log.lookup(key) == intact.lookup(key).filter(|_| i < kept)
+                            });
+                        prefix
+                            .then_some(())
+                            .ok_or_else(|| format!("kept {kept} records that are not a prefix"))
+                    }
+                }
+            }),
+        ),
+    ];
+    for (reader, sample, verdict) in &readers {
+        for (damage, bytes) in damaged_copies(sample) {
+            if let Err(why) = verdict(&bytes) {
+                panic!("{reader}, {damage}: {why}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}
