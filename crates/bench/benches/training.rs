@@ -1,17 +1,17 @@
-//! Criterion benchmarks for the training engine: one training epoch
-//! (per-instance reference vs. the batched engine at several batch sizes,
-//! serial vs. data-parallel), batch prediction, and the Table I/II
+//! Criterion benchmarks for the training engine: one training epoch at
+//! several batch sizes, batch prediction, and the Table I/II
 //! evaluation-suite wall clock at several worker counts. The first recorded
 //! numbers live in `BENCH_train.json` at the repo root so later changes
-//! have a perf trajectory to compare against.
+//! have a perf trajectory to compare against (its `jobs_*` rows timed the
+//! per-instance engine, which no longer trains).
 
 use bench::harness::{run_mse_suite, SuiteControl};
 use bench::methods::BaselineKind;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dataset::DatasetConfig;
 use icnet::{
-    encode_features, train, Aggregation, CircuitGraph, FeatureSet, GradEngine, GraphModel,
-    ModelKind, TrainConfig,
+    encode_features, train, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind,
+    TrainConfig,
 };
 use std::sync::Arc;
 use tensor::Matrix;
@@ -36,9 +36,9 @@ fn c432_task() -> (Arc<tensor::CsrMatrix>, Vec<Matrix>, Vec<f64>) {
     (op, xs, ys)
 }
 
-/// CI smoke mode: one sample of the reference engine and one of the
-/// batched engine, so the job proves the bench compiles and both engines
-/// still train without paying for full sample counts on shared runners.
+/// CI smoke mode: one sample of one batch size, so the job proves the
+/// bench compiles and the engine still trains without paying for full
+/// sample counts on shared runners.
 fn smoke() -> bool {
     std::env::var_os("TRAIN_BENCH_SMOKE").is_some()
 }
@@ -66,30 +66,6 @@ fn bench_train_epoch(c: &mut Criterion) {
     let (op, xs, ys) = c432_task();
     let mut group = c.benchmark_group("train_epoch_c432");
     group.sample_size(if smoke() { 1 } else { 10 });
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The historical `jobs_{n}` variants pin the per-instance reference
-    // engine so their trajectory stays comparable across PRs; the batched
-    // engine gets its own explicitly-named variants below.
-    for jobs in [1usize, 2, 4] {
-        if jobs > 1 && (cores < 2 || smoke()) {
-            continue; // no point timing oversubscription
-        }
-        let config = TrainConfig {
-            max_epochs: 1,
-            batch_size: 16,
-            jobs,
-            engine: GradEngine::PerInstance,
-            ..TrainConfig::default()
-        };
-        report_peak_tape_bytes(&format!("jobs_{jobs}"), &op, &xs, &ys, &config);
-        group.bench_function(format!("jobs_{jobs}"), |b| {
-            b.iter(|| {
-                let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 16, 16, 1);
-                black_box(train(&mut model, &op, &xs, &ys, &config))
-            });
-        });
-    }
-    // One block-diagonal tape per chunk instead of one tape per instance.
     // The task has 32 instances, so B=64 degenerates to one full batch of
     // 32 — recorded anyway to show the amortisation flattening out.
     for batch in [4usize, 16, 64] {
@@ -100,7 +76,6 @@ fn bench_train_epoch(c: &mut Criterion) {
             max_epochs: 1,
             batch_size: batch,
             jobs: 1,
-            engine: GradEngine::Batched,
             ..TrainConfig::default()
         };
         report_peak_tape_bytes(&format!("batched_B{batch}"), &op, &xs, &ys, &config);

@@ -1,51 +1,67 @@
-//! Block-diagonal packing of a mini-batch of circuit graphs.
+//! Packing of a mini-batch of lockings of one circuit.
 //!
-//! A batch of B instances of one circuit is one graph problem: B copies of
-//! the graph operator are stacked into a single block-diagonal CSR matrix,
-//! the per-instance feature matrices into one tall dense matrix, and a
-//! [`Segments`] table records which stacked rows belong to which instance.
-//! One spmm/matmul chain then processes the whole batch per layer, instead
-//! of B separate tapes (DESIGN.md §10). Because every copy shares one
-//! operator, a row whose inputs match a reference copy's is computed once
-//! and copied ([`RowReuse`], DESIGN.md §10.5).
+//! Every multi-graph batch is B lockings of one circuit: B feature matrices
+//! over one graph operator that differ only in the mask rows of each
+//! instance's key gates. [`BatchedGraph`] holds the operator and the
+//! *stacked* layout, a [`Segments`] table of B ranges of n rows, which
+//! pooling, attention and the head walk per graph (DESIGN.md §10).
 //!
-//! The packing is purely structural — it depends on the batch *layout*
-//! (which operator, how many copies) and not on the feature data — so a
-//! trainer builds one `BatchedGraph` per distinct batch length and reuses it
-//! across epochs, including its lazily computed operator transpose (seeded
-//! into every fresh tape via [`Tape::seed_transpose`](tensor::Tape)).
+//! The convolutions run on a *compressed* layout instead
+//! ([`BatchedGraph::compress`], DESIGN.md §10.1): the n rows of one
+//! reference instance, and for every other instance only its halo — the
+//! rows within a few operator hops of a row whose features differ from the
+//! reference's. Every other row of that instance holds the reference's
+//! bits in every layer, so it is never stored or computed.
+//!
+//! The layout is structural (which operator, how many instances), so a
+//! trainer builds one `BatchedGraph` per distinct batch length and reuses
+//! it across epochs; the compressed rows depend on the features and are
+//! rebuilt per mini-batch.
 
-use std::sync::{Arc, OnceLock};
-use tensor::{CsrMatrix, Matrix, RowReuse, Segments};
+use std::sync::Arc;
+use tensor::{BufferPool, CsrMatrix, Matrix, Segments};
 
-/// B copies of one graph packed into one block-diagonal operator plus row
-/// segments.
+/// B lockings of one graph: its operator plus the stacked row segments.
 #[derive(Debug)]
 pub struct BatchedGraph {
     op: Arc<CsrMatrix>,
     segments: Arc<Segments>,
-    op_t: OnceLock<Arc<CsrMatrix>>,
-    // The transpose of one copy of the operator: row `c` lists the rows
-    // that read column `c`, which is all a row-reuse hop needs.
-    fan_out: OnceLock<CsrMatrix>,
+    // The operator's transpose (row `c` lists the rows that read column
+    // `c`), which halo growth walks. Absent for a batch of one, which is
+    // never compressed.
+    fan_out: Option<CsrMatrix>,
+}
+
+/// One mini-batch in the compressed layout: the rows the convolutions
+/// compute (see [`BatchedGraph::compress`]).
+#[derive(Debug)]
+pub(crate) struct Compressed {
+    /// Feature rows: the reference instance's n rows, then each other
+    /// instance's halo rows (ascending), in batch order.
+    pub(crate) x: Matrix,
+    /// The operator over those rows.
+    pub(crate) op: Arc<CsrMatrix>,
+    /// The reference's rows, then one range per other instance.
+    pub(crate) segments: Arc<Segments>,
+    /// For stacked row `s·n + g` (gate `g` of instance `s`), the compressed
+    /// row holding its value; `None` when the two layouts coincide (a batch
+    /// of one).
+    pub(crate) gather: Option<Arc<[u32]>>,
 }
 
 impl BatchedGraph {
-    /// Packs `count` copies of one operator: every instance shares the
-    /// circuit topology and differs only in its feature matrix (encryption
-    /// mask).
+    /// Packs `count` lockings of one circuit: every instance shares the
+    /// operator and differs only in its feature matrix (encryption mask).
     ///
     /// # Panics
     ///
     /// Panics if the operator is non-square (graph operators always are).
     pub fn replicate(op: &CsrMatrix, count: usize) -> Self {
         assert_eq!(op.rows(), op.cols(), "graph operators must be square");
-        let ops = vec![op; count];
         BatchedGraph {
-            op: Arc::new(CsrMatrix::block_diag(&ops)),
+            op: Arc::new(op.clone()),
             segments: Arc::new(Segments::from_lens(&vec![op.rows(); count])),
-            op_t: OnceLock::new(),
-            fan_out: OnceLock::from(op.transpose()),
+            fan_out: (count > 1).then(|| op.transpose()),
         }
     }
 
@@ -57,17 +73,16 @@ impl BatchedGraph {
         BatchedGraph {
             op,
             segments,
-            op_t: OnceLock::new(),
-            fan_out: OnceLock::new(),
+            fan_out: None,
         }
     }
 
-    /// The block-diagonal operator.
+    /// The operator every instance shares.
     pub fn operator(&self) -> &Arc<CsrMatrix> {
         &self.op
     }
 
-    /// The per-graph row ranges.
+    /// The per-graph row ranges of the stacked layout.
     pub fn segments(&self) -> &Arc<Segments> {
         &self.segments
     }
@@ -82,23 +97,6 @@ impl BatchedGraph {
         self.segments.total_rows()
     }
 
-    /// The transpose of the block-diagonal operator, computed once per
-    /// layout and shared by every tape that trains on it.
-    pub fn operator_transpose(&self) -> Arc<CsrMatrix> {
-        Arc::clone(self.op_t.get_or_init(|| Arc::new(self.op.transpose())))
-    }
-
-    /// The rows `plan` marks dirty, grown by one hop of the operator: the
-    /// rows of `op · H` that read a dirty row of `H`. A clean plan stays
-    /// clean without touching the operator.
-    pub fn hop(&self, plan: &RowReuse) -> RowReuse {
-        if plan.is_clean() {
-            plan.clone()
-        } else {
-            plan.hop(self.fan_out.get_or_init(|| self.op.transpose()))
-        }
-    }
-
     /// Stacks per-graph feature matrices into one tall matrix whose row
     /// blocks line up with [`segments`](Self::segments).
     ///
@@ -107,6 +105,14 @@ impl BatchedGraph {
     /// Panics if the number of matrices or any row count disagrees with the
     /// batch layout, or if the feature widths are inconsistent.
     pub fn stack_features(&self, xs: &[&Matrix]) -> Matrix {
+        let cols = self.feature_width(xs);
+        let data = xs.iter().flat_map(|x| x.as_slice()).copied().collect();
+        Matrix::from_vec(self.total_nodes(), cols, data)
+    }
+
+    /// The common feature width of `xs`, after checking them against the
+    /// layout (the panics of [`stack_features`](Self::stack_features)).
+    fn feature_width(&self, xs: &[&Matrix]) -> usize {
         assert_eq!(
             xs.len(),
             self.num_graphs(),
@@ -114,11 +120,10 @@ impl BatchedGraph {
             self.num_graphs()
         );
         let cols = xs.first().map_or(0, |x| x.cols());
-        let mut data = Vec::with_capacity(self.total_nodes() * cols);
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(
                 x.rows(),
-                self.segments.range(i).len(),
+                self.op.rows(),
                 "feature stack: instance {i} row count does not match its graph"
             );
             assert_eq!(
@@ -126,68 +131,174 @@ impl BatchedGraph {
                 cols,
                 "feature stack: instance {i} feature width differs"
             );
-            data.extend_from_slice(x.as_slice());
         }
-        Matrix::from_vec(self.total_nodes(), cols, data)
+        cols
     }
 
-    /// [`BatchedGraph::stack_features`] into a buffer from `pool` (the
-    /// training hot path restacks every mini-batch; pooling skips the
-    /// allocation, never changing the stacked values).
+    /// Packs `xs` into the compressed layout for a model whose last
+    /// convolution output depends on inputs up to `hops` operator hops
+    /// away (DESIGN.md §10.1).
+    ///
+    /// The reference is the instance with the fewest rows off the batch's
+    /// common value, taken per row as the value two of the first three
+    /// instances share: in a batch of lockings, the one with the fewest key
+    /// gates. Every other instance keeps its *halo*: the rows within `hops`
+    /// hops of a row whose features differ bitwise from the reference's
+    /// (`-0.0` and `0.0` differ). In a halo row the operator reads the
+    /// instance's own halo row where the neighbour has one and the
+    /// reference's row otherwise, with the nonzeros in their original
+    /// order, so each halo row is the same sum of the same terms as in the
+    /// instance's own forward pass. A batch of one is copied as is.
     ///
     /// # Panics
     ///
-    /// Same panics as [`BatchedGraph::stack_features`].
-    pub fn stack_features_pooled(&self, xs: &[&Matrix], pool: &mut tensor::BufferPool) -> Matrix {
-        assert_eq!(
-            xs.len(),
-            self.num_graphs(),
-            "feature stack: batch holds {} graphs",
-            self.num_graphs()
-        );
-        let cols = xs.first().map_or(0, |x| x.cols());
-        let mut out = pool.alloc(self.total_nodes(), cols);
-        let mut cursor = 0usize;
-        {
-            let dst = out.as_mut_slice();
-            for (i, x) in xs.iter().enumerate() {
-                assert_eq!(
-                    x.rows(),
-                    self.segments.range(i).len(),
-                    "feature stack: instance {i} row count does not match its graph"
-                );
-                assert_eq!(
-                    x.cols(),
-                    cols,
-                    "feature stack: instance {i} feature width differs"
-                );
-                let src = x.as_slice();
-                dst[cursor..cursor + src.len()].copy_from_slice(src);
-                cursor += src.len();
+    /// The panics of [`stack_features`](Self::stack_features).
+    pub(crate) fn compress(
+        &self,
+        xs: &[&Matrix],
+        hops: usize,
+        pool: &mut BufferPool,
+    ) -> Compressed {
+        let width = self.feature_width(xs);
+        let n = self.op.rows();
+        let Some(fan_out) = &self.fan_out else {
+            let mut x = pool.alloc(self.total_nodes(), width);
+            if let Some(only) = xs.first() {
+                x.as_mut_slice().copy_from_slice(only.as_slice());
+            }
+            return Compressed {
+                x,
+                op: Arc::clone(&self.op),
+                segments: Arc::clone(&self.segments),
+                gather: None,
+            };
+        };
+        let row = |s: usize, g: usize| &xs[s].as_slice()[g * width..(g + 1) * width];
+        let same = |s: usize, t: usize, g: usize| {
+            row(s, g)
+                .iter()
+                .zip(row(t, g))
+                .all(|(p, q)| p.to_bits() == q.to_bits())
+        };
+        // Per row, an instance holding its common value.
+        let common: Vec<usize> = (0..n)
+            .map(|g| if xs.len() < 3 || same(0, 1, g) { 0 } else { 2 })
+            .collect();
+        let off: Vec<Vec<usize>> = (0..xs.len())
+            .map(|s| (0..n).filter(|&g| !same(s, common[g], g)).collect())
+            .collect();
+        let reference = (0..off.len()).min_by_key(|&s| off[s].len()).unwrap_or(0);
+
+        // Compressed row i is gate `source[i]` of instance `owner[i]`; every
+        // stacked row starts out reading the reference's copy of its gate.
+        let mut source: Vec<usize> = (0..n).collect();
+        let mut owner = vec![reference; n];
+        let mut lens = vec![n];
+        let mut gather: Vec<u32> = (0..xs.len()).flat_map(|_| 0..n as u32).collect();
+        let mut marked = vec![usize::MAX; n];
+        for s in (0..xs.len()).filter(|&s| s != reference) {
+            // A row on the common value in both instances is equal in both,
+            // so only rows off it in either can differ.
+            let mut halo = Vec::new();
+            for &g in off[s].iter().chain(&off[reference]) {
+                if marked[g] != s && !same(s, reference, g) {
+                    marked[g] = s;
+                    halo.push(g);
+                }
+            }
+            let mut frontier = 0;
+            for _ in 0..hops {
+                let reached = halo.len();
+                for i in frontier..reached {
+                    for &r in fan_out.row_indices(halo[i]) {
+                        if std::mem::replace(&mut marked[r as usize], s) != s {
+                            halo.push(r as usize);
+                        }
+                    }
+                }
+                frontier = reached;
+            }
+            halo.sort_unstable();
+            for (i, &g) in halo.iter().enumerate() {
+                gather[s * n + g] = (source.len() + i) as u32;
+            }
+            owner.resize(source.len() + halo.len(), s);
+            lens.push(halo.len());
+            source.extend(halo);
+        }
+
+        let mut x = pool.alloc(source.len(), width);
+        if width > 0 {
+            for (dst, (&g, &s)) in x
+                .as_mut_slice()
+                .chunks_exact_mut(width)
+                .zip(source.iter().zip(&owner))
+            {
+                dst.copy_from_slice(row(s, g));
             }
         }
-        debug_assert_eq!(cursor, out.as_slice().len(), "stack covered every row");
-        out
+        let op = self.op.select_rows(&source, source.len(), |i, c| {
+            gather[owner[i] * n + c] as usize
+        });
+        Compressed {
+            x,
+            op: Arc::new(op),
+            segments: Arc::new(Segments::from_lens(&lens)),
+            gather: Some(Arc::from(gather)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensor::CsrMatrix;
 
     fn op(n: usize) -> CsrMatrix {
         CsrMatrix::identity(n)
     }
 
+    /// Path `0 -> 1 -> 2` (row r reads column r - 1) plus self-loops.
+    fn path() -> CsrMatrix {
+        CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 1.0),
+                (2, 1, 1.0),
+                (2, 2, 1.0),
+            ],
+        )
+    }
+
+    /// One-column instances, one per slice.
+    fn instances(values: &[[f64; 3]]) -> Vec<Matrix> {
+        values.iter().map(|v| Matrix::column(v)).collect()
+    }
+
+    fn compress(op: &CsrMatrix, xs: &[Matrix], hops: usize) -> Compressed {
+        let refs: Vec<&Matrix> = xs.iter().collect();
+        BatchedGraph::replicate(op, xs.len()).compress(&refs, hops, &mut BufferPool::new())
+    }
+
+    /// Each instance's halo (its rows held apart from the reference's), read
+    /// back from the gather index.
+    fn halos(c: &Compressed, n: usize) -> Vec<Vec<usize>> {
+        let gather = c.gather.as_ref().expect("a compressed batch");
+        gather
+            .chunks(n)
+            .map(|rows| (0..n).filter(|&g| rows[g] as usize >= n).collect())
+            .collect()
+    }
+
     #[test]
-    fn replicate_builds_block_diagonal_layout() {
+    fn replicate_keeps_one_operator_and_stacked_segments() {
         let base = op(3);
         let batch = BatchedGraph::replicate(&base, 4);
         assert_eq!(batch.num_graphs(), 4);
         assert_eq!(batch.total_nodes(), 12);
-        assert_eq!(batch.operator().rows(), 12);
-        assert_eq!(batch.operator().nnz(), 4 * base.nnz());
+        assert_eq!(**batch.operator(), base);
         assert_eq!(batch.segments().range(2), 6..9);
     }
 
@@ -198,15 +309,6 @@ mod tests {
         assert!(Arc::ptr_eq(batch.operator(), &base));
         assert_eq!(batch.num_graphs(), 1);
         assert_eq!(batch.total_nodes(), 5);
-    }
-
-    #[test]
-    fn transpose_is_computed_once_and_shaped_right() {
-        let batch = BatchedGraph::replicate(&op(3), 2);
-        let t1 = batch.operator_transpose();
-        let t2 = batch.operator_transpose();
-        assert!(Arc::ptr_eq(&t1, &t2), "lazy transpose is cached");
-        assert_eq!((t1.rows(), t1.cols()), (6, 6));
     }
 
     #[test]
@@ -232,26 +334,131 @@ mod tests {
     }
 
     #[test]
+    fn halo_seeds_are_the_rows_whose_bits_differ_from_the_reference() {
+        let xs = instances(&[[1.0, 0.0, 2.0], [1.0, -0.0, 2.0], [1.0, 0.0, 3.0]]);
+        let c = compress(&op(3), &xs, 0);
+        assert_eq!(
+            halos(&c, 3),
+            vec![vec![], vec![1], vec![2]],
+            "-0.0 and 0.0 differ in bits"
+        );
+        // Reference rows first, then each halo row.
+        assert_eq!(c.x.as_slice(), &[1.0, 0.0, 2.0, -0.0, 3.0]);
+        assert_eq!(
+            c.segments.iter().map(|r| r.len()).collect::<Vec<_>>(),
+            [3, 1, 1]
+        );
+        assert_eq!(&*c.gather.unwrap(), &[0, 1, 2, 0, 3, 2, 0, 1, 4]);
+    }
+
+    #[test]
+    fn the_reference_is_the_instance_closest_to_the_common_rows() {
+        let xs = instances(&[
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+        ]);
+        let c = compress(&op(3), &xs, 0);
+        assert_eq!(halos(&c, 3), vec![vec![0, 1], vec![2], vec![], vec![0]]);
+        assert_eq!(&c.x.as_slice()[..3], &[0.0, 0.0, 0.0], "instance 2 first");
+    }
+
+    #[test]
+    fn rows_off_the_common_value_in_both_instances_are_compared() {
+        // Every instance has one row off the common value, so instance 0 is
+        // the reference; instance 4 shares its odd row and keeps no halo.
+        let xs = instances(&[
+            [1.0, 0.0, 0.0],
+            [2.0, 0.0, 0.0],
+            [0.0, 9.0, 0.0],
+            [7.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+        ]);
+        let c = compress(&op(3), &xs, 0);
+        assert_eq!(
+            halos(&c, 3),
+            vec![vec![], vec![0], vec![0, 1], vec![0], vec![]]
+        );
+    }
+
+    #[test]
     fn hop_follows_the_operator_edges() {
-        // Path 0 -> 1 -> 2 (row r reads column r - 1) plus self-loops.
-        let path = CsrMatrix::from_triplets(
-            3,
-            3,
+        let xs = instances(&[[0.0; 3], [1.0, 0.0, 0.0]]);
+        let grown: Vec<Vec<usize>> = (0..4)
+            .map(|hops| halos(&compress(&path(), &xs, hops), 3)[1].clone())
+            .collect();
+        assert_eq!(
+            grown,
+            vec![vec![0], vec![0, 1], vec![0, 1, 2], vec![0, 1, 2]]
+        );
+        // Without self-loops a hop leaves the source row behind; the halo
+        // keeps it.
+        let shift = CsrMatrix::from_triplets(3, 3, &[(2, 0, 1.0)]);
+        assert_eq!(halos(&compress(&shift, &xs, 1), 3)[1], vec![0, 2]);
+        // Equal instances keep no rows apart.
+        let twins = instances(&[[0.5, 0.0, 1.0], [0.5, 0.0, 1.0]]);
+        assert_eq!(compress(&path(), &twins, 2).x.rows(), 3);
+    }
+
+    #[test]
+    fn compressed_products_equal_the_stacked_products_bit_for_bit() {
+        // Two hops of the operator on the compressed rows, gathered back to
+        // the stacked layout, equal two hops on every instance alone.
+        let base = CsrMatrix::from_triplets(
+            5,
+            5,
             &[
-                (0, 0, 1.0),
-                (1, 0, 1.0),
-                (1, 1, 1.0),
-                (2, 1, 1.0),
-                (2, 2, 1.0),
+                (0, 0, 0.5),
+                (0, 4, 1.0 / 3.0),
+                (1, 0, 0.7),
+                (1, 1, 0.5),
+                (2, 1, -1.1),
+                (2, 3, 0.25),
+                (3, 3, 0.5),
+                (4, 2, 0.9),
+                (4, 4, 0.5),
             ],
         );
-        let batch = BatchedGraph::replicate(&path, 2);
-        let x = Matrix::from_vec(6, 1, vec![0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
-        let plan = RowReuse::diff(&x, Arc::clone(batch.segments()));
-        assert_eq!(plan.dirty(1), &[0]);
-        assert_eq!(batch.hop(&plan).dirty(1), &[0, 1]);
-        let clean = RowReuse::diff(&Matrix::zeros(6, 1), Arc::clone(batch.segments()));
-        assert!(batch.hop(&clean).is_clean());
+        let xs: Vec<Matrix> = (0..4)
+            .map(|s| {
+                Matrix::from_fn(5, 2, |r, c| {
+                    let v = r as f64 * 0.3 + c as f64 / 7.0;
+                    if r == s || (s == 3 && r == 1) {
+                        v + 0.1
+                    } else {
+                        v
+                    }
+                })
+            })
+            .collect();
+        let c = compress(&base, &xs, 2);
+        assert!(c.x.rows() < 20, "something was spared");
+        let twice = c.op.spmm(&c.op.spmm(&c.x));
+        let gather = c.gather.expect("compressed");
+        for (s, x) in xs.iter().enumerate() {
+            let want = base.spmm(&base.spmm(x));
+            for g in 0..5 {
+                let got = twice.row(gather[s * 5 + g] as usize);
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want.row(g)), "instance {s} row {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_of_one_is_not_compressed() {
+        let x = Matrix::from_fn(3, 2, |r, c| (r + c) as f64);
+        let base = Arc::new(path());
+        for batch in [
+            BatchedGraph::single(Arc::clone(&base)),
+            BatchedGraph::replicate(&base, 1),
+        ] {
+            let c = batch.compress(&[&x], 2, &mut BufferPool::new());
+            assert!(c.gather.is_none());
+            assert_eq!(c.x, x);
+            assert_eq!(*c.op, *base);
+        }
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! the `fingerprint` line hashes every hyper-parameter that feeds the
 //! update sequence (a trajectory-semantics version tag, seed, lr, batch
 //! size, tolerance, patience, epoch cap, training-set size, parameter
-//! shapes). `jobs` and the gradient engine are deliberately excluded —
-//! parallel and batched gradient accumulation are bit-identical to the
-//! serial per-instance reference (DESIGN.md §6d/§10), so a run checkpointed
-//! at `--jobs 8` may resume at `--jobs 1` and an engine switch is equally
-//! safe. The version tag (`v2` since the partial-final-batch weighting fix)
-//! changes whenever the update rule itself changes, so checkpoints written
+//! shapes). `jobs` is deliberately excluded — parallel gradient
+//! accumulation is bit-identical to serial (DESIGN.md §6d/§10.2), so a run
+//! checkpointed at `--jobs 8` may resume at `--jobs 1`. The version tag
+//! changes whenever the update arithmetic itself changes (`v2`: the
+//! partial-final-batch weighting fix; `v3`: the compressed batch engine,
+//! whose gradients fold in a different order), so checkpoints written
 //! under older trajectory semantics are refused loudly instead of silently
-//! continuing on a different loss surface.
+//! blending two trajectories.
 
 use crate::trainer::TrainConfig;
 use faults::sealed::{seal_line, unseal_line, write_atomic, SealError};
@@ -64,7 +64,7 @@ pub(crate) struct TrainCheckpoint {
 /// hyper-parameters, the training-set size, and the parameter shapes.
 pub(crate) fn fingerprint(config: &TrainConfig, num_instances: usize, params: &[Matrix]) -> u64 {
     let mut text = format!(
-        "v2;seed={};lr={:016x};batch={};tol={:016x};patience={};max_epochs={};n={}",
+        "v3;seed={};lr={:016x};batch={};tol={:016x};patience={};max_epochs={};n={}",
         config.seed,
         config.lr.to_bits(),
         config.batch_size,
@@ -395,14 +395,6 @@ mod tests {
             base,
             fingerprint(&jobs, 32, &params),
             "parallel training is bit-identical to serial, so jobs must not invalidate"
-        );
-
-        let mut engine = config.clone();
-        engine.engine = crate::trainer::GradEngine::PerInstance;
-        assert_eq!(
-            base,
-            fingerprint(&engine, 32, &params),
-            "the engines are bit-identical, so switching must not invalidate"
         );
 
         let mut seeded = config.clone();

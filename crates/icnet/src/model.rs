@@ -1,12 +1,12 @@
 //! The graph regressor family: GCN, ChebNet, and ICNet.
 
 use crate::aggregate::Aggregation;
-use crate::batch::BatchedGraph;
+use crate::batch::{BatchedGraph, Compressed};
 use crate::graph::CircuitGraph;
 use crate::pool_lease::PoolLease;
 use std::fmt;
 use std::sync::Arc;
-use tensor::{init, CsrMatrix, Matrix, RowReuse, Segments, Tape, VarId};
+use tensor::{init, CsrMatrix, Matrix, Segments, Tape, VarId};
 
 /// Which graph operator (and hence which model of the paper) to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -273,15 +273,28 @@ impl GraphModel {
         Some(exps.iter().map(|&e| e / total).collect())
     }
 
-    /// One graph-convolution layer: `relu(op-filter(input) @ w)`.
-    fn conv(&self, tape: &mut Tape, op: &Arc<CsrMatrix>, input: VarId, weights: &[VarId]) -> VarId {
+    /// One graph-convolution layer, `relu(op-filter(input) @ w)`, over rows
+    /// split into `segments`: the dense products are segment-aware matmuls,
+    /// so each weight gradient folds per row segment, scaled by
+    /// `grad_scale`.
+    fn conv(
+        &self,
+        tape: &mut Tape,
+        op: &Arc<CsrMatrix>,
+        segments: &Arc<Segments>,
+        grad_scale: f64,
+        input: VarId,
+        weights: &[VarId],
+    ) -> VarId {
+        let matmul = |tape: &mut Tape, a: VarId, w: VarId| {
+            tape.matmul_seg(a, w, Arc::clone(segments), grad_scale)
+        };
         let mixed = match self.kind {
             ModelKind::Gcn | ModelKind::ICNet => {
                 let propagated = tape.spmm(Arc::clone(op), input);
-                tape.matmul(propagated, weights[0])
+                matmul(tape, propagated, weights[0])
             }
             ModelKind::ChebNet { k } => {
-                // Chebyshev recurrence: T0 = X, T1 = L̃X, Tj = 2 L̃ T(j-1) - T(j-2).
                 let mut terms: Vec<VarId> = Vec::with_capacity(k);
                 terms.push(input);
                 if k > 1 {
@@ -293,9 +306,9 @@ impl GraphModel {
                     let t = tape.sub(doubled, terms[j - 2]);
                     terms.push(t);
                 }
-                let mut acc = tape.matmul(terms[0], weights[0]);
+                let mut acc = matmul(tape, terms[0], weights[0]);
                 for (j, &t) in terms.iter().enumerate().skip(1) {
-                    let contrib = tape.matmul(t, weights[j]);
+                    let contrib = matmul(tape, t, weights[j]);
                     acc = tape.add(acc, contrib);
                 }
                 acc
@@ -304,101 +317,51 @@ impl GraphModel {
         tape.relu(mixed)
     }
 
-    /// One graph-convolution layer over a stacked batch: identical math to
-    /// [`conv`](Self::conv), with the dense products routed through
-    /// segment-aware matmuls so weight gradients fold per graph in batch
-    /// order (the reduction the per-instance trainer performs explicitly).
-    ///
-    /// `plan` marks the rows of `input` that differ from its reference
-    /// instance; the layer's spmm and matmul products compute only those
-    /// rows (and their operator neighbours) per instance and copy the rest
-    /// from the reference. Returns the layer output and its dirty rows
-    /// (DESIGN.md §10.5).
-    fn conv_batched(
-        &self,
-        tape: &mut Tape,
-        batch: &BatchedGraph,
-        grad_scale: f64,
-        input: VarId,
-        plan: &RowReuse,
-        weights: &[VarId],
-    ) -> (VarId, RowReuse) {
-        let op = batch.operator();
-        let (mixed, plan) = match self.kind {
-            ModelKind::Gcn | ModelKind::ICNet => {
-                let hop = batch.hop(plan);
-                let propagated = tape.spmm_reuse(Arc::clone(op), input, plan, &hop);
-                let mixed = tape.matmul_seg_reuse(propagated, weights[0], &hop, grad_scale);
-                (mixed, hop)
-            }
-            ModelKind::ChebNet { k } => {
-                let mut terms: Vec<(VarId, RowReuse)> = Vec::with_capacity(k);
-                terms.push((input, plan.clone()));
-                if k > 1 {
-                    let hop = batch.hop(plan);
-                    terms.push((tape.spmm_reuse(Arc::clone(op), input, plan, &hop), hop));
-                }
-                for j in 2..k {
-                    let hop = batch.hop(&terms[j - 1].1);
-                    let prop =
-                        tape.spmm_reuse(Arc::clone(op), terms[j - 1].0, &terms[j - 1].1, &hop);
-                    let doubled = tape.scale(prop, 2.0);
-                    let t = tape.sub(doubled, terms[j - 2].0);
-                    let dirty = hop.union(&terms[j - 2].1);
-                    terms.push((t, dirty));
-                }
-                let mut acc =
-                    tape.matmul_seg_reuse(terms[0].0, weights[0], &terms[0].1, grad_scale);
-                let mut acc_plan = terms[0].1.clone();
-                for (j, (t, t_plan)) in terms.iter().enumerate().skip(1) {
-                    let contrib = tape.matmul_seg_reuse(*t, weights[j], t_plan, grad_scale);
-                    acc = tape.add(acc, contrib);
-                    acc_plan = acc_plan.union(t_plan);
-                }
-                (acc, acc_plan)
-            }
+    /// Operator hops between an input row and the last convolution's
+    /// output: how far a feature difference can spread, and so the halo
+    /// radius of a compressed batch (DESIGN.md §10.1).
+    pub(crate) fn halo_hops(&self) -> usize {
+        let per_layer = match self.kind {
+            ModelKind::ChebNet { k } => k.saturating_sub(1),
+            ModelKind::Gcn | ModelKind::ICNet => 1,
         };
-        (tape.relu(mixed), plan)
+        self.conv_layers * per_layer
     }
 
-    /// Builds the forward graph for a whole mini-batch on one tape: the
-    /// block-diagonal operator propagates every instance at once and the
-    /// per-graph stages (pooling, softmax attention, head) walk the batch
-    /// via its [`Segments`]. Returns a `B x 1` prediction node. The
-    /// convolutions compute a row once when every instance's inputs to it
-    /// match the reference instance's, and copy it (DESIGN.md §10.5).
+    /// Builds the forward graph for a whole mini-batch on one tape. The
+    /// convolutions run on the batch's compressed rows (`rows`, from
+    /// [`BatchedGraph::compress`]); a row gather then expands the last
+    /// layer to the stacked layout, and the per-graph stages (pooling,
+    /// softmax attention, head) walk it via `batch`'s [`Segments`]. Returns
+    /// a `B x 1` prediction node. Every prediction is bit-identical to the
+    /// instance's own forward pass (DESIGN.md §10.1).
     ///
-    /// `grad_scale` is the weight each instance's parameter gradient carries
-    /// in the backward fold (`1/batch_size` during training, `1.0` for pure
-    /// inference); the fold order is the batch order, exactly matching the
-    /// per-instance reference engine so both produce bit-identical
-    /// gradients (DESIGN.md §10).
+    /// `grad_scale` is the weight each row segment's parameter gradient
+    /// carries in the backward fold (`1/batch_size` during training, `1.0`
+    /// for pure inference).
     pub(crate) fn forward_batched(
         &self,
         tape: &mut Tape,
         param_ids: &[VarId],
         batch: &BatchedGraph,
-        x: Matrix,
+        rows: Compressed,
         grad_scale: f64,
     ) -> VarId {
+        let Compressed {
+            x,
+            op,
+            segments: row_seg,
+            gather,
+        } = rows;
         assert_eq!(
             x.cols(),
             self.num_features,
             "feature width mismatch: model expects {}",
             self.num_features
         );
-        assert_eq!(
-            x.rows(),
-            batch.total_nodes(),
-            "stacked features must cover every node in the batch"
-        );
         let seg = Arc::clone(batch.segments());
         let k = self.kind.cheb_order();
         let b = seg.len();
-        // Rows of each instance that differ from the reference instance's.
-        // The Θfeat spread below is one row broadcast everywhere, so it
-        // keeps this plan.
-        let mut plan = RowReuse::diff(&x, Arc::clone(&seg));
         let mut x_node = tape.constant(x);
 
         let mut idx = self.conv_layers * k;
@@ -413,22 +376,20 @@ impl GraphModel {
         let w_out = param_ids[idx];
         let bias = param_ids[idx + 1];
 
-        // Θfeat: one softmax row broadcast over every stacked node row.
+        // Θfeat: one softmax row broadcast over every compressed row.
         if let Some(tf) = theta_f {
-            let spread = tape.broadcast_softmax_seg(tf, Arc::clone(&seg), grad_scale);
+            let spread = tape.broadcast_softmax_seg(tf, Arc::clone(&row_seg), grad_scale);
             x_node = tape.hadamard(x_node, spread);
         }
 
         let mut h2 = x_node;
         for layer in 0..self.conv_layers {
-            (h2, plan) = self.conv_batched(
-                tape,
-                batch,
-                grad_scale,
-                h2,
-                &plan,
-                &param_ids[layer * k..(layer + 1) * k],
-            );
+            let weights = &param_ids[layer * k..(layer + 1) * k];
+            h2 = self.conv(tape, &op, &row_seg, grad_scale, h2, weights);
+        }
+        // Every instance's rows of the last layer, in the stacked layout.
+        if let Some(index) = gather {
+            h2 = tape.gather_rows(h2, index);
         }
 
         // Pool each graph's node rows into one row of a B x hidden matrix.
@@ -446,7 +407,7 @@ impl GraphModel {
             }
             Aggregation::Nn => {
                 let tg = theta_g.expect("Nn aggregation carries Θgate");
-                let scores = tape.matmul_seg_reuse(h2, tg, &plan, grad_scale); // n x 1
+                let scores = tape.matmul_seg(h2, tg, Arc::clone(&seg), grad_scale); // n x 1
                 let attn = tape.segment_softmax_col(scores, Arc::clone(&seg));
                 tape.segment_weighted_sum(h2, attn, Arc::clone(&seg)) // B x h
             }
@@ -463,9 +424,10 @@ impl GraphModel {
 
     /// Builds the forward graph on `tape`; `param_ids` must be leaves of the
     /// model's parameters in order. This is the per-instance reference path
-    /// (one graph per tape); batched training and inference use
-    /// [`forward_batched`](Self::forward_batched), which is bit-identical.
+    /// (one graph per tape) the batched engine is tested against: its
+    /// predictions are bit-identical, its gradients equal up to rounding.
     /// Returns the scalar prediction node.
+    #[cfg(test)]
     pub(crate) fn forward(
         &self,
         tape: &mut Tape,
@@ -492,6 +454,7 @@ impl GraphModel {
             self.num_features
         );
         let n = x.rows();
+        let whole = Arc::new(Segments::from_lens(&[n]));
         let k = self.kind.cheb_order();
         let mut x_node = tape.constant(x.clone());
 
@@ -518,7 +481,8 @@ impl GraphModel {
 
         let mut h2 = x_node;
         for layer in 0..self.conv_layers {
-            h2 = self.conv(tape, op, h2, &param_ids[layer * k..(layer + 1) * k]);
+            let weights = &param_ids[layer * k..(layer + 1) * k];
+            h2 = self.conv(tape, op, &whole, 1.0, h2, weights);
         }
 
         // Θgate: pool gates into one h2-dimensional vector.
@@ -587,10 +551,10 @@ impl GraphModel {
         // Lease the thread's standing buffer pool so repeated inference
         // (the serve loop, evaluation sweeps) reuses one set of buffers.
         let mut lease = PoolLease::acquire();
-        let x = batch.stack_features_pooled(xs, lease.pool());
+        let rows = batch.compress(xs, self.halo_hops(), lease.pool());
         let mut tape = Tape::with_pool(std::mem::take(lease.pool()));
         let ids = self.insert_params(&mut tape);
-        let out = self.forward_batched(&mut tape, &ids, batch, x, 1.0);
+        let out = self.forward_batched(&mut tape, &ids, batch, rows, 1.0);
         let values = tape.value(out).as_slice().to_vec();
         *lease.pool() = tape.into_pool();
         values
@@ -765,42 +729,39 @@ mod tests {
             .collect()
     }
 
-    /// Runs the batched convolutions of `model` on `xs` and returns each
-    /// layer's stacked output value with the dirty rows it was planned with.
+    /// Runs the batched convolutions of `model` on `xs`, compressed with
+    /// a halo of `hops`, and returns each layer's compressed value with the
+    /// compressed features and the gather index.
     fn batched_layers(
         model: &GraphModel,
         op: &CsrMatrix,
         xs: &[Matrix],
-    ) -> Vec<(Matrix, RowReuse)> {
+        hops: usize,
+    ) -> (Vec<Matrix>, Matrix, Arc<[u32]>) {
         let batch = BatchedGraph::replicate(op, xs.len());
         let refs: Vec<&Matrix> = xs.iter().collect();
-        let x = batch.stack_features(&refs);
+        let rows = batch.compress(&refs, hops, &mut tensor::BufferPool::new());
         let mut tape = Tape::new();
         let ids = model.insert_params(&mut tape);
         let k = model.kind.cheb_order();
-        let mut plan = RowReuse::diff(&x, Arc::clone(batch.segments()));
-        let mut h = tape.constant(x);
-        let mut layers = Vec::new();
-        for layer in 0..model.conv_layers {
-            (h, plan) = model.conv_batched(
-                &mut tape,
-                &batch,
-                1.0,
-                h,
-                &plan,
-                &ids[layer * k..(layer + 1) * k],
-            );
-            layers.push((tape.value(h).clone(), plan.clone()));
-        }
-        layers
+        let mut h = tape.constant(rows.x.clone());
+        let layers = (0..model.conv_layers)
+            .map(|layer| {
+                let weights = &ids[layer * k..(layer + 1) * k];
+                h = model.conv(&mut tape, &rows.op, &rows.segments, 1.0, h, weights);
+                tape.value(h).clone()
+            })
+            .collect();
+        let gather = rows.gather.expect("a compressed batch");
+        (layers, rows.x, gather)
     }
 
     #[test]
-    fn reuse_plan_covers_every_row_that_differs_from_the_reference() {
+    fn halo_covers_every_row_that_differs_from_the_reference() {
         // Brute force: each instance through the per-instance layers on its
-        // own tape. Every row whose bits differ from the reference
-        // instance's must be planned dirty, and the batched layers must
-        // equal the per-instance ones bit for bit.
+        // own tape. Every row of every layer must equal the compressed row
+        // its gather index names — its own halo row, or the reference's row
+        // when it is outside the halo. A halo one hop short must fail this.
         let circuit = synth::iscas::circuit("c432", 7).expect("known profile");
         let graph = CircuitGraph::from_circuit(&circuit);
         let mut sels = random_selections(&circuit, 5, 12);
@@ -819,6 +780,7 @@ mod tests {
             let op = Arc::new(kind.operator(&graph));
             let model = GraphModel::new(kind, Aggregation::Sum, 7, 8, 8, 5);
             let k = kind.cheb_order();
+            let whole = Arc::new(Segments::from_lens(&[n]));
             let solo: Vec<Vec<Matrix>> = xs
                 .iter()
                 .map(|x| {
@@ -827,59 +789,68 @@ mod tests {
                     let mut h = tape.constant(x.clone());
                     (0..model.conv_layers)
                         .map(|layer| {
-                            h = model.conv(&mut tape, &op, h, &ids[layer * k..(layer + 1) * k]);
+                            let weights = &ids[layer * k..(layer + 1) * k];
+                            h = model.conv(&mut tape, &op, &whole, 1.0, h, weights);
                             tape.value(h).clone()
                         })
                         .collect()
                 })
                 .collect();
-            for (layer, (stacked, plan)) in batched_layers(&model, &op, &xs).iter().enumerate() {
-                let reference = plan.reference();
-                assert_eq!(reference, 5, "the empty selection is the reference");
-                for (s, per_instance) in solo.iter().enumerate() {
-                    let rows = s * n..(s + 1) * n;
-                    let mine = Matrix::from_fn(n, 8, |r, c| stacked.get(rows.start + r, c));
-                    assert_eq!(
-                        bits(&mine),
-                        bits(&per_instance[layer]),
-                        "{kind} layer {layer} instance {s}"
-                    );
-                    for r in 0..n {
-                        if per_instance[layer]
-                            .row(r)
-                            .iter()
-                            .zip(solo[reference][layer].row(r))
-                            .any(|(a, b)| a.to_bits() != b.to_bits())
-                        {
-                            assert!(
-                                plan.dirty(s).contains(&(r as u32)),
-                                "{kind} layer {layer}: row {r} of instance {s} differs but is planned clean"
-                            );
+            // Rows (layer, instance, gate) whose compressed row differs.
+            let mismatches = |hops: usize| {
+                let (layers, x, gather) = batched_layers(&model, &op, &xs, hops);
+                let reference = Matrix::from_fn(n, 7, |r, c| x.get(r, c));
+                assert_eq!(
+                    bits(&reference),
+                    bits(&xs[5]),
+                    "{kind}: the empty selection is the reference"
+                );
+                let mut wrong = Vec::new();
+                for (layer, compressed) in layers.iter().enumerate() {
+                    for (s, per_instance) in solo.iter().enumerate() {
+                        for g in 0..n {
+                            let row = compressed.row(gather[s * n + g] as usize);
+                            let want = per_instance[layer].row(g);
+                            if row
+                                .iter()
+                                .zip(want)
+                                .any(|(a, b)| a.to_bits() != b.to_bits())
+                            {
+                                wrong.push((layer, s, g));
+                            }
                         }
                     }
                 }
-            }
+                wrong
+            };
+            let hops = model.halo_hops();
+            assert_eq!(mismatches(hops), vec![], "{kind}");
+            assert!(
+                !mismatches(hops - 1).is_empty(),
+                "{kind}: a halo one hop short must miss a differing row"
+            );
         }
     }
 
     #[test]
-    fn reuse_plan_spares_most_rows_on_c1529() {
+    fn compression_keeps_at_most_a_quarter_of_the_rows_on_c1529() {
         // The paper's workload: 16 lockings of c1529 with 1–6 key gates.
-        // After both ICNet convolutions at least 75% of the stacked rows
-        // must still be copies, or the row-reuse speedup is gone.
+        // The reference plus every other instance's two-hop halo must stay
+        // within 25% of the stacked rows (about 11% measured), or the
+        // compressed engine's speedup is gone.
         let circuit = synth::iscas::circuit("c1529", 0).expect("known profile");
         let graph = CircuitGraph::from_circuit(&circuit);
-        let op = Arc::new(ModelKind::ICNet.operator(&graph));
+        let op = ModelKind::ICNet.operator(&graph);
         let xs: Vec<Matrix> = random_selections(&circuit, 16, 3)
             .iter()
             .map(|s| encode_features(&circuit, s, FeatureSet::All))
             .collect();
+        let refs: Vec<&Matrix> = xs.iter().collect();
         let model = GraphModel::new(ModelKind::ICNet, Aggregation::Sum, 7, 16, 16, 1);
-        let layers = batched_layers(&model, &op, &xs);
-        let plan = &layers.last().expect("two layers").1;
-        let total = plan.segments().total_rows();
-        let reused = plan.reused_rows() as f64 / total as f64;
-        assert!(reused >= 0.75, "only {:.1}% of rows reused", 100.0 * reused);
+        let batch = BatchedGraph::replicate(&op, xs.len());
+        let rows = batch.compress(&refs, model.halo_hops(), &mut tensor::BufferPool::new());
+        let kept = rows.x.rows() as f64 / batch.total_nodes() as f64;
+        assert!(kept <= 0.25, "{:.1}% of rows kept", 100.0 * kept);
     }
 
     #[test]

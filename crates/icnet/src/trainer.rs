@@ -1,21 +1,19 @@
 //! Mini-batch training loop (the paper's Algorithm 1: ADAM, random batches,
-//! stop on loss convergence) with two interchangeable gradient engines.
+//! stop on loss convergence).
 //!
-//! [`GradEngine::Batched`] (the default) packs each mini-batch into one
-//! block-diagonal [`BatchedGraph`] and runs a single forward/backward tape
-//! for the whole batch; [`GradEngine::PerInstance`] is the reference engine
-//! — one tape per instance, gradients reduced in batch-position order. Both
-//! produce **bit-identical** parameters: the batched tape's segment ops fold
-//! per-graph gradient contributions in exactly the batch order the reference
-//! reduction uses (DESIGN.md §10).
+//! Each mini-batch is one tape: [`BatchedGraph::compress`] keeps one
+//! reference instance in full and every other instance only on its halo,
+//! the rows its features can reach (DESIGN.md §10.1). The forward values
+//! are bit-identical to each instance's own forward pass; the weight
+//! gradients are exact sums folded in a different order, so they agree
+//! with the per-instance gradients to rounding (DESIGN.md §10.2).
 //!
 //! # Determinism
 //!
-//! With `jobs > 1` the work is parallelized over row bands (batched engine)
-//! or instances (reference engine), and in both cases every f64 addition
-//! happens in an order fixed by the batch, not by thread scheduling —
-//! `jobs = 1` and `jobs = 8` produce bit-identical parameters for the same
-//! seed (see DESIGN.md §6d).
+//! With `jobs > 1` the kernels split their output rows across threads, and
+//! every f64 addition still happens in an order fixed by the batch, not by
+//! thread scheduling — `jobs = 1` and `jobs = 8` produce bit-identical
+//! parameters for the same seed (see DESIGN.md §6d).
 //!
 //! # Batch weighting
 //!
@@ -35,24 +33,8 @@ use attack::CancelToken;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tensor::{Adam, BufferPool, CsrMatrix, Matrix, Optimizer, Tape};
-
-/// Which gradient engine [`train_with`] runs each mini-batch through.
-///
-/// The two engines are bit-identical (test-enforced); `Batched` amortizes
-/// the per-tape overhead (parameter insertion, operator transpose, node
-/// bookkeeping) over the whole batch and is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GradEngine {
-    /// One tape per mini-batch over a block-diagonal [`BatchedGraph`].
-    #[default]
-    Batched,
-    /// One tape per instance, gradients reduced in batch-position order —
-    /// the reference engine the batched path is validated against.
-    PerInstance,
-}
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -73,8 +55,6 @@ pub struct TrainConfig {
     /// Worker threads for gradient computation; `0` and `1` both mean
     /// serial. Every value produces bit-identical parameters.
     pub jobs: usize,
-    /// Gradient engine; both variants are bit-identical, see [`GradEngine`].
-    pub engine: GradEngine,
 }
 
 impl Default for TrainConfig {
@@ -87,7 +67,6 @@ impl Default for TrainConfig {
             patience: 10,
             seed: 0,
             jobs: 1,
-            engine: GradEngine::Batched,
         }
     }
 }
@@ -166,33 +145,6 @@ pub struct TrainReport {
     pub peak_tape_bytes: u64,
 }
 
-/// Squared-error loss and per-parameter gradients for one training instance
-/// (its own tape; `None` where no gradient reached a parameter). The tape
-/// allocates from `pool` and surrenders its buffers back on completion, so
-/// a loop over instances reuses one set of buffers.
-fn instance_gradient(
-    model: &GraphModel,
-    op: &Arc<CsrMatrix>,
-    x: &Matrix,
-    y: f64,
-    pool: &mut BufferPool,
-) -> (f64, Vec<Option<Matrix>>, u64) {
-    let mut tape = Tape::with_pool(std::mem::take(pool));
-    let ids = model.insert_params(&mut tape);
-    let pred = model.forward(&mut tape, &ids, op, x);
-    let target = tape.constant(Matrix::scalar(y));
-    let diff = tape.sub(pred, target);
-    let sq = tape.hadamard(diff, diff);
-    tape.backward(sq);
-    let loss = tape.value(sq).get(0, 0);
-    let grads = ids.iter().map(|&id| tape.try_grad(id).cloned()).collect();
-    // Liveness peaks here: every node value and every materialized gradient
-    // coexist right after the backward pass.
-    let tape_bytes = tape.logical_bytes();
-    *pool = tape.into_pool();
-    (loss, grads, tape_bytes)
-}
-
 /// The gradient weight each instance carries in an optimizer step: the
 /// reciprocal of the *nominal* batch size, `min(batch_size, n)`. A final
 /// partial chunk uses the same scale as a full one, so every instance of an
@@ -201,83 +153,9 @@ fn batch_scale(batch_size: usize, num_instances: usize) -> f64 {
     1.0 / batch_size.max(1).min(num_instances.max(1)) as f64
 }
 
-/// Summed batch loss and scaled per-parameter gradients for one mini-batch
-/// — the per-instance reference engine, computed with `jobs` worker
-/// threads. Each instance's gradient enters the sum with weight `scale`
-/// (see [`batch_scale`]).
-///
-/// Workers drop each instance's result into the slot of its batch position;
-/// the reduction then walks the slots in order. The sequence of f64
-/// additions is thus fixed by the batch, not by thread scheduling, which is
-/// what makes parallel training bit-identical to serial.
-#[allow(clippy::too_many_arguments)]
-fn batch_gradients(
-    model: &GraphModel,
-    op: &Arc<CsrMatrix>,
-    xs: &[Matrix],
-    ys: &[f64],
-    batch: &[usize],
-    scale: f64,
-    jobs: usize,
-    pool: &mut BufferPool,
-) -> (f64, Vec<Matrix>, u64) {
-    type InstanceResult = Option<(f64, Vec<Option<Matrix>>, u64)>;
-    let jobs = jobs.clamp(1, batch.len());
-    let mut results: Vec<InstanceResult> = if jobs <= 1 {
-        batch
-            .iter()
-            .map(|&i| Some(instance_gradient(model, op, &xs[i], ys[i], pool)))
-            .collect()
-    } else {
-        let slots: Mutex<Vec<InstanceResult>> = Mutex::new(vec![None; batch.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    // Worker-local pool: buffers recycle across the
-                    // instances this worker processes (pooling never
-                    // changes results, so work stealing stays safe).
-                    let mut pool = BufferPool::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= batch.len() {
-                            break;
-                        }
-                        let i = batch[k];
-                        let out = instance_gradient(model, op, &xs[i], ys[i], &mut pool);
-                        slots.lock().expect("gradient worker panicked")[k] = Some(out);
-                    }
-                });
-            }
-        });
-        slots.into_inner().expect("gradient worker panicked")
-    };
-
-    let mut loss_sum = 0.0;
-    let mut peak_tape_bytes = 0u64;
-    let mut grads: Vec<Matrix> = model
-        .params()
-        .iter()
-        .map(|p| Matrix::zeros(p.rows(), p.cols()))
-        .collect();
-    for slot in &mut results {
-        let (loss, gs, tape_bytes) = slot.take().expect("every batch slot filled");
-        loss_sum += loss;
-        peak_tape_bytes = peak_tape_bytes.max(tape_bytes);
-        for (acc, g) in grads.iter_mut().zip(gs) {
-            if let Some(g) = g {
-                acc.axpy(scale, &g);
-            }
-        }
-    }
-    (loss_sum, grads, peak_tape_bytes)
-}
-
-/// Summed batch loss and scaled per-parameter gradients for one mini-batch
-/// via the batched engine: the chunk's instances are stacked onto the
-/// block-diagonal `layout` and one tape computes the whole batch. The tape's
-/// segment ops apply `scale` per graph in batch order, reproducing the
-/// reference engine's reduction bit for bit.
+/// Summed batch loss and scaled per-parameter gradients for one mini-batch:
+/// the chunk's instances are compressed onto `layout` and one tape computes
+/// the whole batch, each row segment's weight gradient scaled by `scale`.
 #[allow(clippy::too_many_arguments)]
 fn batched_gradients(
     model: &GraphModel,
@@ -290,20 +168,18 @@ fn batched_gradients(
     pool: &mut BufferPool,
 ) -> (f64, Vec<Matrix>, u64) {
     let refs: Vec<&Matrix> = batch.iter().map(|&i| &xs[i]).collect();
-    let x = layout.stack_features_pooled(&refs, pool);
+    let rows = layout.compress(&refs, model.halo_hops(), pool);
     let targets = Matrix::from_vec(batch.len(), 1, batch.iter().map(|&i| ys[i]).collect());
     let mut tape = Tape::with_pool(std::mem::take(pool));
     tape.set_jobs(jobs);
-    tape.seed_transpose(layout.operator(), layout.operator_transpose());
     let ids = model.insert_params(&mut tape);
-    let pred = model.forward_batched(&mut tape, &ids, layout, x, scale);
+    let pred = model.forward_batched(&mut tape, &ids, layout, rows, scale);
     let target = tape.constant(targets);
     let diff = tape.sub(pred, target);
     let sq = tape.hadamard(diff, diff);
-    // Summing the per-row squared errors walks them in batch order — the
-    // same fold the reference engine's `loss_sum += loss` performs — and
-    // seeds every row of the backward pass with gradient 1.0, exactly like
-    // `backward(sq)` on a per-instance 1 x 1 tape.
+    // Summing the per-row squared errors walks them in batch order, so the
+    // batch loss is the per-instance losses summed in order, and seeds
+    // every row of the backward pass with gradient 1.0.
     let total = tape.sum_all(sq);
     tape.backward(total);
     let loss_sum = tape.value(total).get(0, 0);
@@ -376,10 +252,9 @@ pub fn train_with(
     assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
     assert!(!xs.is_empty(), "empty training set");
     let scale = batch_scale(config.batch_size, xs.len());
-    // Batched engine: one block-diagonal layout (operator + transpose) per
-    // distinct chunk length, built once and reused across every epoch. An
-    // epoch sees at most two lengths: the nominal batch size and the final
-    // partial chunk.
+    // One layout (operator + transpose) per distinct chunk length, built
+    // once and reused across every epoch. An epoch sees at most two
+    // lengths: the nominal batch size and the final partial chunk.
     let mut layouts: Vec<(usize, BatchedGraph)> = Vec::new();
     // One buffer pool for the whole run: every step's tape hands its node
     // buffers back, so steady-state training allocates nothing per batch.
@@ -497,21 +372,15 @@ pub fn train_with(
             if let Some(hb) = &control.heartbeat {
                 hb.beat();
             }
-            let (mut batch_loss, grads, tape_bytes) = match config.engine {
-                GradEngine::Batched => {
-                    let layout = match layouts.iter().position(|(len, _)| *len == batch.len()) {
-                        Some(pos) => &layouts[pos].1,
-                        None => {
-                            layouts.push((batch.len(), BatchedGraph::replicate(op, batch.len())));
-                            &layouts.last().expect("just pushed").1
-                        }
-                    };
-                    batched_gradients(model, layout, xs, ys, batch, scale, config.jobs, pool)
-                }
-                GradEngine::PerInstance => {
-                    batch_gradients(model, op, xs, ys, batch, scale, config.jobs, pool)
+            let layout = match layouts.iter().position(|(len, _)| *len == batch.len()) {
+                Some(pos) => &layouts[pos].1,
+                None => {
+                    layouts.push((batch.len(), BatchedGraph::replicate(op, batch.len())));
+                    &layouts.last().expect("just pushed").1
                 }
             };
+            let (mut batch_loss, grads, tape_bytes) =
+                batched_gradients(model, layout, xs, ys, batch, scale, config.jobs, pool);
             peak_tape_bytes = peak_tape_bytes.max(tape_bytes);
             if poison.take().is_some() {
                 batch_loss = f64::NAN;
@@ -628,6 +497,66 @@ mod tests {
     use crate::Aggregation;
     use netlist::GateId;
 
+    /// Squared-error loss and per-parameter gradients for one training instance
+    /// (its own tape; `None` where no gradient reached a parameter). The tape
+    /// allocates from `pool` and surrenders its buffers back on completion, so
+    /// a loop over instances reuses one set of buffers.
+    fn instance_gradient(
+        model: &GraphModel,
+        op: &Arc<CsrMatrix>,
+        x: &Matrix,
+        y: f64,
+        pool: &mut BufferPool,
+    ) -> (f64, Vec<Option<Matrix>>, u64) {
+        let mut tape = Tape::with_pool(std::mem::take(pool));
+        let ids = model.insert_params(&mut tape);
+        let pred = model.forward(&mut tape, &ids, op, x);
+        let target = tape.constant(Matrix::scalar(y));
+        let diff = tape.sub(pred, target);
+        let sq = tape.hadamard(diff, diff);
+        tape.backward(sq);
+        let loss = tape.value(sq).get(0, 0);
+        let grads = ids.iter().map(|&id| tape.try_grad(id).cloned()).collect();
+        // Liveness peaks here: every node value and every materialized gradient
+        // coexist right after the backward pass.
+        let tape_bytes = tape.logical_bytes();
+        *pool = tape.into_pool();
+        (loss, grads, tape_bytes)
+    }
+
+    /// Summed batch loss and scaled per-parameter gradients for one mini-batch
+    /// — the per-instance reference engine: one tape per instance, each
+    /// instance's gradient added with weight `scale` (see [`batch_scale`]) in
+    /// batch order.
+    fn batch_gradients(
+        model: &GraphModel,
+        op: &Arc<CsrMatrix>,
+        xs: &[Matrix],
+        ys: &[f64],
+        batch: &[usize],
+        scale: f64,
+        pool: &mut BufferPool,
+    ) -> (f64, Vec<Matrix>, u64) {
+        let mut loss_sum = 0.0;
+        let mut peak_tape_bytes = 0u64;
+        let mut grads: Vec<Matrix> = model
+            .params()
+            .iter()
+            .map(|p| Matrix::zeros(p.rows(), p.cols()))
+            .collect();
+        for &i in batch {
+            let (loss, gs, tape_bytes) = instance_gradient(model, op, &xs[i], ys[i], pool);
+            loss_sum += loss;
+            peak_tape_bytes = peak_tape_bytes.max(tape_bytes);
+            for (acc, g) in grads.iter_mut().zip(gs) {
+                if let Some(g) = g {
+                    acc.axpy(scale, &g);
+                }
+            }
+        }
+        (loss_sum, grads, peak_tape_bytes)
+    }
+
     /// Synthetic task on c17: label = #selected gates (training must drive
     /// the loss down substantially).
     fn toy_dataset() -> (Arc<CsrMatrix>, Vec<Matrix>, Vec<f64>) {
@@ -734,25 +663,142 @@ mod tests {
         }
     }
 
+    /// `max|g − g_ref| ≤ 1e-9 · max|g_ref|` for every parameter matrix.
+    fn assert_gradients_match(got: &[Matrix], reference: &[Matrix], what: &str) {
+        for (i, (g, r)) in got.iter().zip(reference).enumerate() {
+            let diff = g
+                .as_slice()
+                .iter()
+                .zip(r.as_slice())
+                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+            assert!(
+                diff <= 1e-9 * r.max_abs(),
+                "{what}: parameter {i} gradient off by {diff} (max {})",
+                r.max_abs()
+            );
+        }
+    }
+
+    #[test]
+    fn batched_gradients_match_the_per_instance_reference() {
+        // Lockings of a synthetic c432: two random selections, the empty
+        // one (the reference, at batch position 2), a duplicate, every gate
+        // selected, and more random ones. Chunks of 6 leave a partial chunk
+        // of 3 carrying the nominal 1/6 weight.
+        let circuit = synth::iscas::circuit("c432", 7).expect("known profile");
+        let graph = CircuitGraph::from_circuit(&circuit);
+        let gates: Vec<GateId> = circuit
+            .iter()
+            .filter(|(_, g)| !g.kind().is_input())
+            .map(|(id, _)| id)
+            .collect();
+        let pick = |seed: usize, count: usize| -> Vec<GateId> {
+            (0..count)
+                .map(|i| gates[(seed * 37 + i * 101) % gates.len()])
+                .collect()
+        };
+        let selections = [
+            pick(1, 3),
+            pick(2, 5),
+            Vec::new(),
+            pick(1, 3),
+            circuit.iter().map(|(id, _)| id).collect(),
+            pick(3, 1),
+            pick(4, 6),
+            pick(5, 2),
+            pick(6, 4),
+        ];
+        let xs: Vec<Matrix> = selections
+            .iter()
+            .map(|sel| encode_features(&circuit, sel, FeatureSet::All))
+            .collect();
+        let ys: Vec<f64> = (0..xs.len()).map(|i| (i % 4) as f64 * 0.5 - 0.7).collect();
+        let order: Vec<usize> = (0..xs.len()).collect();
+        let scale = batch_scale(6, xs.len());
+        let mut models = Vec::new();
+        for kind in [
+            ModelKind::Gcn,
+            ModelKind::ChebNet { k: 3 },
+            ModelKind::ICNet,
+        ] {
+            for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Nn] {
+                for output in [OutputHead::Identity, OutputHead::Exp] {
+                    models.push(GraphModel::new(kind, agg, 7, 8, 6, 17).with_output(output));
+                }
+            }
+        }
+        models.push(GraphModel::with_conv_layers(
+            ModelKind::ICNet,
+            Aggregation::Nn,
+            7,
+            8,
+            3,
+            23,
+        ));
+        let mut pool = BufferPool::new();
+        for model in &models {
+            let op = Arc::new(model.kind.operator(&graph));
+            for chunk in order.chunks(6) {
+                let layout = BatchedGraph::replicate(&op, chunk.len());
+                let (loss, grads, _) =
+                    batched_gradients(model, &layout, &xs, &ys, chunk, scale, 1, &mut pool);
+                let (ref_loss, ref_grads, _) =
+                    batch_gradients(model, &op, &xs, &ys, chunk, scale, &mut pool);
+                let what = format!("{model} {:?} chunk {chunk:?}", model.output);
+                assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{what}: batch loss");
+                assert_gradients_match(&grads, &ref_grads, &what);
+            }
+        }
+    }
+
+    /// Replays `epochs` shuffled epochs of training, computing every step
+    /// with both the compressed engine and the per-instance reference at the
+    /// same parameters, then applying the compressed gradient. The batch
+    /// loss and the trained model's predictions must be bit-identical to
+    /// the per-instance ones; the gradients fold in another order and agree
+    /// to `max|g − g_ref| ≤ 1e-9 · max|g_ref|`.
+    fn assert_engines_agree(
+        mut model: GraphModel,
+        op: &Arc<CsrMatrix>,
+        (xs, ys): (&[Matrix], &[f64]),
+        batch_size: usize,
+        epochs: usize,
+    ) {
+        let scale = batch_scale(batch_size, xs.len());
+        let mut optimizer = Adam::new(1e-3);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let mut pool = BufferPool::new();
+        for epoch in 0..epochs {
+            order.shuffle(&mut rng);
+            for chunk in order.chunks(batch_size) {
+                let layout = BatchedGraph::replicate(op, chunk.len());
+                let (loss, grads, _) =
+                    batched_gradients(&model, &layout, xs, ys, chunk, scale, 1, &mut pool);
+                let (ref_loss, ref_grads, _) =
+                    batch_gradients(&model, op, xs, ys, chunk, scale, &mut pool);
+                let what = format!("{model} epoch {epoch} chunk {chunk:?}");
+                assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{what}: batch loss");
+                assert_gradients_match(&grads, &ref_grads, &what);
+                optimizer.step(model.params_mut(), &grads);
+            }
+        }
+        let solo: Vec<u64> = xs.iter().map(|x| model.predict(op, x).to_bits()).collect();
+        let batched: Vec<u64> = model
+            .predict_batch(op, xs)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(batched, solo, "{model}: trained predictions");
+    }
+
     #[test]
     fn batched_engine_is_bit_identical_to_per_instance() {
         let (op, xs, ys) = toy_dataset();
         // batch_size 12 over 32 instances: every epoch ends in a partial
         // chunk of 8, so the equivalence covers both layouts.
-        let run = |engine: GradEngine| {
-            let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 13);
-            let cfg = TrainConfig {
-                engine,
-                batch_size: 12,
-                ..TrainConfig::quick()
-            };
-            let report = train(&mut model, &op, &xs, &ys, &cfg);
-            (report.loss_history, model.predict_batch(&op, &xs))
-        };
-        let (batched_history, batched_preds) = run(GradEngine::Batched);
-        let (reference_history, reference_preds) = run(GradEngine::PerInstance);
-        assert_eq!(batched_history, reference_history, "loss history differs");
-        assert_eq!(batched_preds, reference_preds, "predictions differ");
+        let model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 13);
+        assert_engines_agree(model, &op, (&xs, &ys), 12, 4);
     }
 
     #[test]
@@ -767,22 +813,9 @@ mod tests {
         ] {
             let op = Arc::new(kind.operator(&graph));
             for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Nn] {
-                let run = |engine: GradEngine| {
-                    let mut model = GraphModel::new(kind, agg, 7, 8, 6, 17);
-                    let cfg = TrainConfig {
-                        engine,
-                        max_epochs: 3,
-                        batch_size: 5, // partial final chunk of 2
-                        ..TrainConfig::default()
-                    };
-                    let report = train(&mut model, &op, &xs, &ys, &cfg);
-                    (report.loss_history, model.predict_batch(&op, &xs))
-                };
-                assert_eq!(
-                    run(GradEngine::Batched),
-                    run(GradEngine::PerInstance),
-                    "{kind} {agg}"
-                );
+                let model = GraphModel::new(kind, agg, 7, 8, 6, 17);
+                // batch_size 5: a partial final chunk of 2.
+                assert_engines_agree(model, &op, (&xs, &ys), 5, 3);
             }
         }
     }
@@ -858,12 +891,11 @@ mod tests {
 
         // The raw (unweighted) gradient of the duplicated instance.
         let mut pool = BufferPool::new();
-        let (_, raw, _) = batch_gradients(&model, &op, &xs, &ys, &[n - 1], 1.0, 1, &mut pool);
+        let (_, raw, _) = batch_gradients(&model, &op, &xs, &ys, &[n - 1], 1.0, &mut pool);
 
         // The leftover chunk under batch_size = n - 1.
         let scale = batch_scale(n - 1, n);
-        let (_, leftover, _) =
-            batch_gradients(&model, &op, &xs, &ys, &[n - 1], scale, 1, &mut pool);
+        let (_, leftover, _) = batch_gradients(&model, &op, &xs, &ys, &[n - 1], scale, &mut pool);
         let expected: Vec<Matrix> = raw
             .iter()
             .map(|g| {
@@ -894,7 +926,6 @@ mod tests {
             &ys,
             &[0, 1, 2, 3, 4],
             full_scale,
-            1,
             &mut pool,
         );
         let mut summed: Vec<Matrix> = model
@@ -903,12 +934,58 @@ mod tests {
             .map(|p| Matrix::zeros(p.rows(), p.cols()))
             .collect();
         for i in 0..n {
-            let (_, g, _) = batch_gradients(&model, &op, &xs, &ys, &[i], 1.0, 1, &mut pool);
+            let (_, g, _) = batch_gradients(&model, &op, &xs, &ys, &[i], 1.0, &mut pool);
             for (acc, g) in summed.iter_mut().zip(&g) {
                 acc.axpy(full_scale, g);
             }
         }
         assert_eq!(full, summed);
+    }
+
+    #[test]
+    #[should_panic(expected = "refusing to resume")]
+    fn a_checkpoint_with_the_v2_fingerprint_is_refused() {
+        // Builds before the compressed batch engine fingerprinted this run
+        // with a `v2;` tag; their gradients fold in another order, so
+        // resuming one would blend two trajectories.
+        let (op, xs, ys) = toy_dataset();
+        let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 3);
+        let config = TrainConfig::quick();
+        let mut text = format!(
+            "v2;seed={};lr={:016x};batch={};tol={:016x};patience={};max_epochs={};n={}",
+            config.seed,
+            config.lr.to_bits(),
+            config.batch_size,
+            config.tol.to_bits(),
+            config.patience,
+            config.max_epochs,
+            xs.len(),
+        );
+        for p in model.params() {
+            text.push_str(&format!(";{}x{}", p.rows(), p.cols()));
+        }
+        let path = std::env::temp_dir()
+            .join(format!("icnet_v2_fingerprint_{}.ckpt", std::process::id()))
+            .display()
+            .to_string();
+        let stale = TrainCheckpoint {
+            fingerprint: faults::fnv1a(faults::FNV_OFFSET, text.as_bytes()),
+            epochs_done: 1,
+            converged: false,
+            stall: 0,
+            best: 1.0,
+            history: vec![1.0],
+            params: model.params().to_vec(),
+            adam_t: 0,
+            adam_m: Vec::new(),
+            adam_v: Vec::new(),
+        };
+        checkpoint::save(&path, &stale).expect("checkpoint saves");
+        let control = TrainControl {
+            checkpoint: Some(TrainCheckpointSpec { path, resume: true }),
+            ..TrainControl::default()
+        };
+        train_with(&mut model, &op, &xs, &ys, &config, &control);
     }
 
     #[test]

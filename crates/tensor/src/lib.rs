@@ -38,7 +38,6 @@ pub mod linalg;
 mod matrix;
 mod optim;
 mod pool;
-mod reuse;
 mod segments;
 mod sparse;
 mod tape;
@@ -46,7 +45,6 @@ mod tape;
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pool::BufferPool;
-pub use reuse::RowReuse;
 pub use segments::Segments;
 pub use sparse::CsrMatrix;
 pub use tape::{Tape, VarId};

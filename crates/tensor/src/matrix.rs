@@ -15,7 +15,7 @@ const MATMUL_COL_TILE: usize = 256;
 /// stack scratch tile), so `out` may hold arbitrary stale contents on entry.
 /// The per-element accumulation order is unchanged from the read-modify-write
 /// form — ascending `k`, zero terms skipped — so results are bit-identical.
-pub(crate) fn matmul_rows(a_rows: &[f64], ak: usize, b: &[f64], bc: usize, out: &mut [f64]) {
+fn matmul_rows(a_rows: &[f64], ak: usize, b: &[f64], bc: usize, out: &mut [f64]) {
     debug_assert!(ak > 0 && bc > 0, "degenerate shapes handled by callers");
     // The GNN layers multiply tall-skinny matrices whose widths are small
     // compile-time-friendly constants (features and hidden sizes); a

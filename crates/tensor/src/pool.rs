@@ -61,7 +61,8 @@ impl BufferPool {
     }
 
     /// Takes a buffer of exactly `len` elements, reusing the smallest held
-    /// buffer whose capacity suffices (best fit). The contents are
+    /// buffer whose capacity suffices (best fit), else allocating one with
+    /// power-of-two capacity. The contents are
     /// unspecified — every element the caller exposes must be written
     /// first. Use [`BufferPool::zeros`] when the consumer accumulates.
     fn take(&mut self, len: usize) -> Vec<f64> {
@@ -81,7 +82,17 @@ impl BufferPool {
                 buf.resize(len, 0.0);
                 buf
             }
-            None => vec![0.0; len],
+            None => {
+                // A fresh buffer gets the next power-of-two capacity, so a
+                // later request of the same kind that is a little larger
+                // still fits it. Shapes that vary from tape to tape (the
+                // compressed batches of `icnet`) would otherwise miss on
+                // every new maximum, take a buffer sized for another kind,
+                // and leave one more buffer idle in the pool each time.
+                let mut buf = Vec::with_capacity(len.next_power_of_two());
+                buf.resize(len, 0.0);
+                buf
+            }
         }
     }
 
@@ -153,6 +164,22 @@ mod tests {
         let m = pool.alloc(64, 64);
         assert_eq!(m.shape(), (64, 64));
         assert_eq!(pool.len(), 1, "the 32x32 buffer stays pooled");
+    }
+
+    #[test]
+    fn shapes_that_vary_between_tapes_do_not_accumulate_buffers() {
+        // Each "tape" takes one buffer whose size creeps up and one large
+        // one, then returns both. The first buffer's power-of-two capacity
+        // absorbs the creep, so the small request never takes the large
+        // buffer and the pool holds two buffers throughout.
+        let mut pool = BufferPool::new();
+        for step in 0..20 {
+            let small = pool.alloc(1100 + step * 10, 1);
+            let large = pool.alloc(40_000, 1);
+            pool.absorb(small);
+            pool.absorb(large);
+            assert_eq!(pool.len(), 2, "step {step}");
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Row-segment bookkeeping for batched multi-graph tensors.
 //!
-//! A batch of B graphs is packed into one tall matrix (and one
-//! block-diagonal sparse operator); [`Segments`] records where each graph's
-//! rows start and end so per-graph stages — pooling, softmax, gradient
-//! reduction — can walk the stacked matrix segment by segment in a fixed
-//! order. That fixed order is what makes the batched backward pass
-//! bit-identical to the per-instance one (see DESIGN.md §10).
+//! A batch of B graphs is packed into one tall matrix; [`Segments`] records
+//! where each graph's rows start and end so per-graph stages — pooling,
+//! softmax, gradient reduction — can walk the stacked matrix segment by
+//! segment in a fixed order. That fixed order is what makes the batched
+//! backward pass deterministic (see DESIGN.md §10).
 
 use std::ops::Range;
 

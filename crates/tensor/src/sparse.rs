@@ -54,39 +54,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Stacks square or rectangular blocks down the diagonal:
-    /// `diag(blocks[0], blocks[1], ...)`. This is how a batch of B graph
-    /// operators becomes one sparse operator — row and column indices of
-    /// block `i` are shifted by the cumulative row/column counts of the
-    /// blocks before it. Row order and within-row column order are
-    /// preserved, so a sparse-dense product against the stacked matrix
-    /// accumulates in exactly the same order as B separate products.
-    pub fn block_diag(blocks: &[&CsrMatrix]) -> CsrMatrix {
-        let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let cols: usize = blocks.iter().map(|b| b.cols).sum();
-        let nnz: usize = blocks.iter().map(|b| b.nnz()).sum();
-        let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        indptr.push(0usize);
-        let mut nnz_offset = 0usize;
-        let mut col_offset = 0u32;
-        for block in blocks {
-            indptr.extend(block.indptr[1..].iter().map(|&p| p + nnz_offset));
-            indices.extend(block.indices.iter().map(|&c| c + col_offset));
-            values.extend_from_slice(&block.values);
-            nnz_offset += block.nnz();
-            col_offset += block.cols as u32;
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// The `n x n` sparse identity.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {
@@ -123,9 +90,47 @@ impl CsrMatrix {
             + self.values.len() * std::mem::size_of::<f64>()) as u64
     }
 
-    /// The column indices stored in row `r`, in ascending order.
-    pub(crate) fn row_indices(&self, r: usize) -> &[u32] {
+    /// The column indices stored in row `r`, in stored order (ascending
+    /// unless the matrix came from [`CsrMatrix::select_rows`]).
+    pub fn row_indices(&self, r: usize) -> &[u32] {
         &self.indices[self.indptr[r]..self.indptr[r + 1]]
+    }
+
+    /// A `rows.len() x cols` matrix whose row `i` holds the nonzeros of row
+    /// `rows[i]` of `self`, each column `c` renamed `rename(i, c)`. The
+    /// nonzeros keep their stored order, so a product row accumulates its
+    /// terms in the same order as the source row's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source row is out of range or a renamed column is not
+    /// below `cols`.
+    pub fn select_rows(
+        &self,
+        rows: &[usize],
+        cols: usize,
+        rename: impl Fn(usize, usize) -> usize,
+    ) -> CsrMatrix {
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        indptr.push(0);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        for (i, &r) in rows.iter().enumerate() {
+            for k in self.indptr[r]..self.indptr[r + 1] {
+                let c = rename(i, self.indices[k] as usize);
+                assert!(c < cols, "select_rows: column {c} out of range");
+                indices.push(c as u32);
+                values.push(self.values[k]);
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix {
+            rows: rows.len(),
+            cols,
+            indptr,
+            indices,
+            values,
+        }
     }
 
     /// Iterates over `(row, col, value)` of stored entries.
@@ -198,7 +203,7 @@ impl CsrMatrix {
         }
         let jobs = jobs.max(1).min(self.rows);
         if jobs == 1 {
-            self.spmm_rows(rhs.as_slice(), f, out.as_mut_slice(), 0, |c| c);
+            self.spmm_rows(rhs.as_slice(), f, out.as_mut_slice(), 0);
             return;
         }
         let band = self.rows.div_ceil(jobs);
@@ -207,7 +212,7 @@ impl CsrMatrix {
             for (chunk_idx, out_band) in out.as_mut_slice().chunks_mut(band * f).enumerate() {
                 let this = &*self;
                 scope.spawn(move || {
-                    this.spmm_rows(rhs_data, f, out_band, chunk_idx * band, |c| c);
+                    this.spmm_rows(rhs_data, f, out_band, chunk_idx * band);
                 });
             }
         });
@@ -218,32 +223,22 @@ impl CsrMatrix {
     /// its accumulation (while it is cache-hot), so `out_band` may hold
     /// stale contents on entry and no separate whole-matrix zeroing pass is
     /// needed; the per-element accumulation order is unchanged.
-    ///
-    /// Column `c` reads right-hand row `source(c)`; the row-reuse kernels
-    /// point it at a bitwise-equal row that is already in cache.
-    pub(crate) fn spmm_rows(
-        &self,
-        rhs_data: &[f64],
-        f: usize,
-        out_band: &mut [f64],
-        row0: usize,
-        source: impl Fn(usize) -> usize + Copy,
-    ) {
+    fn spmm_rows(&self, rhs_data: &[f64], f: usize, out_band: &mut [f64], row0: usize) {
         // Register-resident accumulators for the common narrow widths (the
         // GNN feature/hidden sizes); bit-identical to the generic loop.
         match f {
-            4 => return self.spmm_rows_w::<4>(rhs_data, out_band, row0, source),
-            7 => return self.spmm_rows_w::<7>(rhs_data, out_band, row0, source),
-            8 => return self.spmm_rows_w::<8>(rhs_data, out_band, row0, source),
-            16 => return self.spmm_rows_w::<16>(rhs_data, out_band, row0, source),
-            32 => return self.spmm_rows_w::<32>(rhs_data, out_band, row0, source),
+            4 => return self.spmm_rows_w::<4>(rhs_data, out_band, row0),
+            7 => return self.spmm_rows_w::<7>(rhs_data, out_band, row0),
+            8 => return self.spmm_rows_w::<8>(rhs_data, out_band, row0),
+            16 => return self.spmm_rows_w::<16>(rhs_data, out_band, row0),
+            32 => return self.spmm_rows_w::<32>(rhs_data, out_band, row0),
             _ => {}
         }
         for (local, dst) in out_band.chunks_exact_mut(f).enumerate() {
             let r = row0 + local;
             dst.fill(0.0);
             for i in self.indptr[r]..self.indptr[r + 1] {
-                let c = source(self.indices[i] as usize);
+                let c = self.indices[i] as usize;
                 let v = self.values[i];
                 let src = &rhs_data[c * f..(c + 1) * f];
                 for (o, &x) in dst.iter_mut().zip(src) {
@@ -257,18 +252,12 @@ impl CsrMatrix {
     /// `W`: the destination row accumulates in registers and is stored once.
     /// Per-element accumulation order (ascending nonzero index from 0.0) is
     /// unchanged, so results are bit-identical to the generic kernel.
-    fn spmm_rows_w<const W: usize>(
-        &self,
-        rhs_data: &[f64],
-        out_band: &mut [f64],
-        row0: usize,
-        source: impl Fn(usize) -> usize + Copy,
-    ) {
+    fn spmm_rows_w<const W: usize>(&self, rhs_data: &[f64], out_band: &mut [f64], row0: usize) {
         for (local, dst) in out_band.chunks_exact_mut(W).enumerate() {
             let r = row0 + local;
             let mut acc = [0.0f64; W];
             for i in self.indptr[r]..self.indptr[r + 1] {
-                let c = source(self.indices[i] as usize);
+                let c = self.indices[i] as usize;
                 let v = self.values[i];
                 let src: &[f64; W] = rhs_data[c * W..(c + 1) * W].try_into().expect("W-wide row");
                 for (o, &x) in acc.iter_mut().zip(src) {
@@ -279,10 +268,32 @@ impl CsrMatrix {
         }
     }
 
-    /// Transpose (used for the backward pass of [`CsrMatrix::spmm`]).
+    /// Transpose (used for the backward pass of [`CsrMatrix::spmm`]). A
+    /// counting sort by column: each transposed row lists its entries by
+    /// ascending source row, in one pass over the nonzeros.
     pub fn transpose(&self) -> CsrMatrix {
-        let triplets: Vec<(usize, usize, f64)> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            indptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut next = indptr[..self.cols].to_vec();
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for (r, c, v) in self.iter() {
+            indices[next[c]] = r as u32;
+            values[next[c]] = v;
+            next[c] += 1;
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            indptr,
+            indices,
+            values,
+        }
     }
 
     /// Densifies (for tests and small matrices).
@@ -377,6 +388,38 @@ mod tests {
     }
 
     #[test]
+    fn transpose_round_trips_a_sorted_matrix() {
+        let s = CsrMatrix::from_triplets(
+            3,
+            4,
+            &[
+                (0, 3, 1.0),
+                (0, 1, 2.0),
+                (2, 1, 0.0),
+                (1, 0, -1.5),
+                (2, 3, 4.0),
+            ],
+        );
+        let t = s.transpose();
+        assert_eq!(t.row_indices(1), &[0, 2], "source rows ascending");
+        assert_eq!(t.transpose(), s);
+        assert_eq!(
+            t,
+            CsrMatrix::from_triplets(
+                4,
+                3,
+                &[
+                    (3, 0, 1.0),
+                    (1, 0, 2.0),
+                    (1, 2, 0.0),
+                    (0, 1, -1.5),
+                    (3, 2, 4.0)
+                ]
+            )
+        );
+    }
+
+    #[test]
     fn identity_spmm_is_noop() {
         let d = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
         assert_eq!(CsrMatrix::identity(3).spmm(&d), d);
@@ -417,48 +460,40 @@ mod tests {
     }
 
     #[test]
-    fn block_diag_matches_dense_construction() {
+    fn select_rows_renames_columns_and_keeps_nonzero_order() {
         let a = example();
-        let b = CsrMatrix::from_triplets(2, 2, &[(0, 0, 5.0), (1, 1, -1.0)]);
-        let d = CsrMatrix::block_diag(&[&a, &b]);
-        assert_eq!(d.rows(), 5);
-        assert_eq!(d.cols(), 5);
-        assert_eq!(d.nnz(), a.nnz() + b.nnz());
-        let dense = d.to_dense();
-        for (r, c, v) in a.iter() {
-            assert_eq!(dense.get(r, c), v);
-        }
-        for (r, c, v) in b.iter() {
-            assert_eq!(dense.get(3 + r, 3 + c), v);
-        }
-        // Off-diagonal blocks are structurally zero.
-        assert_eq!(dense.get(0, 4), 0.0);
-        assert_eq!(dense.get(4, 0), 0.0);
-    }
-
-    #[test]
-    fn block_diag_spmm_equals_per_block_spmm() {
-        let a = example();
-        let b = CsrMatrix::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 0.5), (1, 1, 1.5)]);
-        let d = CsrMatrix::block_diag(&[&a, &b]);
-        let xa = Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5], &[0.0, 3.0]]);
-        let xb = Matrix::from_rows(&[&[4.0, 1.0], &[-2.0, 2.0]]);
-        let mut stacked = xa.as_slice().to_vec();
-        stacked.extend_from_slice(xb.as_slice());
-        let out = d.spmm(&Matrix::from_vec(5, 2, stacked));
-        let (oa, ob) = (a.spmm(&xa), b.spmm(&xb));
-        for r in 0..3 {
-            assert_eq!(out.row(r), oa.row(r));
-        }
-        for r in 0..2 {
-            assert_eq!(out.row(3 + r), ob.row(r));
+        // Rows 2 and 0 of `a`, every column moved to the other end.
+        let picked = a.select_rows(&[2, 0], 3, |_, c| 2 - c);
+        assert_eq!((picked.rows(), picked.cols()), (2, 3));
+        assert_eq!(picked.row_indices(1), &[1, 0], "stored order kept");
+        let dense = a.to_dense();
+        for (i, r) in [2usize, 0].into_iter().enumerate() {
+            for c in 0..3 {
+                assert_eq!(picked.to_dense().get(i, 2 - c), dense.get(r, c));
+            }
         }
     }
 
     #[test]
-    fn block_diag_of_nothing_is_empty() {
-        let d = CsrMatrix::block_diag(&[]);
-        assert_eq!((d.rows(), d.cols(), d.nnz()), (0, 0, 0));
+    fn select_rows_products_equal_the_source_rows_bit_for_bit() {
+        // Rows 3.. of the tall input repeat rows 0..3 under new indices, so
+        // every selected row reads the same values in the same order.
+        let a = example();
+        let x = Matrix::from_fn(3, 2, |r, c| 0.1 + r as f64 / 3.0 - c as f64 * 0.7);
+        let mut tall = x.as_slice().to_vec();
+        tall.extend_from_slice(x.as_slice());
+        let picked = a.select_rows(&[1, 0, 2], 6, |i, c| if i == 0 { c } else { 3 + c });
+        let out = picked.spmm(&Matrix::from_vec(6, 2, tall));
+        let full = a.spmm(&x);
+        for (i, r) in [1usize, 0, 2].into_iter().enumerate() {
+            assert_eq!(out.row(i), full.row(r));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn select_rows_rejects_a_column_past_the_width() {
+        let _ = example().select_rows(&[0], 2, |_, c| c);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! data-parallel trainer can run one tape per worker thread against the
 //! same operator (see `icnet::train`).
 
-use crate::matrix::{matmul_rows, Matrix};
+use crate::matrix::Matrix;
 use crate::pool::BufferPool;
-use crate::reuse::RowReuse;
 use crate::segments::Segments;
 use crate::sparse::CsrMatrix;
 use std::sync::Arc;
@@ -43,9 +42,7 @@ enum Op {
     MeanAll(VarId),
     SoftmaxCol(VarId),
     /// Matmul over a row-stacked batch whose `b`-side (parameter) gradient
-    /// is reduced per row segment, scaled by `scale`, in segment order —
-    /// reproducing the per-instance trainer's `acc.axpy(scale, g_i)` fold
-    /// bit for bit.
+    /// is reduced per row segment, scaled by `scale`, in segment order.
     MatMulSeg {
         a: VarId,
         b: VarId,
@@ -87,6 +84,11 @@ enum Op {
         attn: VarId,
         segments: Arc<Segments>,
     },
+    /// Row gather `out[i] = a[index[i]]`; the backward scatter-adds.
+    GatherRows {
+        a: VarId,
+        index: Arc<[u32]>,
+    },
 }
 
 impl Op {
@@ -112,7 +114,8 @@ impl Op {
             | Op::SoftmaxCol(a)
             | Op::SegmentSum { a, .. }
             | Op::SegmentSoftmaxCol { a, .. }
-            | Op::BroadcastSoftmaxSeg { theta: a, .. } => [Some(a), None],
+            | Op::BroadcastSoftmaxSeg { theta: a, .. }
+            | Op::GatherRows { a, .. } => [Some(a), None],
         }
     }
 }
@@ -374,68 +377,6 @@ impl Tape {
         self.push(value, Op::SpMM { sparse, dense })
     }
 
-    /// [`Tape::spmm`] over a replicated batch: `sparse` is the
-    /// block-diagonal replica of one operator over the plans' segments,
-    /// `input` marks the rows of `dense` that differ from the reference
-    /// segment's, and `output` marks every row that reads one of them
-    /// (`input` grown by one hop, see [`RowReuse::hop`]). The reference is
-    /// computed in full and every other segment copies it and recomputes
-    /// only its dirty rows, reading clean input rows from the reference
-    /// (they hold the same bits) and every row's nonzeros from the first
-    /// block. The value is bit-identical to
-    /// [`Tape::spmm`]; the backward pass is the same.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch between `sparse`, `dense` and the plans,
-    /// or if the plans disagree on layout or reference.
-    pub fn spmm_reuse(
-        &mut self,
-        sparse: Arc<CsrMatrix>,
-        dense: VarId,
-        input: &RowReuse,
-        output: &RowReuse,
-    ) -> VarId {
-        let (rows, cols) = (sparse.rows(), self.value(dense).cols());
-        assert_eq!(
-            sparse.cols(),
-            self.value(dense).rows(),
-            "spmm inner dimensions"
-        );
-        let segments = output.segments();
-        assert_eq!(
-            rows,
-            segments.total_rows(),
-            "spmm_reuse segments must cover the operator rows"
-        );
-        assert!(
-            input.segments() == segments && input.reference() == output.reference(),
-            "spmm_reuse plans must share one layout and reference"
-        );
-        let n = segments.iter().next().map_or(0, |r| r.len());
-        let mut dirty_in = vec![false; rows];
-        for (s, range) in segments.iter().enumerate() {
-            for &r in input.dirty(s) {
-                dirty_in[range.start + r as usize] = true;
-            }
-        }
-        let ref_row0 = output.reference() * n;
-        let mut value = self.pool.alloc(rows, cols);
-        let rhs = self.value(dense).as_slice();
-        // Every block of `sparse` is the same operator, so each segment's
-        // rows are computed from the first block's (cache-hot) CSR rows,
-        // with its local columns mapped into the segment.
-        output.fill(value.as_mut_slice(), cols, self.jobs, |row0, band| {
-            let seg_row0 = row0 - row0 % n;
-            // Indexed, not branched on: dirty and clean columns interleave
-            // unpredictably.
-            let origin = [ref_row0, seg_row0];
-            let src = |c: usize| origin[usize::from(dirty_in[seg_row0 + c])] + c;
-            sparse.spmm_rows(rhs, cols, band, row0 - seg_row0, src)
-        });
-        self.push(value, Op::SpMM { sparse, dense })
-    }
-
     /// Element-wise sum.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
         let (rows, cols) = self.value(a).shape();
@@ -546,8 +487,7 @@ impl Tape {
     /// of graphs and `b` is a shared parameter. Forward equals
     /// [`Tape::matmul`]; the backward pass reduces `b`'s gradient per row
     /// segment — `sum_over_segments(scale * a[seg]^T dC[seg])`, folded in
-    /// segment order — reproducing the per-instance trainer's scaled
-    /// gradient accumulation bit for bit (DESIGN.md §10).
+    /// segment order, a fixed order for any `jobs` (DESIGN.md §10).
     ///
     /// # Panics
     ///
@@ -563,46 +503,6 @@ impl Tape {
         let mut value = self.pool.alloc(rows, cols);
         self.value(a)
             .matmul_into_jobs(self.value(b), &mut value, jobs);
-        self.push(
-            value,
-            Op::MatMulSeg {
-                a,
-                b,
-                segments,
-                scale,
-            },
-        )
-    }
-
-    /// [`Tape::matmul_seg`] over `reuse`'s segments, where `reuse` marks
-    /// the rows of `a` that differ from the reference segment's: the
-    /// reference is computed in full and every other segment copies it and
-    /// recomputes only its dirty rows. Value and backward are bit-identical
-    /// to [`Tape::matmul_seg`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch between `a`, `b` and `reuse`.
-    pub fn matmul_seg_reuse(&mut self, a: VarId, b: VarId, reuse: &RowReuse, scale: f64) -> VarId {
-        let segments = Arc::clone(reuse.segments());
-        let (rows, ak) = self.value(a).shape();
-        let (br, cols) = self.value(b).shape();
-        assert_eq!(ak, br, "matmul inner dimensions");
-        assert_eq!(
-            rows,
-            segments.total_rows(),
-            "matmul_seg segments must cover the stacked rows"
-        );
-        let mut value = self.pool.alloc(rows, cols);
-        if ak == 0 {
-            value.as_mut_slice().fill(0.0); // empty inner dimension
-        } else {
-            let (av, bv) = (self.value(a).as_slice(), self.value(b).as_slice());
-            reuse.fill(value.as_mut_slice(), cols, self.jobs, |row0, band| {
-                let end = row0 + band.len() / cols;
-                matmul_rows(&av[row0 * ak..end * ak], ak, bv, cols, band)
-            });
-        }
         self.push(
             value,
             Op::MatMulSeg {
@@ -792,6 +692,35 @@ impl Tape {
         self.push(value, Op::AddBiasRowSeg { x, bias, scale })
     }
 
+    /// Row gather: row `i` of the result is row `index[i]` of `a`, so
+    /// several result rows may read one source row. The backward pass
+    /// scatter-adds each result row's gradient into the row it was read
+    /// from, in ascending `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not a row of `a`.
+    pub fn gather_rows(&mut self, a: VarId, index: Arc<[u32]>) -> VarId {
+        let (rows, cols) = self.value(a).shape();
+        assert!(
+            index.iter().all(|&r| (r as usize) < rows),
+            "gather_rows: index past the {rows} rows"
+        );
+        let mut value = self.pool.alloc(index.len(), cols);
+        if cols > 0 {
+            let src = self.value(a).as_slice();
+            for (dst, &r) in value
+                .as_mut_slice()
+                .chunks_exact_mut(cols)
+                .zip(index.iter())
+            {
+                let r = r as usize;
+                dst.copy_from_slice(&src[r * cols..(r + 1) * cols]);
+            }
+        }
+        self.push(value, Op::GatherRows { a, index })
+    }
+
     /// Mean squared error between `pred` and a constant `target`, as a
     /// `1 x 1` node. Convenience composition of `sub`/`hadamard`/`mean_all`.
     pub fn mse_loss(&mut self, pred: VarId, target: Matrix) -> VarId {
@@ -951,9 +880,7 @@ impl Tape {
                     }
                     if wants_grad(&head[b.0]) {
                         // Parameter gradient: per-segment A_i^T dC_i
-                        // products, folded with `scale` in segment order —
-                        // the same fold the per-instance trainer performs
-                        // across a batch.
+                        // products, folded with `scale` in segment order.
                         let (br, bc) = head[b.0].value.shape();
                         let av = &head[a.0].value;
                         let mut db = Matrix::zeros(br, bc);
@@ -1074,6 +1001,20 @@ impl Tape {
                     }
                     accumulate_owned(head, pool, h, dh);
                     accumulate_owned(head, pool, attn, da);
+                }
+                Op::GatherRows { a, index } => {
+                    let (rows, cols) = head[a.0].value.shape();
+                    let mut da = pool.zeros(rows, cols);
+                    if cols > 0 {
+                        let dst = da.as_mut_slice();
+                        for (g, &r) in grad.as_slice().chunks_exact(cols).zip(index.iter()) {
+                            let r = r as usize;
+                            for (o, &gv) in dst[r * cols..(r + 1) * cols].iter_mut().zip(g) {
+                                *o += gv;
+                            }
+                        }
+                    }
+                    accumulate_owned(head, pool, *a, da);
                 }
                 &Op::AddBiasRowSeg { x, bias, scale } => {
                     accumulate_scaled(head, pool, x, 1.0, grad);
@@ -1603,53 +1544,40 @@ mod tests {
     }
 
     #[test]
-    fn reuse_kernels_are_bit_identical_to_the_full_products() {
-        let base = CsrMatrix::from_triplets(
-            4,
-            4,
-            &[
-                (0, 1, 1.0),
-                (1, 2, 2.0),
-                (2, 0, -1.0),
-                (2, 2, 0.3),
-                (3, 3, 0.5),
-            ],
+    fn gather_rows_copies_rows_and_scatter_adds_gradients() {
+        let mut tape = Tape::new();
+        let a = tape.leaf(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
+        let index: Arc<[u32]> = Arc::from(vec![2, 0, 2, 1]);
+        let g = tape.gather_rows(a, index);
+        assert_eq!(
+            tape.value(g).as_slice(),
+            &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0, 3.0, 4.0]
         );
-        let s = Arc::new(CsrMatrix::block_diag(&[&base, &base, &base]));
-        let seg = Arc::new(Segments::from_lens(&[4, 4, 4]));
-        // Segments 1 and 2 differ from segment 0 in local rows 2 and 3.
-        let x = Matrix::from_fn(12, 2, |r, c| {
-            let v = ((r % 4) * 2 + c) as f64 * 0.3 - 1.0;
-            if r == 6 || r == 11 {
-                v + 0.125
-            } else {
-                v
-            }
-        });
-        let run = |reuse: bool, jobs: usize| {
-            let mut tape = Tape::new();
-            tape.set_jobs(jobs);
-            let xv = tape.constant(x.clone());
-            let w = tape.leaf(Matrix::from_rows(&[&[0.2, -0.4, 0.7], &[0.6, 0.1, -0.3]]));
-            let m = if reuse {
-                let plan = RowReuse::diff(&x, Arc::clone(&seg));
-                let hop = plan.hop(&s.transpose());
-                let h = tape.spmm_reuse(Arc::clone(&s), xv, &plan, &hop);
-                tape.matmul_seg_reuse(h, w, &hop, 0.5)
-            } else {
-                let h = tape.spmm(Arc::clone(&s), xv);
-                tape.matmul_seg(h, w, Arc::clone(&seg), 0.5)
-            };
-            let sq = tape.hadamard(m, m);
-            let l = tape.sum_all(sq);
-            tape.backward(l);
-            let bits = |v: &Matrix| v.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-            (bits(tape.value(m)), bits(tape.grad(w)))
+        let weights = tape.constant(Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f64));
+        let weighted = tape.hadamard(g, weights);
+        let l = tape.sum_all(weighted);
+        tape.backward(l);
+        // Row 2 is read twice: its gradient is the sum of both readers'.
+        assert_eq!(tape.grad(a).as_slice(), &[2.0, 3.0, 6.0, 7.0, 4.0, 6.0]);
+    }
+
+    #[test]
+    fn gather_rows_grad_matches_finite_difference() {
+        let build = |tape: &mut Tape, w: VarId| {
+            let g = tape.gather_rows(w, Arc::from(vec![1, 1, 0]));
+            let sq = tape.hadamard(g, g);
+            let e = tape.exp(sq);
+            tape.sum_all(e)
         };
-        let full = run(false, 1);
-        for jobs in [1, 2, 4] {
-            assert_eq!(run(true, jobs), full, "jobs={jobs}");
-        }
+        check_grads(&build, Matrix::from_rows(&[&[0.3, -0.2], &[0.5, 0.1]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "gather_rows")]
+    fn gather_rows_rejects_an_index_past_the_rows() {
+        let mut tape = Tape::new();
+        let a = tape.constant(Matrix::zeros(2, 1));
+        let _ = tape.gather_rows(a, Arc::from(vec![2]));
     }
 
     #[test]
