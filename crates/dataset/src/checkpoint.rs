@@ -606,6 +606,51 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_are_pinned() {
+        // Logs and CSV caches written by earlier builds resume only while
+        // these values stay put: a change here orphans every saved record.
+        let quick = DatasetConfig::quick_demo();
+        let mut limited = DatasetConfig::quick_demo();
+        limited.attack.work_budget = Some(7_000_000);
+        limited.attack.conflicts_per_solve = Some(4096);
+        limited.attack.deadline = Some(std::time::Duration::from_millis(2500));
+        limited.attack.per_query_deadline = Some(std::time::Duration::from_millis(750));
+        limited.attack.mem_budget = Some(500_000);
+        limited.watchdog_stall = Some(std::time::Duration::from_secs(3));
+        limited.retry = crate::RetryPolicy {
+            max_attempts: 3,
+            escalation: 4,
+        };
+        let keys = |config: &DatasetConfig| {
+            let circuit = crate::generate::sweep_circuit(config).unwrap();
+            let locked = crate::generate::lock_instance(config, &circuit, 0).unwrap();
+            (
+                label_fingerprint(config),
+                format!("{:016x}", instance_key(config, &locked)),
+                format!("{:016x}", supervision_key(config)),
+            )
+        };
+        assert_eq!(
+            keys(&quick),
+            (
+                "rev=2;scheme=xor-lock;budget=Some(5000000);conflicts=None;measure=SolverWork"
+                    .to_owned(),
+                "568dea89ddc521a8".to_owned(),
+                "124bd9d7c0cd4908".to_owned()
+            )
+        );
+        assert_eq!(
+            keys(&limited),
+            (
+                "rev=2;scheme=xor-lock;budget=Some(7000000);conflicts=Some(4096);measure=SolverWork"
+                    .to_owned(),
+                "96566da5f62b470a".to_owned(),
+                "6c5cf6b772641f1a".to_owned()
+            )
+        );
+    }
+
+    #[test]
     fn instance_key_separates_configs_and_indices() {
         let config = DatasetConfig::quick_demo();
         let circuit = crate::generate::sweep_circuit(&config).unwrap();
