@@ -3,147 +3,17 @@
 use crate::error::AttackError;
 use crate::oracle::{Oracle, SimOracle};
 use crate::runtime::AttackRuntime;
+use budget::{Limits, Poll, Stop};
 use cnf::{encode_io_constraint, encode_miter};
 use netlist::Circuit;
 use obfuscate::{Key, LockedCircuit};
 use sat::{SolveResult, Solver, SolverStats};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A cheap, cloneable cooperative-cancellation flag.
-///
-/// Clones share one flag, so a coordinator thread can hand copies to worker
-/// threads and cancel every in-flight attack at once (the DIP loop polls the
-/// flag between solver calls, exactly like its work-budget check). A
-/// cancelled attack ends with [`AttackOutcome::Cancelled`], distinct from
-/// every resource-exhaustion outcome so supervisors can tell an operator
-/// shutdown from an instance that is genuinely too hard.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    /// Flags of ancestor tokens; cancellation flows down through them but
-    /// never back up.
-    parents: Vec<Arc<AtomicBool>>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Raises the flag; every attack polling a clone stops at its next
-    /// iteration boundary. Children observe the cancellation too; parents
-    /// (see [`CancelToken::child`]) do not.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`CancelToken::cancel`] has been called on any clone of this
-    /// token or of an ancestor it was derived from.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) || self.parents.iter().any(|p| p.load(Ordering::Relaxed))
-    }
-
-    /// Derives a child token: cancelling `self` cancels the child, but
-    /// cancelling the child leaves `self` untouched. This lets a sweep abort
-    /// its own workers on an internal error without tripping an
-    /// operator-level interrupt token it was handed.
-    pub fn child(&self) -> CancelToken {
-        let mut parents = self.parents.clone();
-        parents.push(Arc::clone(&self.flag));
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            parents,
-        }
-    }
-}
-
-/// Resource limits and options for one attack run.
-#[derive(Debug, Clone, Default)]
-pub struct AttackConfig {
-    /// Abort once total solver work (see [`sat::SolverStats::work`]) exceeds
-    /// this bound. `None` = run to completion.
-    pub work_budget: Option<u64>,
-    /// Abort after this many DIP iterations. `None` = unlimited.
-    pub max_iterations: Option<usize>,
-    /// Conflict cap per individual solver call (guards against a single
-    /// pathological query). `None` = unlimited.
-    pub conflicts_per_solve: Option<u64>,
-    /// Wall-clock bound on the whole attack run. Unlike the deterministic
-    /// work budget this actually bounds *time*: SAT-hard structures blow
-    /// past any conflict estimate, and a dataset sweep must terminate.
-    /// `None` = no deadline.
-    pub deadline: Option<Duration>,
-    /// Wall-clock bound on each individual solver call (guards against one
-    /// pathological query eating the whole deadline). `None` = unlimited.
-    pub per_query_deadline: Option<Duration>,
-    /// Logical-byte cap on the attack solver's clause storage (see
-    /// [`sat::Solver::set_memory_budget`]). Deterministic and
-    /// machine-independent, but it rides in the *supervision* fingerprint,
-    /// not the instance key: an exceeded budget quarantines rather than
-    /// labels, and raising it re-attacks only the quarantined instances —
-    /// the same contract as deadlines. `None` = uncapped.
-    pub mem_budget: Option<u64>,
-    /// Record every DIP found (costs memory on long attacks).
-    pub record_dips: bool,
-    /// Cross-thread cancellation flag, polled once per DIP iteration.
-    /// `None` = not cancellable.
-    pub cancel: Option<CancelToken>,
-    /// Watchdog pulse forwarded to the solver (beaten at its deadline-poll
-    /// sites) and beaten once per DIP iteration, so a stall monitor can see
-    /// progress the polled deadlines cannot. `None` = unmonitored.
-    pub heartbeat: Option<budget::Heartbeat>,
-}
-
-impl AttackConfig {
-    /// A config with a total work budget.
-    pub fn with_work_budget(budget: u64) -> Self {
-        AttackConfig {
-            work_budget: Some(budget),
-            ..AttackConfig::default()
-        }
-    }
-
-    /// This config with `token` installed as its cancellation flag.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// This config with a wall-clock deadline for the whole attack.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Whether an installed cancellation token has been raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-}
-
-/// Which wall-clock bound expired when an attack ends as
-/// [`AttackOutcome::TimedOut`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExpiredDeadline {
-    /// The whole-attack [`AttackConfig::deadline`].
-    Attack,
-    /// The [`AttackConfig::per_query_deadline`] of one solver call.
-    PerQuery,
-}
-
-impl ExpiredDeadline {
-    /// Flag-style name of the expired bound ("deadline" /
-    /// "per-query deadline"), for diagnostics.
-    pub fn describe(&self) -> &'static str {
-        match self {
-            ExpiredDeadline::Attack => "deadline",
-            ExpiredDeadline::PerQuery => "per-query deadline",
-        }
-    }
-}
+/// The stop conditions of one attack run. The work budget is polled once
+/// per DIP iteration, so an attack that stops on it overshoots by at most
+/// one query; every other bound is also polled inside each solver call.
+pub type AttackConfig = Limits;
 
 /// How an attack run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,24 +21,25 @@ pub enum AttackOutcome {
     /// The DIP loop converged and this key reproduces the oracle on all
     /// inputs.
     KeyRecovered(Key),
-    /// A deterministic resource limit from [`AttackConfig`] (work budget,
-    /// iteration cap, or per-solve conflict cap) was hit first. The partial
-    /// runtime is a reproducible lower bound, so the instance is still
-    /// usable as a censored label.
+    /// A deterministic resource limit from [`AttackConfig`] (work budget or
+    /// per-solve conflict cap) was hit first. The partial runtime is a
+    /// reproducible lower bound, so the instance is still usable as a
+    /// censored label.
     BudgetExceeded,
-    /// The wall-clock [`AttackConfig::deadline`] or
-    /// [`AttackConfig::per_query_deadline`] expired — the payload says
-    /// which. The partial runtime is machine-dependent, so supervisors
-    /// quarantine these instead of labeling them.
-    TimedOut(ExpiredDeadline),
-    /// The logical-byte [`AttackConfig::mem_budget`] stayed exhausted even
-    /// after the solver's staged learnt-DB degradation. Deterministic, but
-    /// the partial runtime reflects a degraded search, so supervisors
+    /// A wall-clock bound expired: [`Stop::Deadline`] for the whole-attack
+    /// [`Limits::deadline`], [`Stop::QueryDeadline`] for one solver call's
+    /// [`Limits::per_query_deadline`]. The partial runtime is
+    /// machine-dependent, so supervisors quarantine these instead of
+    /// labeling them.
+    TimedOut(Stop),
+    /// The logical-byte [`Limits::mem_budget`] stayed exhausted even after
+    /// the solver's staged learnt-DB degradation. Deterministic, but the
+    /// partial runtime reflects a degraded search, so supervisors
     /// quarantine (a raised budget re-attacks) rather than label.
     MemoryExceeded,
-    /// The attack was stopped through its [`CancelToken`] — an operator or
-    /// coordinator decision, not a property of the instance. Any partial
-    /// result must be discarded.
+    /// The attack was stopped through its [`budget::CancelToken`] — an
+    /// operator or coordinator decision, not a property of the instance.
+    /// Any partial result must be discarded.
     Cancelled,
 }
 
@@ -189,8 +60,6 @@ pub struct AttackResult {
     /// Peak logical bytes the attack solver's storage reached (see
     /// [`budget::MemoryMeter`]) — the per-instance `mem.highwater` figure.
     pub peak_logical_bytes: u64,
-    /// The DIPs, if [`AttackConfig::record_dips`] was set.
-    pub dips: Vec<Vec<bool>>,
 }
 
 impl AttackResult {
@@ -224,11 +93,10 @@ pub fn attack(
         return Err(AttackError::NoOutputs);
     }
     let start = Instant::now();
-    let attack_deadline = config.deadline.map(|d| start + d);
     let mut solver = Solver::new();
-    solver.set_conflict_budget(config.conflicts_per_solve);
-    solver.set_memory_budget(config.mem_budget);
-    solver.set_heartbeat(config.heartbeat.clone());
+    // Installed before encoding, so the attack deadline and the cancel token
+    // bound `preprocess` as well as every DIP query.
+    solver.set_limits(config.clone(), start);
     let miter = encode_miter(locked, &mut solver);
     // One preprocessing pass over the freshly-encoded miter before any DIP
     // query: Tseitin encodings leave subsumed and strengthenable clauses,
@@ -237,74 +105,22 @@ pub fn attack(
     // no satisfied clauses for a periodic sweep to clear.
     solver.preprocess();
 
-    // Why the loop ended early, when it did. Timeouts are kept distinct
-    // from deterministic budget exhaustion because only the latter yields a
-    // reproducible (censored) runtime label.
-    #[derive(Clone, Copy)]
-    enum End {
-        Budget,
-        Timeout(ExpiredDeadline),
-        Memory,
-        Cancelled,
-    }
-
-    // The deadline for the next solver call: the attack deadline or the
-    // per-query deadline, whichever falls first.
-    let query_deadline = |attack_deadline: Option<Instant>| -> Option<Instant> {
-        let per_query = config.per_query_deadline.map(|d| Instant::now() + d);
-        match (attack_deadline, per_query) {
-            (Some(a), Some(q)) => Some(a.min(q)),
-            (a, q) => a.or(q),
-        }
-    };
-    // Classifies a `SolveResult::Unknown`: past a wall-clock deadline it
-    // was a timeout (the whole-attack bound wins attribution when both have
-    // expired), otherwise the per-solve conflict cap fired.
-    let classify_unknown =
-        |attack_deadline: Option<Instant>, solve_deadline: Option<Instant>| -> End {
-            let now = Instant::now();
-            if attack_deadline.is_some_and(|d| now >= d) {
-                End::Timeout(ExpiredDeadline::Attack)
-            } else if solve_deadline.is_some_and(|d| now >= d) {
-                End::Timeout(ExpiredDeadline::PerQuery)
-            } else {
-                End::Budget
-            }
-        };
-
     let mut iterations = 0usize;
-    let mut dips = Vec::new();
-    let mut ended: Option<End> = None;
-
-    loop {
-        if let Some(hb) = &config.heartbeat {
-            // The solver beats at its deadline-poll sites; easy queries can
-            // finish below those thresholds, so the iteration boundary
-            // beats too.
-            hb.beat();
+    // The bound that ended the DIP loop; `None` once no DIP remains.
+    let stopped = loop {
+        // The loop's one stop poll. Easy queries can finish below the
+        // solver's own poll cadence, so the heartbeat beats here too.
+        let poll = Poll {
+            started: start,
+            query_started: None,
+            now: config.tick(),
+            over_memory: false,
+            conflicts: None,
+            work: Some(solver.stats().work()),
+        };
+        if let Some(stop) = config.check(&poll) {
+            break Some(stop);
         }
-        if config.is_cancelled() {
-            ended = Some(End::Cancelled);
-            break;
-        }
-        if attack_deadline.is_some_and(|d| Instant::now() >= d) {
-            ended = Some(End::Timeout(ExpiredDeadline::Attack));
-            break;
-        }
-        if let Some(max) = config.max_iterations {
-            if iterations >= max {
-                ended = Some(End::Budget);
-                break;
-            }
-        }
-        if let Some(budget) = config.work_budget {
-            if solver.stats().work() >= budget {
-                ended = Some(End::Budget);
-                break;
-            }
-        }
-        let deadline = query_deadline(attack_deadline);
-        solver.set_deadline(deadline);
         // Observation-only: snapshot counters/clock around the query so the
         // trace can attribute work per DIP iteration. Reads never feed back
         // into the attack, so tracing cannot perturb labels.
@@ -312,19 +128,8 @@ pub fn attack(
         let query_started = observing.then(Instant::now);
         let work_before = if observing { solver.stats().work() } else { 0 };
         match solver.solve_with_assumptions(&[miter.diff_lit()]) {
-            SolveResult::Unknown => {
-                // A memory give-up is self-attributed by the solver;
-                // everything else is classified by which bound expired.
-                ended = Some(
-                    if solver.out_of_budget() == Some(sat::OutOfBudget::Memory) {
-                        End::Memory
-                    } else {
-                        classify_unknown(attack_deadline, deadline)
-                    },
-                );
-                break;
-            }
-            SolveResult::Unsat => break, // no DIP remains
+            SolveResult::Unknown => break Some(stopped_by(&solver)),
+            SolveResult::Unsat => break None, // no DIP remains
             SolveResult::Sat(model) => {
                 let dip: Vec<bool> = miter.inputs.iter().map(|&v| model.value(v)).collect();
                 let response = oracle.query(&dip);
@@ -346,40 +151,28 @@ pub fn attack(
                             .unwrap_or(0),
                     });
                 }
-                if config.record_dips {
-                    dips.push(dip);
-                }
             }
         }
-    }
+    };
 
-    let outcome = match ended {
-        Some(End::Cancelled) => AttackOutcome::Cancelled,
-        Some(End::Timeout(which)) => AttackOutcome::TimedOut(which),
-        Some(End::Memory) => AttackOutcome::MemoryExceeded,
-        Some(End::Budget) => AttackOutcome::BudgetExceeded,
+    let outcome = match stopped {
+        Some(stop) => outcome_of(stop),
         None => {
             // No DIP remains: any key satisfying the I/O constraints is
             // correct. The extraction solve stays under the attack deadline
-            // (but not the per-query one — it is the last call and must not
-            // be starved by an earlier slow query).
-            solver.set_deadline(attack_deadline);
+            // but not the per-query one: it is the last call and must not be
+            // starved by an earlier slow query.
+            let extraction = Limits {
+                per_query_deadline: None,
+                ..config.clone()
+            };
+            solver.set_limits(extraction, start);
             match solver.solve() {
-                SolveResult::Sat(model) => {
-                    let key: Key = miter.key1.iter().map(|&v| model.value(v)).collect();
-                    AttackOutcome::KeyRecovered(key)
-                }
+                SolveResult::Sat(model) => AttackOutcome::KeyRecovered(
+                    miter.key1.iter().map(|&v| model.value(v)).collect(),
+                ),
                 SolveResult::Unsat => return Err(AttackError::OracleInconsistent),
-                SolveResult::Unknown => {
-                    if solver.out_of_budget() == Some(sat::OutOfBudget::Memory) {
-                        AttackOutcome::MemoryExceeded
-                    } else {
-                        match classify_unknown(attack_deadline, None) {
-                            End::Timeout(which) => AttackOutcome::TimedOut(which),
-                            _ => AttackOutcome::BudgetExceeded,
-                        }
-                    }
-                }
+                SolveResult::Unknown => outcome_of(stopped_by(&solver)),
             }
         }
     };
@@ -392,8 +185,23 @@ pub fn attack(
         solver_stats,
         runtime: AttackRuntime::new(&solver_stats, start.elapsed()),
         peak_logical_bytes: solver.meter().high_water(),
-        dips,
     })
+}
+
+/// The bound that stopped `solver`'s last call, which returned `Unknown`.
+fn stopped_by(solver: &Solver) -> Stop {
+    solver.stop().expect("an Unknown verdict names its bound")
+}
+
+/// How an attack that `stop` ended is reported. Only the deterministic
+/// budgets yield a (censored) label.
+fn outcome_of(stop: Stop) -> AttackOutcome {
+    match stop {
+        Stop::Cancelled => AttackOutcome::Cancelled,
+        Stop::Memory => AttackOutcome::MemoryExceeded,
+        Stop::Deadline | Stop::QueryDeadline => AttackOutcome::TimedOut(stop),
+        Stop::Conflicts | Stop::Work => AttackOutcome::BudgetExceeded,
+    }
 }
 
 /// Convenience wrapper: attacks a [`LockedCircuit`] with a [`SimOracle`]
@@ -413,7 +221,9 @@ pub fn attack_locked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use budget::CancelToken;
     use obfuscate::{lock_random, SchemeKind};
+    use std::time::Duration;
     use synth::GeneratorConfig;
 
     fn run(scheme: SchemeKind, gates: usize, seed: u64) -> (LockedCircuit, AttackResult) {
@@ -473,33 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn max_iterations_aborts_attack() {
-        let base = synth::generate(&GeneratorConfig::new("mid", 16, 8, 150).with_seed(2));
-        let locked = lock_random(&base, SchemeKind::XorLock, 20, 3).unwrap();
-        let config = AttackConfig {
-            max_iterations: Some(0),
-            ..AttackConfig::default()
-        };
-        let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(result.outcome, AttackOutcome::BudgetExceeded);
-        assert_eq!(result.iterations, 0);
-    }
-
-    #[test]
-    fn dips_recorded_when_requested() {
-        let locked = lock_random(&netlist::c17(), SchemeKind::XorLock, 4, 11).unwrap();
-        let config = AttackConfig {
-            record_dips: true,
-            ..AttackConfig::default()
-        };
-        let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(result.dips.len(), result.iterations);
-        for dip in &result.dips {
-            assert_eq!(dip.len(), 5);
-        }
-    }
-
-    #[test]
     fn pre_cancelled_attack_stops_immediately() {
         let base = synth::generate(&GeneratorConfig::new("mid", 16, 8, 150).with_seed(2));
         let locked = lock_random(&base, SchemeKind::XorLock, 20, 3).unwrap();
@@ -519,12 +302,22 @@ mod tests {
         let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 10, 3).unwrap();
         let config = AttackConfig::default().with_deadline(Duration::ZERO);
         let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(
-            result.outcome,
-            AttackOutcome::TimedOut(ExpiredDeadline::Attack)
-        );
+        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
         assert!(result.key().is_none());
         assert_eq!(result.iterations, 0);
+    }
+
+    #[test]
+    fn expired_deadline_bounds_preprocessing_too() {
+        // The limits are installed before the miter is encoded, so an
+        // expired attack deadline stops the preprocessing pass as well: the
+        // attack spends no propagation before reporting the timeout.
+        let base = synth::generate(&GeneratorConfig::new("mid", 16, 8, 150).with_seed(2));
+        let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 10, 3).unwrap();
+        let config = AttackConfig::default().with_deadline(Duration::ZERO);
+        let result = attack_locked(&locked, &config).unwrap();
+        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
+        assert_eq!(result.solver_stats.propagations, 0);
     }
 
     #[test]
@@ -536,10 +329,7 @@ mod tests {
         let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 12, 3).unwrap();
         let config = AttackConfig::default().with_deadline(Duration::from_millis(5));
         let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(
-            result.outcome,
-            AttackOutcome::TimedOut(ExpiredDeadline::Attack)
-        );
+        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
     }
 
     #[test]
@@ -553,7 +343,7 @@ mod tests {
         let result = attack_locked(&locked, &config).unwrap();
         assert_eq!(
             result.outcome,
-            AttackOutcome::TimedOut(ExpiredDeadline::PerQuery),
+            AttackOutcome::TimedOut(Stop::QueryDeadline),
             "an expired per-query bound must not be blamed on the attack deadline"
         );
     }
@@ -570,10 +360,7 @@ mod tests {
             ..AttackConfig::default().with_deadline(Duration::ZERO)
         };
         let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(
-            result.outcome,
-            AttackOutcome::TimedOut(ExpiredDeadline::Attack)
-        );
+        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
     }
 
     #[test]
@@ -639,7 +426,7 @@ mod tests {
         let result = attack_locked(&locked, &config).unwrap();
         assert_eq!(
             result.outcome,
-            AttackOutcome::TimedOut(ExpiredDeadline::Attack),
+            AttackOutcome::TimedOut(Stop::Deadline),
             "iterations={}",
             result.iterations
         );

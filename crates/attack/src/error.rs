@@ -14,9 +14,6 @@ pub enum AttackError {
     OracleInconsistent,
     /// A netlist operation failed.
     Netlist(netlist::NetlistError),
-    /// The attack was stopped early through its [`crate::CancelToken`]; any
-    /// partial result is unusable.
-    Cancelled,
 }
 
 impl fmt::Display for AttackError {
@@ -30,7 +27,6 @@ impl fmt::Display for AttackError {
                 f.write_str("oracle responses are inconsistent with the locked netlist")
             }
             AttackError::Netlist(e) => write!(f, "netlist error: {e}"),
-            AttackError::Cancelled => f.write_str("attack cancelled"),
         }
     }
 }

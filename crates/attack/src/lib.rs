@@ -30,16 +30,12 @@
 //! # }
 //! ```
 
-mod appsat;
 mod dip;
 mod error;
 mod oracle;
 mod runtime;
 
-pub use appsat::{appsat, AppSatConfig, AppSatOutcome, AppSatResult};
-pub use dip::{
-    attack, attack_locked, AttackConfig, AttackOutcome, AttackResult, CancelToken, ExpiredDeadline,
-};
+pub use dip::{attack, attack_locked, AttackConfig, AttackOutcome, AttackResult};
 pub use error::AttackError;
 pub use oracle::{Oracle, SimOracle};
 pub use runtime::{AttackRuntime, RuntimeMeasure, WORK_UNITS_PER_SECOND};

@@ -241,13 +241,13 @@ impl Options {
 /// (the conventional 128 + SIGINT).
 pub const INTERRUPT_EXIT_CODE: i32 = 130;
 
-static INTERRUPT: std::sync::OnceLock<attack::CancelToken> = std::sync::OnceLock::new();
+static INTERRUPT: std::sync::OnceLock<budget::CancelToken> = std::sync::OnceLock::new();
 
 /// The process-wide interrupt token: tripped by the first SIGINT, polled by
 /// the dataset sweep and the training loop. Usable without
 /// [`Options::init_runtime`] (it simply never trips).
-pub fn interrupt_token() -> &'static attack::CancelToken {
-    INTERRUPT.get_or_init(attack::CancelToken::default)
+pub fn interrupt_token() -> &'static budget::CancelToken {
+    INTERRUPT.get_or_init(budget::CancelToken::default)
 }
 
 #[cfg(unix)]

@@ -492,7 +492,7 @@ impl SuiteCell {
 #[derive(Debug, Clone, Default)]
 pub struct SuiteControl {
     /// Interrupt token polled between cells and between training epochs.
-    pub cancel: Option<attack::CancelToken>,
+    pub cancel: Option<budget::CancelToken>,
     /// Directory receiving one training checkpoint per GNN cell (named by
     /// the cell's label slug plus a dataset tag); `None` disables training
     /// checkpoints.
@@ -581,7 +581,7 @@ pub fn run_mse_suite(
         control
             .cancel
             .as_ref()
-            .is_some_and(attack::CancelToken::is_cancelled)
+            .is_some_and(budget::CancelToken::is_cancelled)
     };
     std::thread::scope(|scope| {
         for _ in 0..jobs {

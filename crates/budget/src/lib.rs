@@ -1,12 +1,12 @@
-//! Resource budgets: deterministic memory accounting and stall watchdogs.
+//! Resource budgets: stop conditions, deterministic memory accounting and
+//! stall watchdogs, with no dependencies so every layer can use them:
 //!
-//! The rest of the workspace bounds *time* (solver work budgets, wall-clock
-//! deadlines) but not *space*: an instance that balloons the clause arena or
-//! a tape that outgrows RAM kills the whole sweep via OOM, and a worker
-//! stuck in a loop that never polls its deadline hangs forever. This crate
-//! supplies the two missing primitives, with no dependencies so every layer
-//! can use them:
-//!
+//! - [`Limits`] — every bound a long run stops on (work and conflict
+//!   budgets, run and per-query deadlines, the memory budget, a
+//!   [`CancelToken`] and a [`Heartbeat`]) in one value, with one
+//!   [`Limits::check`] that names the bound that holds as a typed [`Stop`].
+//!   The solver's search loop and the SAT attack's DIP loop each poll it at
+//!   one site.
 //! - [`MemoryMeter`] — explicit *logical-byte* accounting. Components report
 //!   the bytes they asked for (element count × element size), never what the
 //!   allocator actually reserved, so a reading is a pure function of the
@@ -23,9 +23,11 @@
 //!   process. Shedding is machine-local back-pressure, not a label, so
 //!   physical truth is the right measure there.
 
+mod limits;
 mod meter;
 mod watchdog;
 
+pub use limits::{CancelToken, Limits, Poll, Stop};
 pub use meter::{MemoryMeter, MeterScope};
 pub use watchdog::{Heartbeat, Watchdog, WatchdogConfig};
 

@@ -53,7 +53,7 @@ pub struct DatasetConfig {
     /// abort its own workers on an internal error without tripping the
     /// operator-level token. `None` = the sweep is not interruptible from
     /// outside.
-    pub cancel: Option<attack::CancelToken>,
+    pub cancel: Option<budget::CancelToken>,
 }
 
 impl fmt::Debug for DatasetConfig {

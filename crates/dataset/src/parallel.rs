@@ -20,8 +20,8 @@
 //! the [`SweepReport`] always — and moves on, so one sick instance costs
 //! its own label, not the sweep. With `keep_going` off, the first
 //! quarantine aborts the sweep as [`DatasetError::Quarantined`], and the
-//! shared [`attack::CancelToken`] stops the other workers' attacks at
-//! their next DIP iteration. A resumed sweep skips both completed *and*
+//! shared [`budget::CancelToken`] stops the other workers' attacks at
+//! their next stop poll. A resumed sweep skips both completed *and*
 //! quarantined instances already on record.
 
 use crate::checkpoint::{instance_key, supervision_key, CheckpointLog};
@@ -29,7 +29,7 @@ use crate::error::DatasetError;
 use crate::generate::{label_instance, lock_instance, sweep_circuit, Dataset, DatasetConfig};
 use crate::instance::Instance;
 use crate::supervise::{supervise_attack, InstanceFailure, Supervised};
-use attack::CancelToken;
+use budget::CancelToken;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

@@ -33,9 +33,8 @@
 //! instances while completed labels survive.
 
 use crate::generate::DatasetConfig;
-use attack::{
-    attack_locked, AttackConfig, AttackError, AttackOutcome, AttackResult, ExpiredDeadline,
-};
+use attack::{attack_locked, AttackConfig, AttackError, AttackOutcome, AttackResult};
+use budget::Stop;
 use obfuscate::LockedCircuit;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -209,11 +208,12 @@ pub(crate) fn sanitize_line(text: &str) -> String {
 }
 
 /// One-line quarantine message naming the wall-clock bound that actually
-/// expired (the attack reports which via [`ExpiredDeadline`]).
-fn timeout_message(which: ExpiredDeadline, config: &AttackConfig) -> String {
-    let bound = match which {
-        ExpiredDeadline::Attack => config.deadline,
-        ExpiredDeadline::PerQuery => config.per_query_deadline,
+/// expired (the attack reports which as a [`Stop`]).
+fn timeout_message(which: Stop, config: &AttackConfig) -> String {
+    let bound = if which == Stop::QueryDeadline {
+        config.per_query_deadline
+    } else {
+        config.deadline
     };
     format!("wall-clock {} {:?} expired", which.describe(), bound)
 }
@@ -308,7 +308,6 @@ pub(crate) fn supervise_attack(
                     work: result.solver_stats.work(),
                 },
             },
-            Ok(Err(AttackError::Cancelled)) => return Supervised::Cancelled,
             Ok(Err(error)) => {
                 // Attack errors are deterministic properties of the instance
                 // (bad netlist, inconsistent oracle): retrying cannot help.
@@ -345,7 +344,7 @@ pub(crate) fn supervise_attack(
 mod tests {
     use super::*;
     use crate::generate::{lock_instance, sweep_circuit};
-    use attack::CancelToken;
+    use budget::CancelToken;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 

@@ -97,21 +97,8 @@ impl BatchedGraph {
         self.segments.total_rows()
     }
 
-    /// Stacks per-graph feature matrices into one tall matrix whose row
-    /// blocks line up with [`segments`](Self::segments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of matrices or any row count disagrees with the
-    /// batch layout, or if the feature widths are inconsistent.
-    pub fn stack_features(&self, xs: &[&Matrix]) -> Matrix {
-        let cols = self.feature_width(xs);
-        let data = xs.iter().flat_map(|x| x.as_slice()).copied().collect();
-        Matrix::from_vec(self.total_nodes(), cols, data)
-    }
-
     /// The common feature width of `xs`, after checking them against the
-    /// layout (the panics of [`stack_features`](Self::stack_features)).
+    /// layout (the panics of [`compress`](Self::compress)).
     fn feature_width(&self, xs: &[&Matrix]) -> usize {
         assert_eq!(
             xs.len(),
@@ -152,7 +139,8 @@ impl BatchedGraph {
     ///
     /// # Panics
     ///
-    /// The panics of [`stack_features`](Self::stack_features).
+    /// Panics if the number of matrices or any row count disagrees with the
+    /// batch layout, or if the feature widths are inconsistent.
     pub(crate) fn compress(
         &self,
         xs: &[&Matrix],
@@ -312,28 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_features_concatenates_row_blocks() {
-        let batch = BatchedGraph::replicate(&op(2), 2);
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let stacked = batch.stack_features(&[&a, &b]);
-        assert_eq!(stacked.shape(), (4, 2));
-        assert_eq!(
-            stacked.as_slice(),
-            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "row count does not match")]
-    fn stack_features_rejects_wrong_row_count() {
-        let batch = BatchedGraph::replicate(&op(2), 2);
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(3, 2);
-        let _ = batch.stack_features(&[&a, &b]);
-    }
-
-    #[test]
     fn halo_seeds_are_the_rows_whose_bits_differ_from_the_reference() {
         let xs = instances(&[[1.0, 0.0, 2.0], [1.0, -0.0, 2.0], [1.0, 0.0, 3.0]]);
         let c = compress(&op(3), &xs, 0);
@@ -466,7 +432,7 @@ mod tests {
         let batch = BatchedGraph::replicate(&op(3), 0);
         assert_eq!(batch.num_graphs(), 0);
         assert_eq!(batch.total_nodes(), 0);
-        let stacked = batch.stack_features(&[]);
+        let stacked = batch.compress(&[], 2, &mut BufferPool::new()).x;
         assert_eq!(stacked.shape(), (0, 0));
     }
 }

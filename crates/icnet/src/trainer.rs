@@ -29,7 +29,7 @@ use crate::batch::BatchedGraph;
 use crate::checkpoint::{self, TrainCheckpoint};
 use crate::model::GraphModel;
 use crate::pool_lease::PoolLease;
-use attack::CancelToken;
+use budget::CancelToken;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -222,7 +222,7 @@ pub fn train(
 }
 
 /// [`train`] with runtime controls: cooperative interruption via an
-/// [`attack::CancelToken`] polled at every epoch boundary, and crash-safe
+/// [`budget::CancelToken`] polled at every epoch boundary, and crash-safe
 /// end-of-epoch checkpoints with bit-identical resume.
 ///
 /// # Determinism of resume

@@ -50,5 +50,5 @@ mod stats;
 pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
 pub use lit::{Lit, Var};
 pub use model::Model;
-pub use solver::{OutOfBudget, SolveResult, Solver};
+pub use solver::{SolveResult, Solver};
 pub use stats::SolverStats;

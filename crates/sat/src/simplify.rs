@@ -33,13 +33,13 @@ const SUB_CLAUSE_MAX: usize = 16;
 /// Occurrence lists longer than this are skipped when gathering subsumption
 /// candidates, bounding the classic quadratic blowup on frequent literals.
 const OCC_CAP: usize = 400;
-/// Targets (subsumption) / probes (failed-literal) between wall-clock
-/// deadline polls. Inprocessing honours the same [`Solver::set_deadline`]
-/// contract as search: a caller that asked for a 2-second solve must not
-/// first spend 10 seconds inside `preprocess`. Same rationale as the main
-/// loop's conflict-axis interval: `Instant::now` every iteration would be
+/// Targets (subsumption) / probes (failed-literal) between stop polls.
+/// Inprocessing honours the same [`Solver::set_limits`] deadline and cancel
+/// token as search: a caller that asked for a 2-second attack must not
+/// first spend 10 seconds inside `preprocess`. Same rationale as the search
+/// poll's conflict cadence: `Instant::now` every iteration would be
 /// measurable, every 64 it is noise.
-const DEADLINE_POLL_INTERVAL: usize = 64;
+const STOP_POLL_INTERVAL: usize = 64;
 
 impl Solver {
     /// Simplifies the clause database in place: root-level sweep,
@@ -81,9 +81,7 @@ impl Solver {
             self.root_sweep();
             self.rebuild_watches();
         }
-        // Probing is pure propagation work; skip it entirely once the
-        // deadline has passed (subsume_pass above already stops early).
-        if self.probe_budget > 0 && !self.past_deadline() && !self.probe_pass() {
+        if self.probe_budget > 0 && !self.probe_pass() {
             return;
         }
         self.maybe_gc();
@@ -130,7 +128,7 @@ impl Solver {
             // Stopping between targets is sound: the pass is a pure
             // optimisation and every completed deletion/strengthening
             // stands on its own (the caller rebuilds watches either way).
-            if ci % DEADLINE_POLL_INTERVAL == 0 && self.past_deadline() {
+            if ci % STOP_POLL_INTERVAL == 0 && self.preprocess_should_stop() {
                 break;
             }
             let c = list[ci];
@@ -241,7 +239,7 @@ impl Solver {
             // The propagation budget is deterministic but wall-clock-blind;
             // a huge budget on a slow instance must still respect the
             // solver's deadline (same contract as the search loop).
-            if checked.is_multiple_of(DEADLINE_POLL_INTERVAL) && self.past_deadline() {
+            if checked.is_multiple_of(STOP_POLL_INTERVAL) && self.preprocess_should_stop() {
                 break;
             }
             let v = self.probe_cursor % nv;
@@ -454,7 +452,10 @@ mod tests {
         );
 
         let mut bounded = fresh();
-        bounded.set_deadline(Some(std::time::Instant::now()));
+        bounded.set_limits(
+            budget::Limits::default().with_deadline(std::time::Duration::ZERO),
+            std::time::Instant::now(),
+        );
         bounded.preprocess();
         let bounded_props = bounded.stats().propagations;
         assert!(
@@ -463,7 +464,7 @@ mod tests {
         );
 
         // The half-finished pass leaves the solver sound and usable.
-        bounded.set_deadline(None);
+        bounded.set_limits(budget::Limits::default(), std::time::Instant::now());
         assert!(bounded.solve().is_sat());
         bounded.add_clause([lit(1)]);
         bounded.add_clause([lit(-(n as i64))]);

@@ -5,6 +5,7 @@ use crate::heap::VarHeap;
 use crate::lit::{Lit, Var};
 use crate::model::Model;
 use crate::stats::SolverStats;
+use budget::{Limits, Poll, Stop};
 use std::time::Instant;
 
 /// Outcome of a [`Solver::solve`] call.
@@ -14,7 +15,8 @@ pub enum SolveResult {
     Sat(Model),
     /// The formula (under the given assumptions) is unsatisfiable.
     Unsat,
-    /// The conflict budget was exhausted before a verdict.
+    /// A bound of the installed [`Limits`] stopped the search before a
+    /// verdict; [`Solver::stop`] names it.
     Unknown,
 }
 
@@ -38,19 +40,6 @@ impl SolveResult {
     }
 }
 
-/// Which resource cap produced the most recent [`SolveResult::Unknown`]
-/// (see [`Solver::out_of_budget`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutOfBudget {
-    /// The conflict budget ([`Solver::set_conflict_budget`]) ran out.
-    Conflicts,
-    /// The wall-clock deadline ([`Solver::set_deadline`]) passed.
-    Deadline,
-    /// The logical-byte memory budget ([`Solver::set_memory_budget`])
-    /// stayed exhausted even after staged learnt-DB reduction.
-    Memory,
-}
-
 /// Tri-state assignment encoding: truth values are per-*variable*, and a
 /// literal's value is the variable's byte XOR the literal's sign bit, so
 /// `value()` is branch-free. Any byte `>= 2` reads as "unassigned"
@@ -66,20 +55,21 @@ const VAR_RESCALE_LIMIT: f64 = 1e100;
 /// lower magnitude than the `f64` variable activities.
 const CLA_RESCALE_LIMIT: f32 = 1e20;
 const LUBY_UNIT: u64 = 100;
-/// Conflicts between wall-clock deadline checks: `Instant::now` costs tens
-/// of nanoseconds, so polling it every conflict would be measurable on easy
+/// Conflicts between the stop poll's clock reads: `Instant::now` costs tens
+/// of nanoseconds, so reading it every conflict would be measurable on easy
 /// queries; every 64 conflicts the overhead is noise while a runaway solve
 /// still stops within milliseconds of its deadline.
-const DEADLINE_CHECK_INTERVAL: u64 = 64;
-/// Propagations between wall-clock deadline checks. A propagation-dominated
-/// solve (large miters driven almost entirely by unit propagation) can
-/// generate arbitrarily few conflicts, so the conflict-interval check above
-/// may never fire; the main loop therefore also polls the clock every this
-/// many propagations. At tens of millions of propagations per second the
-/// poll amortises to noise while bounding overshoot to milliseconds.
-const DEADLINE_CHECK_PROPS: u64 = 8192;
+const CLOCK_POLL_CONFLICTS: u64 = 64;
+/// Propagations between the stop poll's clock reads. A
+/// propagation-dominated solve (large miters driven almost entirely by unit
+/// propagation) can generate arbitrarily few conflicts, so the conflict
+/// cadence above may never come round; the poll therefore also reads the
+/// clock every this many propagations. At tens of millions of propagations
+/// per second that amortises to noise while bounding overshoot to
+/// milliseconds.
+const CLOCK_POLL_PROPS: u64 = 8192;
 /// Emit one `solver.progress` observability snapshot every this many
-/// propagation-axis deadline polls (~1M propagations between snapshots).
+/// propagation-cadence clock polls (~1M propagations between snapshots).
 const SNAPSHOT_POLL_INTERVAL: u64 = 128;
 /// Also snapshot every this many conflicts within a single solve.
 const SNAPSHOT_CONFLICT_INTERVAL: u64 = 4096;
@@ -95,7 +85,7 @@ const VAR_BYTES: u64 = 26;
 const WATCHER_BYTES_PER_CLAUSE: u64 = 16;
 /// Memory-pressure floor for the learnt-clause cap: degradation never
 /// squeezes `max_learnts` below this, so search keeps *some* learning even
-/// in the last stage before an [`OutOfBudget::Memory`] verdict.
+/// in the last stage before a [`Stop::Memory`] verdict.
 const MIN_MAX_LEARNTS: usize = 64;
 
 /// An incremental CDCL SAT solver. See the [crate docs](crate) for the
@@ -118,20 +108,17 @@ pub struct Solver {
     seen: Vec<bool>,
     pub(crate) ok: bool,
     pub(crate) stats: SolverStats,
-    conflict_budget: Option<u64>,
-    deadline: Option<Instant>,
-    /// Logical-byte cap enforced by `check_memory` (see
-    /// [`Solver::set_memory_budget`]).
-    mem_budget: Option<u64>,
+    /// Every bound the stop poll checks (see [`Solver::set_limits`]).
+    limits: Limits,
+    /// When the deadline of `limits` started counting.
+    started: Instant,
+    /// Which bound stopped the most recent solve.
+    stop: Option<Stop>,
     /// Shared logical-byte meter this solver accounts its arena, watcher,
     /// and per-variable storage to.
     meter: budget::MemoryMeter,
     /// Bytes currently accounted to `meter`, so re-accounting is a delta.
     accounted_bytes: u64,
-    /// Why the most recent solve returned [`SolveResult::Unknown`].
-    out_of_budget: Option<OutOfBudget>,
-    /// Optional watchdog pulse, beaten at every deadline-poll site.
-    heartbeat: Option<budget::Heartbeat>,
     max_learnts: usize,
     pub(crate) num_learnt_live: usize,
     gc_fraction: f64,
@@ -178,13 +165,11 @@ impl Solver {
             seen: Vec::new(),
             ok: true,
             stats: SolverStats::default(),
-            conflict_budget: None,
-            deadline: None,
-            mem_budget: None,
+            limits: Limits::default(),
+            started: Instant::now(),
+            stop: None,
             meter: budget::MemoryMeter::new(),
             accounted_bytes: 0,
-            out_of_budget: None,
-            heartbeat: None,
             max_learnts: 4000,
             num_learnt_live: 0,
             gc_fraction: DEFAULT_GC_FRACTION,
@@ -244,37 +229,34 @@ impl Solver {
         &self.stats
     }
 
-    /// Caps the number of conflicts any single future [`Solver::solve`] call
-    /// may spend; `None` removes the cap. When the budget is exhausted the
-    /// call returns [`SolveResult::Unknown`].
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.conflict_budget = budget;
-    }
-
-    /// Installs a wall-clock deadline for future [`Solver::solve`] calls;
-    /// `None` removes it. The deadline is polled once at solve entry and
-    /// then periodically on both work axes — every few conflicts and every
-    /// few thousand propagations, so even a conflict-free solve stops within
-    /// a bounded interval — and costs nothing on the hot path; when it
-    /// passes, the in-flight call returns [`SolveResult::Unknown`] — exactly
-    /// the budget-exhausted verdict — and the solver remains usable.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Caps the *logical* bytes (see [`budget::MemoryMeter`]) the solver's
-    /// clause arena, watchers, and per-variable storage may occupy; `None`
-    /// removes the cap. Enforcement is staged: when the meter crosses the
-    /// budget at a conflict boundary, the solver first applies aggressive
-    /// learnt-DB reduction pressure (halving the learnt cap down to a
-    /// floor, reducing, and force-compacting the arena); only if the
-    /// formula still does not fit does the call return
-    /// [`SolveResult::Unknown`] with [`OutOfBudget::Memory`] as its
-    /// [`Solver::out_of_budget`] cause. Logical bytes are a pure function
-    /// of the search trajectory, so the verdict is deterministic and
-    /// machine-independent — label-safe, unlike an RSS cap.
-    pub fn set_memory_budget(&mut self, bytes: Option<u64>) {
-        self.mem_budget = bytes;
+    /// Installs the bounds every later [`Solver::solve`] and
+    /// [`Solver::preprocess`] call stops on; `started` is when
+    /// `limits.deadline` began counting, and each solve's per-query deadline
+    /// counts from its entry. The work budget is the caller's to poll
+    /// between solves.
+    ///
+    /// A solve polls at one site: at entry, after every conflict and every
+    /// few thousand propagations. It checks the memory budget at entry and
+    /// after every conflict, the conflict cap after every conflict (so the
+    /// cap is exact), and reads the clock, beats the heartbeat and sees the
+    /// deadlines at entry, every 64 conflicts and every 8,192 propagations;
+    /// so even a conflict-free solve stops within a bounded interval. The
+    /// cancel token is seen at every poll. When a bound holds, the call
+    /// returns [`SolveResult::Unknown`], [`Solver::stop`] names the bound
+    /// by [`Limits::check`]'s precedence, and the solver remains usable.
+    ///
+    /// The memory budget caps the *logical* bytes (see
+    /// [`budget::MemoryMeter`]) of the clause arena, watchers and
+    /// per-variable storage. Enforcement is staged: over budget, the solver
+    /// first applies aggressive learnt-DB reduction pressure (halving the
+    /// learnt cap down to a floor, reducing, and force-compacting the
+    /// arena); only if the formula still does not fit does it stop with
+    /// [`Stop::Memory`]. Logical bytes are a pure function of the search
+    /// trajectory, so the verdict is deterministic and machine-independent
+    /// — label-safe, unlike an RSS cap.
+    pub fn set_limits(&mut self, limits: Limits, started: Instant) {
+        self.limits = limits;
+        self.started = started;
     }
 
     /// Registers an external [`budget::MemoryMeter`] to account this
@@ -293,18 +275,10 @@ impl Solver {
         &self.meter
     }
 
-    /// Registers a watchdog pulse, beaten at every deadline-poll site
-    /// (both the conflict and the propagation axis), so a stall monitor
-    /// can tell a hard-but-progressing solve from a wedged one.
-    pub fn set_heartbeat(&mut self, heartbeat: Option<budget::Heartbeat>) {
-        self.heartbeat = heartbeat;
-    }
-
-    /// Which resource cap caused the most recent [`SolveResult::Unknown`]
-    /// (`None` when the last solve was decided, or was cut short by
-    /// something other than a budget, e.g. an injected fault).
-    pub fn out_of_budget(&self) -> Option<OutOfBudget> {
-        self.out_of_budget
+    /// The bound that stopped the most recent solve: `Some` exactly when it
+    /// returned [`SolveResult::Unknown`].
+    pub fn stop(&self) -> Option<Stop> {
+        self.stop
     }
 
     /// Re-derives the solver's logical footprint and pushes the delta to
@@ -319,12 +293,12 @@ impl Solver {
     }
 
     /// Memory-budget enforcement at a conflict boundary. Returns `false`
-    /// when the solve must give up with [`OutOfBudget::Memory`]; `true`
+    /// when the solve must give up with [`Stop::Memory`]; `true`
     /// when within budget, possibly after shedding learnt clauses. The
     /// `budget.exceed` fault site forces the over-budget path so chaos
     /// tests can exercise degradation without a real memory spike.
     fn check_memory(&mut self) -> bool {
-        let Some(cap) = self.mem_budget else {
+        let Some(cap) = self.limits.mem_budget else {
             return true;
         };
         if let Some(fault) = faults::inject("budget.exceed") {
@@ -379,8 +353,19 @@ impl Solver {
         self.probe_budget = propagations;
     }
 
-    pub(crate) fn past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
+    /// The stop poll of [`Solver::preprocess`], which runs with no query in
+    /// flight: the cancel token and the run deadline, on the same clock
+    /// cadence as search.
+    pub(crate) fn preprocess_should_stop(&self) -> bool {
+        let poll = Poll {
+            started: self.started,
+            query_started: None,
+            now: self.limits.tick(),
+            over_memory: false,
+            conflicts: None,
+            work: None,
+        };
+        self.limits.check(&poll).is_some()
     }
 
     /// The literal's truth value: [`VAL_TRUE`], [`VAL_FALSE`], or `>= 2`
@@ -872,16 +857,19 @@ impl Solver {
     /// them, and the solver state remains reusable afterwards (clauses can be
     /// added and `solve*` called again).
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.out_of_budget = None;
+        self.stop = None;
         if let Some(fault) = faults::inject("sat.solve") {
             match fault.action {
                 faults::Action::Panic => panic!(
                     "injected fault: sat.solve panic (occurrence {})",
                     fault.occurrence
                 ),
-                // A spurious indeterminate answer, as a flaky solver or an
-                // external deadline race would produce.
-                faults::Action::Unknown => return SolveResult::Unknown,
+                // A spurious indeterminate answer, as a flaky solver would
+                // produce; it reads as a conflict-cap give-up.
+                faults::Action::Unknown => {
+                    self.stop = Some(Stop::Conflicts);
+                    return SolveResult::Unknown;
+                }
                 _ => fault.unsupported("sat.solve"),
             }
         }
@@ -949,19 +937,6 @@ impl Solver {
         if !self.ok {
             return SolveResult::Unsat;
         }
-        if self.past_deadline() {
-            self.out_of_budget = Some(OutOfBudget::Deadline);
-            return SolveResult::Unknown;
-        }
-        if !self.check_memory() {
-            // The formula alone does not fit the budget: no search step can
-            // shrink it, so give up before spending any work.
-            self.out_of_budget = Some(OutOfBudget::Memory);
-            return SolveResult::Unknown;
-        }
-        if let Some(hb) = &self.heartbeat {
-            hb.beat();
-        }
         self.cancel_until(0);
         // Seed the order heap with every unassigned variable.
         for i in 0..self.assign.len() {
@@ -971,31 +946,71 @@ impl Solver {
             }
         }
 
-        let budget_start = self.stats.conflicts;
+        let conflicts_start = self.stats.conflicts;
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = luby(restart_count) * LUBY_UNIT;
         let mut conflicts_this_restart = 0u64;
-        let mut next_deadline_poll = self.stats.propagations + DEADLINE_CHECK_PROPS;
-        let mut deadline_polls = 0u64;
+        let mut next_clock_poll = self.stats.propagations + CLOCK_POLL_PROPS;
+        let mut prop_polls = 0u64;
+        let mut query_started = None;
+        // What the next poll is due for: `entry` before any search work,
+        // `conflicted` right after a conflict was learnt.
+        let mut entry = true;
+        let mut conflicted = false;
 
         loop {
-            // Wall-clock poll on the propagation axis: a conflict-free solve
-            // never reaches the conflict-interval check below, so the
-            // deadline must also be enforced here or a propagation-dominated
-            // query can overshoot it without bound.
-            if self.stats.propagations >= next_deadline_poll {
-                next_deadline_poll = self.stats.propagations + DEADLINE_CHECK_PROPS;
-                deadline_polls += 1;
-                if let Some(hb) = &self.heartbeat {
-                    hb.beat();
+            // The one stop poll (see `set_limits` for its cadence).
+            let conflicts = self.stats.conflicts - conflicts_start;
+            let prop_poll = self.stats.propagations >= next_clock_poll;
+            if entry || conflicted || prop_poll {
+                let clock = entry
+                    || prop_poll
+                    || (conflicted && conflicts.is_multiple_of(CLOCK_POLL_CONFLICTS));
+                let now = if clock { self.limits.tick() } else { None };
+                if entry {
+                    query_started = now;
                 }
-                if self.past_deadline() {
+                let poll = Poll {
+                    started: self.started,
+                    query_started,
+                    now,
+                    // Memory only grows through learning, and a budget that
+                    // the formula alone overflows gives up before any work.
+                    over_memory: (entry || conflicted) && !self.check_memory(),
+                    conflicts: conflicted.then_some(conflicts),
+                    work: None,
+                };
+                if let Some(stop) = self.limits.check(&poll) {
                     self.cancel_until(0);
-                    self.out_of_budget = Some(OutOfBudget::Deadline);
+                    self.stop = Some(stop);
                     return SolveResult::Unknown;
                 }
-                if deadline_polls.is_multiple_of(SNAPSHOT_POLL_INTERVAL) && obs::enabled() {
+                if prop_poll {
+                    next_clock_poll = self.stats.propagations + CLOCK_POLL_PROPS;
+                    prop_polls += 1;
+                    if prop_polls.is_multiple_of(SNAPSHOT_POLL_INTERVAL) && obs::enabled() {
+                        self.emit_snapshot();
+                    }
+                }
+                entry = false;
+            }
+            if conflicted {
+                // Learnt-DB upkeep and restarts come after the poll, so a
+                // solve the conflict cap stops leaves them undone.
+                conflicted = false;
+                if conflicts.is_multiple_of(SNAPSHOT_CONFLICT_INTERVAL) && obs::enabled() {
                     self.emit_snapshot();
+                }
+                if self.num_learnt_live > self.max_learnts {
+                    self.reduce_db();
+                    self.maybe_gc();
+                }
+                if conflicts_this_restart >= conflicts_until_restart {
+                    self.stats.restarts += 1;
+                    restart_count += 1;
+                    conflicts_this_restart = 0;
+                    conflicts_until_restart = luby(restart_count) * LUBY_UNIT;
+                    self.cancel_until(0);
                 }
             }
             if let Some(conflict) = self.propagate() {
@@ -1028,45 +1043,7 @@ impl Solver {
                 }
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLAUSE_DECAY;
-
-                if let Some(budget) = self.conflict_budget {
-                    if self.stats.conflicts - budget_start >= budget {
-                        self.cancel_until(0);
-                        self.out_of_budget = Some(OutOfBudget::Conflicts);
-                        return SolveResult::Unknown;
-                    }
-                }
-                if (self.stats.conflicts - budget_start).is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-                    if let Some(hb) = &self.heartbeat {
-                        hb.beat();
-                    }
-                    if self.past_deadline() {
-                        self.cancel_until(0);
-                        self.out_of_budget = Some(OutOfBudget::Deadline);
-                        return SolveResult::Unknown;
-                    }
-                }
-                if !self.check_memory() {
-                    self.cancel_until(0);
-                    self.out_of_budget = Some(OutOfBudget::Memory);
-                    return SolveResult::Unknown;
-                }
-                if (self.stats.conflicts - budget_start).is_multiple_of(SNAPSHOT_CONFLICT_INTERVAL)
-                    && obs::enabled()
-                {
-                    self.emit_snapshot();
-                }
-                if self.num_learnt_live > self.max_learnts {
-                    self.reduce_db();
-                    self.maybe_gc();
-                }
-                if conflicts_this_restart >= conflicts_until_restart {
-                    self.stats.restarts += 1;
-                    restart_count += 1;
-                    conflicts_this_restart = 0;
-                    conflicts_until_restart = luby(restart_count) * LUBY_UNIT;
-                    self.cancel_until(0);
-                }
+                conflicted = true;
             } else {
                 // No conflict: extend with assumptions first, then decide.
                 let dl = self.decision_level() as usize;
@@ -1151,13 +1128,11 @@ impl Clone for Solver {
             seen: self.seen.clone(),
             ok: self.ok,
             stats: self.stats,
-            conflict_budget: self.conflict_budget,
-            deadline: self.deadline,
-            mem_budget: self.mem_budget,
+            limits: self.limits.clone(),
+            started: self.started,
+            stop: self.stop,
             meter: self.meter.clone(),
             accounted_bytes: self.accounted_bytes,
-            out_of_budget: self.out_of_budget,
-            heartbeat: self.heartbeat.clone(),
             max_learnts: self.max_learnts,
             num_learnt_live: self.num_learnt_live,
             gc_fraction: self.gc_fraction,
@@ -1198,6 +1173,12 @@ fn luby(i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// Installs `limits` on `s`, its deadline counting from now.
+    fn limit(s: &mut Solver, limits: Limits) {
+        s.set_limits(limits, Instant::now());
+    }
 
     fn lit(n: i64) -> Lit {
         Lit::from_dimacs(n)
@@ -1337,19 +1318,25 @@ mod tests {
     fn conflict_budget_yields_unknown() {
         // A hard instance (php 7 into 6) with a tiny budget.
         let mut s = pigeonhole(7, 6);
-        s.set_conflict_budget(Some(10));
+        limit(
+            &mut s,
+            Limits {
+                conflicts_per_solve: Some(10),
+                ..Limits::default()
+            },
+        );
         assert_eq!(s.solve(), SolveResult::Unknown);
-        s.set_conflict_budget(None);
+        limit(&mut s, Limits::default());
         assert!(s.solve().is_unsat());
     }
 
     #[test]
     fn expired_deadline_yields_unknown() {
         let mut s = pigeonhole(7, 6);
-        s.set_deadline(Some(std::time::Instant::now()));
+        limit(&mut s, Limits::default().with_deadline(Duration::ZERO));
         assert_eq!(s.solve(), SolveResult::Unknown);
         // Clearing the deadline restores normal operation on the same state.
-        s.set_deadline(None);
+        limit(&mut s, Limits::default());
         assert!(s.solve().is_unsat());
     }
 
@@ -1358,12 +1345,13 @@ mod tests {
         // php(9,8) runs for seconds unbounded; a few-ms deadline must stop
         // it at a conflict-check boundary and leave the solver reusable.
         let mut s = pigeonhole(9, 8);
-        s.set_deadline(Some(
-            std::time::Instant::now() + std::time::Duration::from_millis(20),
-        ));
+        limit(
+            &mut s,
+            Limits::default().with_deadline(Duration::from_millis(20)),
+        );
         assert_eq!(s.solve(), SolveResult::Unknown);
         assert!(s.stats().conflicts > 0, "search actually started");
-        s.set_deadline(None);
+        limit(&mut s, Limits::default());
         let mut easy = pigeonhole(3, 2);
         assert!(easy.solve().is_unsat());
     }
@@ -1404,7 +1392,7 @@ mod tests {
         // check existed this ran to completion (elapsed ≈ unbounded).
         let deadline = (unbounded / 20).max(std::time::Duration::from_micros(500));
         let mut bounded = equivalence_chains(CHAINS, LEN);
-        bounded.set_deadline(Some(std::time::Instant::now() + deadline));
+        limit(&mut bounded, Limits::default().with_deadline(deadline));
         let verdict = bounded.solve();
         // Only meaningful when the machine isn't so fast that the whole
         // solve fits inside the minimum deadline; skip silently otherwise.
@@ -1429,7 +1417,7 @@ mod tests {
                 reference.stats().propagations,
             );
             // The solver remains usable after an expired deadline.
-            bounded.set_deadline(None);
+            limit(&mut bounded, Limits::default());
             assert!(matches!(bounded.solve(), SolveResult::Sat(_)));
         }
     }
@@ -1437,9 +1425,10 @@ mod tests {
     #[test]
     fn generous_deadline_does_not_change_verdicts() {
         let mut s = pigeonhole(5, 4);
-        s.set_deadline(Some(
-            std::time::Instant::now() + std::time::Duration::from_secs(600),
-        ));
+        limit(
+            &mut s,
+            Limits::default().with_deadline(Duration::from_secs(600)),
+        );
         assert!(s.solve().is_unsat());
     }
 
@@ -1540,12 +1529,18 @@ mod tests {
         // Unknown under a tiny budget must not corrupt state: the later
         // unlimited solve still returns the correct verdict.
         let mut budgeted = pigeonhole(6, 5);
-        budgeted.set_conflict_budget(Some(5));
+        limit(
+            &mut budgeted,
+            Limits {
+                conflicts_per_solve: Some(5),
+                ..Limits::default()
+            },
+        );
         while budgeted.solve() == SolveResult::Unknown {
             // keep re-solving under the same tiny budget; learnt clauses
             // accumulate across calls, so this terminates
         }
-        budgeted.set_conflict_budget(None);
+        limit(&mut budgeted, Limits::default());
         assert!(budgeted.solve().is_unsat());
         let mut reference = pigeonhole(6, 5);
         assert!(reference.solve().is_unsat());
@@ -1690,16 +1685,21 @@ mod tests {
     #[test]
     fn unknown_causes_are_reported() {
         let mut s = pigeonhole(7, 6);
-        s.set_conflict_budget(Some(10));
+        limit(
+            &mut s,
+            Limits {
+                conflicts_per_solve: Some(10),
+                ..Limits::default()
+            },
+        );
         assert_eq!(s.solve(), SolveResult::Unknown);
-        assert_eq!(s.out_of_budget(), Some(OutOfBudget::Conflicts));
-        s.set_conflict_budget(None);
-        s.set_deadline(Some(std::time::Instant::now()));
+        assert_eq!(s.stop(), Some(Stop::Conflicts));
+        limit(&mut s, Limits::default().with_deadline(Duration::ZERO));
         assert_eq!(s.solve(), SolveResult::Unknown);
-        assert_eq!(s.out_of_budget(), Some(OutOfBudget::Deadline));
-        s.set_deadline(None);
+        assert_eq!(s.stop(), Some(Stop::Deadline));
+        limit(&mut s, Limits::default());
         assert!(s.solve().is_unsat());
-        assert_eq!(s.out_of_budget(), None, "a decided solve clears the cause");
+        assert_eq!(s.stop(), None, "a decided solve clears the cause");
     }
 
     #[test]
@@ -1709,11 +1709,17 @@ mod tests {
         // with the Memory cause rather than thrash.
         let mut s = pigeonhole(8, 7);
         let floor = s.meter().current();
-        s.set_memory_budget(Some(floor / 2));
+        limit(
+            &mut s,
+            Limits {
+                mem_budget: Some(floor / 2),
+                ..Limits::default()
+            },
+        );
         assert_eq!(s.solve(), SolveResult::Unknown);
-        assert_eq!(s.out_of_budget(), Some(OutOfBudget::Memory));
+        assert_eq!(s.stop(), Some(Stop::Memory));
         // Raising the budget lets the same solver finish.
-        s.set_memory_budget(None);
+        limit(&mut s, Limits::default());
         assert!(s.solve().is_unsat());
     }
 
@@ -1722,7 +1728,13 @@ mod tests {
         let run = || {
             let mut s = pigeonhole(8, 7);
             let cap = s.meter().current() + 4096;
-            s.set_memory_budget(Some(cap));
+            limit(
+                &mut s,
+                Limits {
+                    mem_budget: Some(cap),
+                    ..Limits::default()
+                },
+            );
             let verdict = s.solve();
             (verdict, *s.stats())
         };
@@ -1736,7 +1748,13 @@ mod tests {
     #[test]
     fn generous_memory_budget_does_not_change_verdicts() {
         let mut capped = pigeonhole(6, 5);
-        capped.set_memory_budget(Some(1 << 30));
+        limit(
+            &mut capped,
+            Limits {
+                mem_budget: Some(1 << 30),
+                ..Limits::default()
+            },
+        );
         assert!(capped.solve().is_unsat());
         let mut free = pigeonhole(6, 5);
         assert!(free.solve().is_unsat());
@@ -1755,7 +1773,13 @@ mod tests {
         });
         let hb = dog.watch("solver", |_| {});
         let mut s = pigeonhole(7, 6);
-        s.set_heartbeat(Some(hb.clone()));
+        limit(
+            &mut s,
+            Limits {
+                heartbeat: Some(hb.clone()),
+                ..Limits::default()
+            },
+        );
         assert!(s.solve().is_unsat());
         assert!(!hb.tripped());
     }

@@ -21,7 +21,7 @@ pub struct SolverStats {
     /// Solve calls.
     pub solves: u64,
     /// Memory-pressure degradation rounds: times the memory budget forced
-    /// an aggressive learnt-DB reduction (see `Solver::set_memory_budget`).
+    /// an aggressive learnt-DB reduction (see `Solver::set_limits`).
     pub mem_pressure_events: u64,
 }
 

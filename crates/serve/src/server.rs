@@ -34,7 +34,7 @@ use crate::protocol::{
     DEFAULT_MAX_PAYLOAD,
 };
 use crate::registry::ModelRegistry;
-use attack::CancelToken;
+use budget::CancelToken;
 use icnet::{encode_features, CircuitGraph};
 use netlist::Circuit;
 use std::io::Write as _;

@@ -258,23 +258,6 @@ impl Tape {
         self.jobs = jobs;
     }
 
-    /// Seeds the sparse-transpose cache with a precomputed transpose, so
-    /// the backward pass of `spmm` nodes on `sparse` skips the per-tape
-    /// transpose rebuild. A batched trainer computes one operator transpose
-    /// per batch layout and re-seeds every fresh tape with it (tapes are
-    /// rebuilt per step; the transpose is not).
-    pub fn seed_transpose(&mut self, sparse: &Arc<CsrMatrix>, transpose: Arc<CsrMatrix>) {
-        assert_eq!(
-            (transpose.rows(), transpose.cols()),
-            (sparse.cols(), sparse.rows()),
-            "seeded transpose shape mismatch"
-        );
-        let key = Arc::as_ptr(sparse) as usize;
-        if !self.sparse_transposes.iter().any(|(k, _)| *k == key) {
-            self.sparse_transposes.push((key, transpose));
-        }
-    }
-
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -1453,29 +1436,6 @@ mod tests {
                 tape.grad(hv).clone(),
                 tape.grad(sv).clone(),
             )
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn seeded_transpose_is_used_and_correct() {
-        let s = Arc::new(CsrMatrix::from_triplets(
-            3,
-            3,
-            &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, -1.0)],
-        ));
-        let t = Arc::new(s.transpose());
-        let run = |seed: bool| {
-            let mut tape = Tape::new();
-            if seed {
-                tape.seed_transpose(&s, Arc::clone(&t));
-            }
-            let x = tape.leaf(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
-            let h = tape.spmm(Arc::clone(&s), x);
-            let sq = tape.hadamard(h, h);
-            let l = tape.sum_all(sq);
-            tape.backward(l);
-            tape.grad(x).clone()
         };
         assert_eq!(run(true), run(false));
     }

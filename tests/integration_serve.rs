@@ -315,7 +315,7 @@ fn injected_worker_death_self_heals() {
 #[test]
 fn cancellation_drains_in_flight_work_then_refuses_new_requests() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cancel = attack::CancelToken::new();
+    let cancel = budget::CancelToken::new();
     let server = start_server(ServeConfig {
         workers: 1,
         cancel: cancel.clone(),

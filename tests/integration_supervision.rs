@@ -178,48 +178,98 @@ fn no_keep_going_aborts_on_the_first_sick_instance() {
 }
 
 /// Conflict-free instances (pure equivalence chains) generate zero
-/// conflicts, so the solver's conflict-interval deadline check never fires;
-/// the arena-core rewrite must keep polling the clock on the propagation
-/// axis (the PR 4 fix) or a supervised sweep would hang on such instances.
+/// conflicts, so the solver's conflict-cadence clock read never fires; the
+/// arena-core rewrite must keep polling on the propagation axis (the PR 4
+/// fix) or a supervised sweep would hang on such instances. The same poll
+/// sees the cancel token, raised before the solve or from another thread
+/// while it runs.
 #[test]
 fn conflict_free_solves_still_hit_the_deadline_on_the_propagation_axis() {
+    use budget::{CancelToken, Limits, Stop, Watchdog, WatchdogConfig};
     use sat::{Lit, SolveResult, Solver};
 
     // 600 chains of 400 equivalences: ~240k propagations per decision
     // cascade, no conflicts ever, and the all-false model is consistent.
-    let mut solver = Solver::new();
     let chains = 600usize;
     let len = 400usize;
-    solver.new_vars(chains * len);
-    for c in 0..chains {
-        for i in 0..len - 1 {
-            let a = Lit::from_dimacs((c * len + i + 1) as i64);
-            let b = Lit::from_dimacs((c * len + i + 2) as i64);
-            solver.add_clause([!a, b]);
-            solver.add_clause([a, !b]);
+    let build = || {
+        let mut solver = Solver::new();
+        solver.new_vars(chains * len);
+        for c in 0..chains {
+            for i in 0..len - 1 {
+                let a = Lit::from_dimacs((c * len + i + 1) as i64);
+                let b = Lit::from_dimacs((c * len + i + 2) as i64);
+                solver.add_clause([!a, b]);
+                solver.add_clause([a, !b]);
+            }
         }
+        solver
+    };
+    let pre_cancelled = CancelToken::new();
+    pre_cancelled.cancel();
+    // The mid-solve token is raised once the solver's heartbeat shows a
+    // propagation-cadence poll after the entry poll: the solve is running.
+    let mid_solve = CancelToken::new();
+    let dog = Watchdog::new(WatchdogConfig {
+        stall_after: Duration::from_secs(3600),
+        poll: Duration::from_millis(50),
+    });
+    let pulse = dog.watch("chains", |_| {});
+    let cases = [
+        (
+            Limits::default().with_deadline(Duration::from_millis(5)),
+            Stop::Deadline,
+        ),
+        (
+            Limits::default().with_cancel(pre_cancelled),
+            Stop::Cancelled,
+        ),
+        (
+            Limits {
+                heartbeat: Some(pulse.clone()),
+                ..Limits::default().with_cancel(mid_solve.clone())
+            },
+            Stop::Cancelled,
+        ),
+    ];
+    for (limits, expected) in cases {
+        let mut solver = build();
+        let start = std::time::Instant::now();
+        let watched = limits.heartbeat.is_some();
+        solver.set_limits(limits, start);
+        let verdict = std::thread::scope(|scope| {
+            if watched {
+                scope.spawn(|| {
+                    while pulse.ticks() < 2 {
+                        std::thread::yield_now();
+                    }
+                    mid_solve.cancel();
+                });
+            }
+            solver.solve()
+        });
+        let elapsed = start.elapsed();
+        assert_eq!(solver.stats().conflicts, 0, "chains never conflict");
+        // The only way to stop a conflict-free solve is the
+        // propagation-axis poll; a generous wall-clock bound keeps this
+        // robust under parallel test load while still catching an unbounded
+        // overshoot (the full solve takes far longer than this in debug
+        // builds).
+        assert_eq!(
+            verdict,
+            SolveResult::Unknown,
+            "{} must stop the solve",
+            expected.describe()
+        );
+        assert_eq!(solver.stop(), Some(expected));
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "overshoot: a 5ms deadline took {elapsed:?}"
+        );
+        // The solver survives the stop and stays usable.
+        solver.set_limits(Limits::default(), start);
+        assert!(matches!(solver.solve(), SolveResult::Sat(_)));
     }
-    let start = std::time::Instant::now();
-    solver.set_deadline(Some(start + Duration::from_millis(5)));
-    let verdict = solver.solve();
-    let elapsed = start.elapsed();
-    assert_eq!(solver.stats().conflicts, 0, "chains never conflict");
-    // The only way to stop a conflict-free solve is the propagation-axis
-    // poll; a generous wall-clock bound keeps this robust under parallel
-    // test load while still catching an unbounded overshoot (the full
-    // solve takes far longer than this in debug builds).
-    assert_eq!(
-        verdict,
-        SolveResult::Unknown,
-        "deadline must stop the solve"
-    );
-    assert!(
-        elapsed < Duration::from_secs(10),
-        "overshoot: a 5ms deadline took {elapsed:?}"
-    );
-    // The solver survives the expired deadline and stays usable.
-    solver.set_deadline(None);
-    assert!(matches!(solver.solve(), SolveResult::Sat(_)));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! continued from its checkpoint must finish with exactly the parameters an
 //! uninterrupted run produces.
 
-use attack::CancelToken;
+use budget::CancelToken;
 use icnet::{
     encode_features, train_with, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind,
     TrainCheckpointSpec, TrainConfig, TrainControl,
