@@ -4,7 +4,7 @@ use crate::error::AttackError;
 use crate::oracle::{Oracle, SimOracle};
 use crate::runtime::AttackRuntime;
 use budget::{Limits, Poll, Stop};
-use cnf::{encode_io_constraint, encode_miter};
+use cnf::{encode_miter, IoConstraint};
 use netlist::Circuit;
 use obfuscate::{Key, LockedCircuit};
 use sat::{SolveResult, Solver, SolverStats};
@@ -134,9 +134,11 @@ pub fn attack(
                 let dip: Vec<bool> = miter.inputs.iter().map(|&v| model.value(v)).collect();
                 let response = oracle.query(&dip);
                 debug_assert_eq!(response.len(), locked.outputs().len());
-                // Constrain both key copies to reproduce the oracle on this DIP.
+                // Constrain both key copies to reproduce the oracle on this
+                // DIP; one analysis serves both.
+                let constraint = IoConstraint::new(locked, &dip, &response);
                 for key_vars in [&miter.key1, &miter.key2] {
-                    encode_io_constraint(locked, &mut solver, key_vars, &dip, &response);
+                    constraint.encode(&mut solver, key_vars);
                 }
                 iterations += 1;
                 if observing {

@@ -233,7 +233,7 @@ impl Options {
         config.seed = self.seed;
         config.retry.max_attempts = self.retries + 1;
         config.keep_going = self.keep_going;
-        config.cancel = Some(interrupt_token().clone());
+        config.attack.cancel = Some(interrupt_token().clone());
     }
 }
 
@@ -422,7 +422,7 @@ mod tests {
     fn configure_wires_the_interrupt_token() {
         let mut config = dataset::DatasetConfig::quick_demo();
         parse(&[]).configure(&mut config);
-        let token = config.cancel.expect("interrupt token installed");
+        let token = config.attack.cancel.expect("interrupt token installed");
         assert!(!token.is_cancelled());
     }
 

@@ -4,9 +4,10 @@
 //! abstraction is [`ClauseSink`], implemented both by [`CnfFormula`] (an
 //! in-memory clause list, convertible to DIMACS) and by [`sat::Solver`]
 //! (direct incremental encoding, which is what the SAT attack uses).
-//! [`encode_io_constraint`] is the attack's per-DIP constraint: one key copy
-//! pinned to an oracle observation, encoded over the key-dependent gates
-//! only.
+//! [`encode_miter`] shares every gate the key cannot reach between the
+//! miter's two key copies. [`IoConstraint`] is the attack's per-DIP
+//! constraint: a key copy pinned to an oracle observation, analysed once per
+//! DIP and encoded over only the logic the key can still move.
 //!
 //! # Example
 //!
@@ -32,7 +33,7 @@ mod miter;
 
 pub use encode::{encode_circuit, encode_circuit_with, CircuitEncoding, EncodeOptions};
 pub use formula::CnfFormula;
-pub use io_constraint::{encode_io_constraint, key_independent_values};
+pub use io_constraint::IoConstraint;
 pub use miter::{encode_miter, MiterEncoding};
 
 use sat::{Lit, Var};

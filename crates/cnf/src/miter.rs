@@ -1,6 +1,8 @@
 //! Attack-miter construction: two keyed copies of a locked circuit sharing
-//! their primary inputs, plus an output-difference indicator.
+//! their primary inputs and every gate the key cannot reach, plus an
+//! output-difference indicator.
 
+use crate::encode::encode_gate;
 use crate::{encode_circuit_with, encode_or, encode_xor, ClauseSink, EncodeOptions};
 use netlist::Circuit;
 use sat::{Lit, Var};
@@ -21,9 +23,11 @@ pub struct MiterEncoding {
     pub key2: Vec<Var>,
     /// Output variables of copy 1.
     pub outputs1: Vec<Var>,
-    /// Output variables of copy 2.
+    /// Output variables of copy 2. An output outside the keys' fan-out
+    /// cone holds the same variable as in `outputs1`.
     pub outputs2: Vec<Var>,
-    /// Indicator variable: true iff some output pair differs.
+    /// Indicator variable: true iff some output pair differs. Fixed false
+    /// when no output depends on the key.
     pub diff: Var,
 }
 
@@ -36,6 +40,12 @@ impl MiterEncoding {
 }
 
 /// Encodes the double-keyed miter of `locked` into `sink`.
+///
+/// Copy 1 is the whole circuit. A gate outside the static fan-out cone of
+/// the keys computes the same function of the shared inputs in both
+/// copies, so copy 2 encodes only that cone and reuses copy 1's variable
+/// everywhere else; only the outputs inside the cone get an XOR and enter
+/// `diff`.
 ///
 /// # Panics
 ///
@@ -56,7 +66,7 @@ pub fn encode_miter(locked: &Circuit, sink: &mut impl ClauseSink) -> MiterEncodi
     let key1: Vec<Var> = (0..locked.keys().len()).map(|_| sink.fresh_var()).collect();
     let key2: Vec<Var> = (0..locked.keys().len()).map(|_| sink.fresh_var()).collect();
 
-    let enc1 = encode_circuit_with(
+    let copy1 = encode_circuit_with(
         locked,
         sink,
         EncodeOptions {
@@ -64,22 +74,40 @@ pub fn encode_miter(locked: &Circuit, sink: &mut impl ClauseSink) -> MiterEncodi
             key_vars: Some(key1.clone()),
         },
     );
-    let enc2 = encode_circuit_with(
-        locked,
-        sink,
-        EncodeOptions {
-            input_vars: Some(inputs.clone()),
-            key_vars: Some(key2.clone()),
-        },
-    );
-    let outputs1 = enc1.output_vars(locked);
-    let outputs2 = enc2.output_vars(locked);
-    let diffs: Vec<Lit> = outputs1
+    let mut vars2: Vec<Var> = locked.iter().map(|(id, _)| copy1.var(id)).collect();
+    let mut keyed = vec![false; locked.num_gates()];
+    for (&id, &v) in locked.keys().iter().zip(&key2) {
+        vars2[id.index()] = v;
+        keyed[id.index()] = true;
+    }
+    let mut fanin: Vec<Lit> = Vec::with_capacity(8);
+    for &id in locked.topo_order() {
+        let gate = locked.gate(id);
+        if gate.kind().is_input() || !gate.fanin().iter().any(|f| keyed[f.index()]) {
+            continue;
+        }
+        keyed[id.index()] = true;
+        fanin.clear();
+        fanin.extend(gate.fanin().iter().map(|f| Lit::positive(vars2[f.index()])));
+        vars2[id.index()] = encode_gate(sink, gate.kind(), &fanin);
+    }
+
+    let outputs1 = copy1.output_vars(locked);
+    let outputs2: Vec<Var> = locked.outputs().iter().map(|o| vars2[o.index()]).collect();
+    let diffs: Vec<Lit> = locked
+        .outputs()
         .iter()
-        .zip(&outputs2)
-        .map(|(&a, &b)| Lit::positive(encode_xor(sink, Lit::positive(a), Lit::positive(b))))
+        .zip(outputs1.iter().zip(&outputs2))
+        .filter(|(o, _)| keyed[o.index()])
+        .map(|(_, (&a, &b))| Lit::positive(encode_xor(sink, Lit::positive(a), Lit::positive(b))))
         .collect();
-    let diff = encode_or(sink, &diffs);
+    let diff = if diffs.is_empty() {
+        let never = sink.fresh_var();
+        sink.add_sink_clause(&[Lit::negative(never)]);
+        never
+    } else {
+        encode_or(sink, &diffs)
+    };
 
     MiterEncoding {
         inputs,

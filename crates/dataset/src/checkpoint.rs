@@ -65,7 +65,11 @@ const MAGIC: &str = "# icnet-checkpoint v3";
 ///   4th DIP (fingerprints had no revision field then).
 /// * 2 — each DIP constraint is encoded over the key-dependent gates only
 ///   (`cnf::encode_io_constraint`); inprocessing once, after the miter.
-pub(crate) const LABEL_REVISION: u32 = 2;
+/// * 3 — the miter's second key copy encodes only the keys' fan-out cone
+///   and shares every other gate with the first (`cnf::encode_miter`); each
+///   DIP constraint is analysed once for both key copies, and a gate that
+///   only passes one key bit through gets no variable (`cnf::IoConstraint`).
+pub(crate) const LABEL_REVISION: u32 = 3;
 
 /// What decides the label a finished attack gets: the labelling
 /// algorithm's revision (`LABEL_REVISION`) and the configuration fields —
@@ -633,18 +637,18 @@ mod tests {
         assert_eq!(
             keys(&quick),
             (
-                "rev=2;scheme=xor-lock;budget=Some(5000000);conflicts=None;measure=SolverWork"
+                "rev=3;scheme=xor-lock;budget=Some(5000000);conflicts=None;measure=SolverWork"
                     .to_owned(),
-                "568dea89ddc521a8".to_owned(),
+                "5338a0a0aed04269".to_owned(),
                 "124bd9d7c0cd4908".to_owned()
             )
         );
         assert_eq!(
             keys(&limited),
             (
-                "rev=2;scheme=xor-lock;budget=Some(7000000);conflicts=Some(4096);measure=SolverWork"
+                "rev=3;scheme=xor-lock;budget=Some(7000000);conflicts=Some(4096);measure=SolverWork"
                     .to_owned(),
-                "96566da5f62b470a".to_owned(),
+                "cf0604ac47237a6b".to_owned(),
                 "6c5cf6b772641f1a".to_owned()
             )
         );

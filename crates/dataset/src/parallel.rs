@@ -149,9 +149,9 @@ impl SweepReport {
 /// fails, [`DatasetError::Io`] when a checkpoint append fails,
 /// [`DatasetError::Quarantined`] when an instance exhausts its retry policy
 /// and `config.keep_going` is off, [`DatasetError::Interrupted`] when the
-/// external cancel token fires, and [`DatasetError::WorkerLoss`] when every
-/// worker died with instances left. The first worker error wins and the
-/// remaining attacks are cancelled.
+/// cancel token in `config.attack` fires, and [`DatasetError::WorkerLoss`]
+/// when every worker died with instances left. The first worker error wins
+/// and the remaining attacks are cancelled.
 pub fn generate_parallel_with(
     config: &DatasetConfig,
     jobs: usize,
@@ -166,11 +166,12 @@ pub fn generate_parallel_with(
     let slots: Mutex<Vec<Option<Instance>>> = Mutex::new(vec![None; n]);
     let failures: Mutex<Vec<SweepFailure>> = Mutex::new(Vec::new());
     let first_error: Mutex<Option<DatasetError>> = Mutex::new(None);
-    // The internal worker token is a *child* of the external interrupt
-    // token (when one is configured): an operator interrupt stops the
+    // The internal worker token is a *child* of the caller's token in the
+    // attack limits (when one is set): an operator interrupt stops the
     // workers, but a worker aborting the sweep on an internal error never
     // trips the operator-level token other subsystems share.
     let cancel = config
+        .attack
         .cancel
         .as_ref()
         .map(CancelToken::child)
@@ -421,11 +422,7 @@ pub fn generate_parallel_with(
     if let Some(error) = first_error.into_inner().unwrap() {
         return Err(error);
     }
-    if config
-        .cancel
-        .as_ref()
-        .is_some_and(CancelToken::is_cancelled)
-    {
+    if config.attack.is_cancelled() {
         // Operator interrupt: every finished instance is already in the
         // checkpoint log (when one is attached); rerunning resumes there.
         return Err(DatasetError::Interrupted);
@@ -502,6 +499,23 @@ mod tests {
         let label_work: u64 = data.instances.iter().map(|i| i.work).sum();
         assert_eq!(total_work, label_work);
         assert!(report.summary().contains("worker 0"));
+    }
+
+    #[test]
+    fn a_cancelled_attack_token_interrupts_the_sweep() {
+        let token = CancelToken::new();
+        token.cancel();
+        let mut config = small_config();
+        config.attack = config.attack.clone().with_cancel(token);
+        for jobs in [1, 2] {
+            assert!(
+                matches!(
+                    generate_parallel_with(&config, jobs, None),
+                    Err(DatasetError::Interrupted)
+                ),
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! every `Sat` model of the de-obfuscation miter claims a concrete
 //! disagreement witness — replaying it through `netlist` simulation must
 //! reproduce that disagreement, or the CNF encoding and the simulator
-//! have diverged. The attack's per-DIP constraint gets the same treatment:
-//! the folded encoding must admit exactly the keys the full-copy encoding
-//! and the simulator admit.
+//! have diverged. The shared-logic miter must tell apart exactly the key
+//! pairs the two-full-copy miter tells apart, and the attack's per-DIP
+//! constraint gets the same treatment: the folded encoding must admit
+//! exactly the keys the full-copy encoding and the simulator admit.
 
 use cnf::{
-    encode_circuit_with, encode_io_constraint, encode_miter, fix_vars, key_independent_values,
-    EncodeOptions,
+    encode_circuit_with, encode_miter, encode_or, encode_xor, fix_vars, EncodeOptions, IoConstraint,
 };
 use netlist::Circuit;
 use obfuscate::{lock_random, SchemeKind};
@@ -113,7 +113,7 @@ fn key_sets(locked: &Circuit, dip: &[bool], response: &[bool]) -> [Vec<u32>; 3] 
     let nk = locked.keys().len();
     let mut folded = Solver::new();
     let folded_keys = folded.new_vars(nk);
-    encode_io_constraint(locked, &mut folded, &folded_keys, dip, response);
+    IoConstraint::new(locked, dip, response).encode(&mut folded, &folded_keys);
     let mut full = Solver::new();
     let full_keys = full.new_vars(nk);
     let enc = encode_circuit_with(
@@ -140,10 +140,11 @@ fn key_sets(locked: &Circuit, dip: &[bool], response: &[bool]) -> [Vec<u32>; 3] 
 }
 
 /// Asserts every gate the ternary pass calls constant under `dip` takes
-/// that value under every key.
+/// that value under every key. Which gates are constant does not depend on
+/// the response, so any response will do.
 fn check_constants(locked: &Circuit, dip: &[bool]) {
     let nk = locked.keys().len();
-    let values = key_independent_values(locked, dip);
+    let constraint = IoConstraint::new(locked, dip, &vec![false; locked.outputs().len()]);
     let inputs: Vec<u64> = dip.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
     for base in (0..1u64 << nk).step_by(64) {
         let lanes = (1u64 << nk) - base;
@@ -157,8 +158,9 @@ fn check_constants(locked: &Circuit, dip: &[bool]) {
             .map(|i| (0..64).fold(0, |w, p| w | ((base + p) >> i & 1) << p))
             .collect();
         let sim = locked.simulate_words(&inputs, &keys).expect("widths match");
-        for (index, value) in values.iter().enumerate() {
-            if let Some(b) = *value {
+        for &gate in locked.topo_order() {
+            if let Some(b) = constraint.constant(gate) {
+                let index = gate.index();
                 let word = sim.words()[index] & mask;
                 assert_eq!(
                     word,
@@ -198,6 +200,52 @@ fn small_locking(rng: &mut StdRng) -> obfuscate::LockedCircuit {
     locked
 }
 
+/// The textbook miter: two full keyed copies sharing their inputs, with
+/// every output pair XORed into the difference indicator. Returns both key
+/// variable sets and the indicator.
+fn full_copy_miter(locked: &Circuit, solver: &mut Solver) -> (Vec<Var>, Vec<Var>, Lit) {
+    let inputs = solver.new_vars(locked.inputs().len());
+    let copy = |solver: &mut Solver| {
+        let keys = solver.new_vars(locked.keys().len());
+        let enc = encode_circuit_with(
+            locked,
+            solver,
+            EncodeOptions {
+                input_vars: Some(inputs.clone()),
+                key_vars: Some(keys.clone()),
+            },
+        );
+        (keys, enc.output_vars(locked))
+    };
+    let (key1, out1) = copy(solver);
+    let (key2, out2) = copy(solver);
+    let diffs: Vec<Lit> = out1
+        .iter()
+        .zip(&out2)
+        .map(|(&a, &b)| Lit::positive(encode_xor(solver, Lit::positive(a), Lit::positive(b))))
+        .collect();
+    let diff = Lit::positive(encode_or(solver, &diffs));
+    (key1, key2, diff)
+}
+
+/// Whether some input tells key `pair.0` on `keys[0]` from key `pair.1` on
+/// `keys[1]` in a miter with difference indicator `diff`.
+fn distinguishes(solver: &mut Solver, keys: [&[Var]; 2], diff: Lit, pair: (u32, u32)) -> bool {
+    let mut assume = vec![diff];
+    for (vars, key) in keys.into_iter().zip([pair.0, pair.1]) {
+        assume.extend(
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| Lit::new(v, key >> i & 1 == 0)),
+        );
+    }
+    match solver.solve_with_assumptions(&assume) {
+        SolveResult::Sat(_) => true,
+        SolveResult::Unsat => false,
+        SolveResult::Unknown => panic!("no budget set; solver must decide"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -227,6 +275,36 @@ proptest! {
                 prop_assert!(!folded.is_empty(), "a reachable response admits a key");
             }
             check_constants(circuit, &dip);
+        }
+    }
+
+    /// The shared-logic miter tells apart exactly the key pairs the
+    /// two-full-copy miter tells apart: every pair when the key has at most
+    /// 6 bits, 256 seeded pairs otherwise.
+    #[test]
+    fn shared_miter_distinguishes_the_full_copy_key_pairs(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let locked = small_locking(&mut rng);
+        let circuit = &locked.locked;
+        let nk = circuit.keys().len();
+        let mut shared = Solver::new();
+        let miter = encode_miter(circuit, &mut shared);
+        let mut full = Solver::new();
+        let (key1, key2, diff) = full_copy_miter(circuit, &mut full);
+        let pairs: Vec<(u32, u32)> = if nk <= 6 {
+            (0..1u32 << nk)
+                .flat_map(|a| (0..1u32 << nk).map(move |b| (a, b)))
+                .collect()
+        } else {
+            (0..256)
+                .map(|_| (rng.gen_range(0..1u32 << nk), rng.gen_range(0..1u32 << nk)))
+                .collect()
+        };
+        for pair in pairs {
+            let shared_keys = [&miter.key1[..], &miter.key2[..]];
+            let folded = distinguishes(&mut shared, shared_keys, miter.diff_lit(), pair);
+            let reference = distinguishes(&mut full, [&key1, &key2], diff, pair);
+            prop_assert_eq!(folded, reference, "key pair {:?} of {}", pair, locked.scheme);
         }
     }
 }

@@ -432,6 +432,45 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every key the SAT attack recovers is proven correct: the equivalence
+    /// miter against the original is UNSAT over all inputs. Sampling (as
+    /// `verify_key` does) can miss Anti-SAT's single flipped pattern.
+    #[test]
+    fn recovered_keys_are_miter_unsat_equivalent(
+        seed in any::<u64>(),
+        synthetic in any::<bool>(),
+        scheme in 0usize..5,
+        size in 0usize..6,
+    ) {
+        let base = if synthetic {
+            synth::generate(&synth::GeneratorConfig::new("p", 7, 4, 40).with_seed(seed))
+        } else {
+            netlist::c17()
+        };
+        let (scheme, count) = match scheme {
+            0 => (obfuscate::SchemeKind::XorLock, 1 + size),
+            1 => (obfuscate::SchemeKind::MuxLock, 1 + size),
+            2 => (obfuscate::SchemeKind::LutLock { lut_size: 2 }, 1 + size % 2),
+            3 => (obfuscate::SchemeKind::LutLock { lut_size: 3 }, 1),
+            _ => (obfuscate::SchemeKind::AntiSat { key_width: 2 + size % 4 }, 1),
+        };
+        let locked = obfuscate::lock_random(&base, scheme, count, seed).unwrap();
+        let result = attack::attack_locked(&locked, &attack::AttackConfig::default()).unwrap();
+        let key = result.key().expect("small lockings are attacked to the end");
+        let mut solver = Solver::new();
+        let (diff, _) =
+            equivalence_diff_lit(&locked.original, &locked.locked, key.bits(), &mut solver);
+        prop_assert!(
+            matches!(solver.solve_with_assumptions(&[diff]), SolveResult::Unsat),
+            "{} recovered a key that some input tells apart from the original",
+            scheme
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint-log robustness: corruption is detected, quarantine is replayed.
 
