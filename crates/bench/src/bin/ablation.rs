@@ -9,7 +9,7 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{take, take_rows, train_config};
+use bench::harness::{take, take_rows};
 use dataset::{
     flat_features, graph_features, train_test_split, DatasetConfig, FlatAggregation,
     StructureEncoding,
@@ -56,8 +56,7 @@ impl Ablation<'_> {
         let mut model =
             GraphModel::with_conv_layers(kind, agg, fs.width(), 16, conv_layers, self.seed)
                 .with_output(head);
-        let config = train_config(self.epochs);
-        let control = bench::cli::train_control();
+        let config = bench::cli::interruptible_train_config(self.epochs);
         let (mse, note) = match head {
             OutputHead::Identity => {
                 let y_train_raw = take(&log_y, &train_idx);
@@ -67,7 +66,7 @@ impl Ablation<'_> {
                     .sqrt()
                     .max(1e-9);
                 let y_train: Vec<f64> = y_train_raw.iter().map(|v| (v - mean) / std).collect();
-                icnet::train_with(&mut model, &op, &xs_train, &y_train, &config, &control);
+                icnet::train(&mut model, &op, &xs_train, &y_train, &config);
                 let pred: Vec<f64> = test_idx
                     .iter()
                     .map(|&i| model.predict(&op, &xs[i]) * std + mean)
@@ -76,7 +75,7 @@ impl Ablation<'_> {
             }
             OutputHead::Exp => {
                 let y_train = take(&raw_y, &train_idx);
-                icnet::train_with(&mut model, &op, &xs_train, &y_train, &config, &control);
+                icnet::train(&mut model, &op, &xs_train, &y_train, &config);
                 // Compare on the log scale so all rows are commensurate.
                 let pred: Vec<f64> = test_idx
                     .iter()

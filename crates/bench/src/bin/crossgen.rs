@@ -18,9 +18,7 @@
 //! under the same `--resume` log re-attacks exactly those instances.
 
 use bench::cli::{self, Options};
-use bench::harness::{
-    eval_gnn_metrics, format_mse, load_or_generate, train_config, train_gnn, TrainedGnn,
-};
+use bench::harness::{eval_gnn_metrics, format_mse, load_or_generate, train_gnn, TrainedGnn};
 use dataset::{train_test_split, Dataset, DatasetConfig, Split};
 use icnet::{Aggregation, FeatureSet, ModelKind};
 use obfuscate::SchemeKind;
@@ -192,12 +190,13 @@ fn main() {
     // The slug carries the training-set size: a corpus that grew between
     // runs (quarantines resolved under a raised deadline) is a *different*
     // training run, and must not trip icnet's checkpoint-shape refusal.
-    let control = |slug: &str, n_train: usize| icnet::TrainControl {
-        checkpoint: ckpt_dir.as_ref().map(|dir| icnet::TrainCheckpointSpec {
+    let config = |slug: &str, n_train: usize| {
+        let mut config = cli::interruptible_train_config(opts.epochs);
+        config.control.checkpoint = ckpt_dir.as_ref().map(|dir| icnet::TrainCheckpointSpec {
             path: format!("{dir}/crossgen-{slug}-{n_train}i.ckpt"),
             resume: true,
-        }),
-        ..cli::train_control()
+        });
+        config
     };
     // Training is deliberately ICNet-NN on All features — the paper's best
     // cell — so the grid varies only the scheme axis.
@@ -209,9 +208,8 @@ fn main() {
             ModelKind::ICNet,
             Aggregation::Nn,
             FeatureSet::All,
-            &train_config(opts.epochs),
+            &config(slug, train_idx.len()),
             opts.seed,
-            &control(slug, train_idx.len()),
         );
         if let Some(e) = &report.checkpoint_error {
             eprintln!("# WARNING: could not checkpoint {slug} training: {e}");

@@ -10,7 +10,7 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{evaluate_gnn, take, take_rows, train_config};
+use bench::harness::{evaluate_gnn, take, take_rows};
 use bench::methods::BaselineKind;
 use dataset::{
     flat_features, graph_features, train_test_split, DatasetConfig, FlatAggregation,
@@ -91,9 +91,8 @@ fn main() {
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        &train_config(opts.epochs),
+        &bench::cli::interruptible_train_config(opts.epochs),
         opts.seed,
-        &bench::cli::train_control(),
     );
     bench::cli::exit_if_interrupted();
     let xs = graph_features(&data.circuit, &data.instances, FeatureSet::All);

@@ -8,7 +8,7 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{evaluate_gnn, load_or_generate, train_config};
+use bench::harness::{evaluate_gnn, load_or_generate};
 use dataset::{train_test_split, DatasetConfig};
 use icnet::{Aggregation, FeatureSet, ModelKind};
 use regress::metrics::{pearson, spearman};
@@ -61,9 +61,8 @@ fn main() {
             ModelKind::ICNet,
             Aggregation::Nn,
             FeatureSet::All,
-            &train_config(opts.epochs),
+            &bench::cli::interruptible_train_config(opts.epochs),
             opts.seed,
-            &bench::cli::train_control(),
         );
         bench::cli::exit_if_interrupted();
         let attn = model.feature_attention().expect("NN model has Θfeat");

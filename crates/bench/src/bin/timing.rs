@@ -8,7 +8,7 @@
 //! ```
 
 use bench::cli::Options;
-use bench::harness::{evaluate_gnn, percent_saved, train_config};
+use bench::harness::{evaluate_gnn, percent_saved};
 use dataset::{graph_features, train_test_split, DatasetConfig};
 use icnet::{Aggregation, FeatureSet, ModelKind};
 use std::time::Instant;
@@ -35,9 +35,8 @@ fn main() {
         ModelKind::ICNet,
         Aggregation::Nn,
         FeatureSet::All,
-        &train_config(opts.epochs),
+        &bench::cli::interruptible_train_config(opts.epochs),
         opts.seed,
-        &bench::cli::train_control(),
     );
     drop(train_stage);
     bench::cli::exit_if_interrupted();

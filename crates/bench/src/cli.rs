@@ -283,13 +283,13 @@ fn install_interrupt_handler() {
 #[cfg(not(unix))]
 fn install_interrupt_handler() {}
 
-/// The training control of an experiment binary: training stops at the
-/// next epoch boundary once [`interrupt_token`] trips; no checkpoints.
-pub fn train_control() -> icnet::TrainControl {
-    icnet::TrainControl {
-        cancel: Some(interrupt_token().clone()),
-        ..icnet::TrainControl::default()
-    }
+/// The experiment binaries' training preset ([`crate::harness::train_config`])
+/// made interruptible: training stops at the next epoch boundary once
+/// [`interrupt_token`] trips; no checkpoints.
+pub fn interruptible_train_config(epochs: usize) -> icnet::TrainConfig {
+    let mut config = crate::harness::train_config(epochs);
+    config.control.cancel = Some(interrupt_token().clone());
+    config
 }
 
 /// Graceful-interrupt epilogue for the binaries: when the first SIGINT has

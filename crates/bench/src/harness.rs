@@ -263,9 +263,9 @@ pub fn train_config(epochs: usize) -> TrainConfig {
 }
 
 /// The training core: fits one GNN configuration on the instances of
-/// `data` indexed by `train_idx` under `control` (cooperative interruption
-/// and crash-safe epoch checkpoints, see [`icnet::train_with`]), and
-/// returns the fitted model with its training report. Shared by
+/// `data` indexed by `train_idx` under `config` (whose `control` adds
+/// cooperative interruption and crash-safe epoch checkpoints, see
+/// [`icnet::train`]), and returns the fitted model with its training report. Shared by
 /// [`evaluate_gnn`] (which evaluates on the same dataset's test split) and
 /// the cross-scheme study (which evaluates the returned model on *other*
 /// schemes' datasets via [`eval_gnn_metrics`]).
@@ -273,7 +273,6 @@ pub fn train_config(epochs: usize) -> TrainConfig {
 /// Labels are standardized (zero mean, unit variance on the training set)
 /// for the optimization; [`TrainedGnn::predict`] un-standardizes, which
 /// keeps every method's MSE on the same scale.
-#[allow(clippy::too_many_arguments)]
 pub fn train_gnn(
     data: &Dataset,
     train_idx: &[usize],
@@ -282,7 +281,6 @@ pub fn train_gnn(
     fs: FeatureSet,
     config: &TrainConfig,
     seed: u64,
-    control: &icnet::TrainControl,
 ) -> (TrainedGnn, icnet::TrainReport) {
     let graph = icnet::CircuitGraph::from_circuit(&data.circuit);
     let op = Arc::new(kind.operator(&graph));
@@ -304,7 +302,7 @@ pub fn train_gnn(
         .iter()
         .map(|&i| icnet::encode_features(&data.circuit, &data.instances[i].selected, fs))
         .collect();
-    let report = icnet::train_with(&mut model, &op, &xs_train, &y_train, config, control);
+    let report = icnet::train(&mut model, &op, &xs_train, &y_train, config);
 
     (
         TrainedGnn {
@@ -348,7 +346,6 @@ pub fn eval_gnn_metrics(trained: &TrainedGnn, data: &Dataset, idx: &[usize]) -> 
 /// (for attention introspection and Figure 3 series). A diverged or
 /// interrupted cell reports the paper-style N/A — its parameters must not
 /// masquerade as a converged MSE.
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_gnn(
     data: &Dataset,
     split: &Split,
@@ -357,9 +354,8 @@ pub fn evaluate_gnn(
     fs: FeatureSet,
     config: &TrainConfig,
     seed: u64,
-    control: &icnet::TrainControl,
 ) -> (EvalResult, TrainedGnn) {
-    let (trained, report) = train_gnn(data, &split.train, kind, agg, fs, config, seed, control);
+    let (trained, report) = train_gnn(data, &split.train, kind, agg, fs, config, seed);
     let suffix = if agg == Aggregation::Nn { "-NN" } else { "" };
     let method = format!("{}{}", kind.label(), suffix);
     if let Some(e) = &report.checkpoint_error {
@@ -461,16 +457,11 @@ impl SuiteCell {
         let results = match self {
             SuiteCell::Baselines { fs, agg } => evaluate_baselines(data, split, roster, fs, agg),
             SuiteCell::Gnn { kind, fs, agg } => {
-                let (result, _) = evaluate_gnn(
-                    data,
-                    split,
-                    kind,
-                    agg,
-                    fs,
-                    &train_config(epochs),
-                    seed,
-                    &control.train_control(&label, dataset_tag(data)),
-                );
+                let config = TrainConfig {
+                    control: control.train_control(&label, dataset_tag(data)),
+                    ..train_config(epochs)
+                };
+                let (result, _) = evaluate_gnn(data, split, kind, agg, fs, &config, seed);
                 vec![result]
             }
         };
@@ -516,7 +507,6 @@ impl SuiteControl {
                     path: format!("{dir}/{}-{dataset_tag:016x}.ckpt", slug(label)),
                     resume: true,
                 }),
-            heartbeat: None,
         }
     }
 }
@@ -748,7 +738,6 @@ mod tests {
             FeatureSet::All,
             &train_config(10),
             1,
-            &icnet::TrainControl::default(),
         );
         assert!(result.mse.expect("gnn always fits").is_finite());
         assert_eq!(result.method, "ICNet-NN");
@@ -775,7 +764,6 @@ mod tests {
             FeatureSet::All,
             &config,
             1,
-            &icnet::TrainControl::default(),
         );
         assert!(result.mse.is_none(), "diverged run must be N/A");
         assert!(result.note.contains("diverged"), "note: {}", result.note);

@@ -18,14 +18,15 @@
 //! the `fingerprint` line hashes every hyper-parameter that feeds the
 //! update sequence (a trajectory-semantics version tag, seed, lr, batch
 //! size, tolerance, patience, epoch cap, training-set size, parameter
-//! shapes). `jobs` is deliberately excluded — parallel gradient
-//! accumulation is bit-identical to serial (DESIGN.md §6d/§10.2), so a run
-//! checkpointed at `--jobs 8` may resume at `--jobs 1`. The version tag
-//! changes whenever the update arithmetic itself changes (`v2`: the
-//! partial-final-batch weighting fix; `v3`: the compressed batch engine,
-//! whose gradients fold in a different order), so checkpoints written
-//! under older trajectory semantics are refused loudly instead of silently
-//! blending two trajectories.
+//! shapes). The runtime controls (`TrainConfig::control`: cancel token and
+//! checkpoint spec) are deliberately excluded — they never change the
+//! trajectory, so a run interrupted under one token resumes under a fresh
+//! one, and checkpoints written by earlier builds keep resuming. The
+//! version tag changes whenever the update arithmetic itself changes
+//! (`v2`: the partial-final-batch weighting fix; `v3`: the compressed
+//! batch engine, whose gradients fold in a different order), so
+//! checkpoints written under older trajectory semantics are refused loudly
+//! instead of silently blending two trajectories.
 
 use crate::trainer::TrainConfig;
 use faults::sealed::{seal_line, unseal_line, write_atomic, SealError};
@@ -383,18 +384,24 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_hypers_and_shapes_but_not_jobs() {
+    fn fingerprint_tracks_hypers_and_shapes_but_not_controls() {
         let config = TrainConfig::quick();
         let params = sample().params;
         let base = fingerprint(&config, 32, &params);
         assert_eq!(base, fingerprint(&config, 32, &params), "deterministic");
+        // Pinned: checkpoints written by earlier builds must keep resuming.
+        assert_eq!(base, 1118866455340783883);
 
-        let mut jobs = config.clone();
-        jobs.jobs = 8;
+        let mut controlled = config.clone();
+        controlled.control.cancel = Some(budget::CancelToken::new());
+        controlled.control.checkpoint = Some(crate::TrainCheckpointSpec {
+            path: tmp("controls.ckpt"),
+            resume: true,
+        });
         assert_eq!(
             base,
-            fingerprint(&jobs, 32, &params),
-            "parallel training is bit-identical to serial, so jobs must not invalidate"
+            fingerprint(&controlled, 32, &params),
+            "runtime controls never change the trajectory, so they must not invalidate"
         );
 
         let mut seeded = config.clone();

@@ -63,4 +63,4 @@ pub use features::{encode_features, FeatureSet, NUM_FEATURES_ALL, NUM_FEATURES_L
 pub use graph::CircuitGraph;
 pub use model::{GraphModel, ModelKind, OutputHead};
 pub use persist::ParseModelError;
-pub use trainer::{train, train_with, TrainCheckpointSpec, TrainConfig, TrainControl, TrainReport};
+pub use trainer::{train, TrainCheckpointSpec, TrainConfig, TrainControl, TrainReport};

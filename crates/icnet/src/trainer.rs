@@ -10,10 +10,11 @@
 //!
 //! # Determinism
 //!
-//! With `jobs > 1` the kernels split their output rows across threads, and
-//! every f64 addition still happens in an order fixed by the batch, not by
-//! thread scheduling — `jobs = 1` and `jobs = 8` produce bit-identical
-//! parameters for the same seed (see DESIGN.md §6d).
+//! Training is one serial loop: every f64 addition happens in an order
+//! fixed by the seed and the batch, so the same inputs give bit-identical
+//! parameters on every run. Runs that train several models at once (the
+//! evaluation suite's `--jobs`) put each whole training run on its own
+//! worker thread; none of them splits one run's kernels (DESIGN.md §6d).
 //!
 //! # Batch weighting
 //!
@@ -36,7 +37,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use tensor::{Adam, BufferPool, CsrMatrix, Matrix, Optimizer, Tape};
 
-/// Training hyper-parameters.
+/// Training hyper-parameters, plus the runtime [`TrainControl`]s.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// ADAM learning rate.
@@ -52,9 +53,10 @@ pub struct TrainConfig {
     pub patience: usize,
     /// Batch shuffling seed.
     pub seed: u64,
-    /// Worker threads for gradient computation; `0` and `1` both mean
-    /// serial. Every value produces bit-identical parameters.
-    pub jobs: usize,
+    /// Cooperative interruption and epoch checkpoints; off by default.
+    /// Neither changes the trained parameters, so neither enters the
+    /// checkpoint fingerprint.
+    pub control: TrainControl,
 }
 
 impl Default for TrainConfig {
@@ -66,7 +68,7 @@ impl Default for TrainConfig {
             tol: 1e-5,
             patience: 10,
             seed: 0,
-            jobs: 1,
+            control: TrainControl::default(),
         }
     }
 }
@@ -82,7 +84,7 @@ impl TrainConfig {
     }
 }
 
-/// Where [`train_with`] persists end-of-epoch state, and whether it should
+/// Where [`train`] persists end-of-epoch state, and whether it should
 /// restore from an existing checkpoint first.
 #[derive(Debug, Clone)]
 pub struct TrainCheckpointSpec {
@@ -94,8 +96,8 @@ pub struct TrainCheckpointSpec {
     pub resume: bool,
 }
 
-/// Runtime controls for [`train_with`] — everything [`train`] defaults off:
-/// cooperative interruption and crash-safe epoch checkpoints.
+/// Runtime controls for [`train`], both off by default: cooperative
+/// interruption and crash-safe epoch checkpoints.
 #[derive(Debug, Clone, Default)]
 pub struct TrainControl {
     /// Polled at every epoch boundary; when it fires, training returns with
@@ -104,11 +106,6 @@ pub struct TrainControl {
     pub cancel: Option<CancelToken>,
     /// End-of-epoch checkpointing; `None` = no persistence.
     pub checkpoint: Option<TrainCheckpointSpec>,
-    /// Watchdog heartbeat, beaten once per mini-batch. A training run whose
-    /// heartbeat stops advancing has hung below the epoch-boundary cancel
-    /// polling (a stuck gradient worker, a pathological batch); the owning
-    /// `budget::Watchdog` can then trip [`TrainControl::cancel`].
-    pub heartbeat: Option<budget::Heartbeat>,
 }
 
 /// What happened during training.
@@ -156,7 +153,6 @@ fn batch_scale(batch_size: usize, num_instances: usize) -> f64 {
 /// Summed batch loss and scaled per-parameter gradients for one mini-batch:
 /// the chunk's instances are compressed onto `layout` and one tape computes
 /// the whole batch, each row segment's weight gradient scaled by `scale`.
-#[allow(clippy::too_many_arguments)]
 fn batched_gradients(
     model: &GraphModel,
     layout: &BatchedGraph,
@@ -164,14 +160,12 @@ fn batched_gradients(
     ys: &[f64],
     batch: &[usize],
     scale: f64,
-    jobs: usize,
     pool: &mut BufferPool,
 ) -> (f64, Vec<Matrix>, u64) {
     let refs: Vec<&Matrix> = batch.iter().map(|&i| &xs[i]).collect();
     let rows = layout.compress(&refs, model.halo_hops(), pool);
     let targets = Matrix::from_vec(batch.len(), 1, batch.iter().map(|&i| ys[i]).collect());
     let mut tape = Tape::with_pool(std::mem::take(pool));
-    tape.set_jobs(jobs);
     let ids = model.insert_params(&mut tape);
     let pred = model.forward_batched(&mut tape, &ids, layout, rows, scale);
     let target = tape.constant(targets);
@@ -206,22 +200,7 @@ fn batched_gradients(
 /// `diverged: true` — the model keeps its last healthy parameters and the
 /// loss history contains only finite values.
 ///
-/// # Panics
-///
-/// Panics if `xs` and `ys` lengths differ or the training set is empty.
-///
-/// [`OutputHead::Identity`]: crate::OutputHead::Identity
-pub fn train(
-    model: &mut GraphModel,
-    op: &Arc<CsrMatrix>,
-    xs: &[Matrix],
-    ys: &[f64],
-    config: &TrainConfig,
-) -> TrainReport {
-    train_with(model, op, xs, ys, config, &TrainControl::default())
-}
-
-/// [`train`] with runtime controls: cooperative interruption via an
+/// `config.control` adds cooperative interruption via a
 /// [`budget::CancelToken`] polled at every epoch boundary, and crash-safe
 /// end-of-epoch checkpoints with bit-identical resume.
 ///
@@ -237,17 +216,18 @@ pub fn train(
 ///
 /// # Panics
 ///
-/// Panics (in addition to [`train`]'s conditions) when resuming from a
-/// checkpoint that exists but is corrupt, or whose hyper-parameter
-/// fingerprint does not match `config` — silently training on from the
-/// wrong state would be worse than stopping.
-pub fn train_with(
+/// Panics if `xs` and `ys` lengths differ or the training set is empty, and
+/// when resuming from a checkpoint that exists but is corrupt, or whose
+/// hyper-parameter fingerprint does not match `config` — silently training
+/// on from the wrong state would be worse than stopping.
+///
+/// [`OutputHead::Identity`]: crate::OutputHead::Identity
+pub fn train(
     model: &mut GraphModel,
     op: &Arc<CsrMatrix>,
     xs: &[Matrix],
     ys: &[f64],
     config: &TrainConfig,
-    control: &TrainControl,
 ) -> TrainReport {
     assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
     assert!(!xs.is_empty(), "empty training set");
@@ -274,7 +254,7 @@ pub fn train_with(
     let mut peak_tape_bytes = 0u64;
     let fingerprint = checkpoint::fingerprint(config, xs.len(), model.params());
 
-    if let Some(spec) = control.checkpoint.as_ref().filter(|s| s.resume) {
+    if let Some(spec) = config.control.checkpoint.as_ref().filter(|s| s.resume) {
         match checkpoint::load(&spec.path) {
             Ok(None) => {} // nothing saved yet: a fresh run
             Ok(Some(ckpt)) => {
@@ -333,7 +313,8 @@ pub fn train_with(
             })
             .unwrap_or(false);
         if injected_interrupt
-            || control
+            || config
+                .control
                 .cancel
                 .as_ref()
                 .is_some_and(CancelToken::is_cancelled)
@@ -369,9 +350,6 @@ pub fn train_with(
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for batch in order.chunks(config.batch_size.max(1)) {
-            if let Some(hb) = &control.heartbeat {
-                hb.beat();
-            }
             let layout = match layouts.iter().position(|(len, _)| *len == batch.len()) {
                 Some(pos) => &layouts[pos].1,
                 None => {
@@ -380,7 +358,7 @@ pub fn train_with(
                 }
             };
             let (mut batch_loss, grads, tape_bytes) =
-                batched_gradients(model, layout, xs, ys, batch, scale, config.jobs, pool);
+                batched_gradients(model, layout, xs, ys, batch, scale, pool);
             peak_tape_bytes = peak_tape_bytes.max(tape_bytes);
             if poison.take().is_some() {
                 batch_loss = f64::NAN;
@@ -439,7 +417,7 @@ pub fn train_with(
             // updated on the path that continued to the next epoch.
             best = best.min(epoch_loss);
         }
-        if let Some(spec) = control.checkpoint.as_ref() {
+        if let Some(spec) = config.control.checkpoint.as_ref() {
             let state = TrainCheckpoint {
                 fingerprint,
                 epochs_done: epoch + 1,
@@ -641,26 +619,43 @@ mod tests {
     }
 
     #[test]
-    fn parallel_training_is_bit_identical_to_serial() {
-        let (op, xs, ys) = toy_dataset();
-        let run = |jobs: usize| {
-            let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 9);
-            let cfg = TrainConfig {
-                jobs,
-                ..TrainConfig::quick()
-            };
-            let report = train(&mut model, &op, &xs, &ys, &cfg);
-            (report.loss_history, model.predict_batch(&op, &xs))
+    fn trained_parameters_are_pinned() {
+        // A digest of every trained parameter and prediction bit, pinned
+        // across commits: a change to the training arithmetic that moves a
+        // bit fails here. Batch size 5 over 32 instances leaves a partial
+        // final chunk of 2 each epoch.
+        let circuit = netlist::c17();
+        let graph = CircuitGraph::from_circuit(&circuit);
+        let (_, xs, ys) = toy_dataset();
+        let refs: Vec<&Matrix> = xs.iter().collect();
+        let config = TrainConfig {
+            batch_size: 5,
+            ..TrainConfig::quick()
         };
-        let (serial_history, serial_preds) = run(1);
-        for jobs in [2, 4] {
-            let (history, preds) = run(jobs);
-            assert_eq!(
-                serial_history, history,
-                "loss history differs at jobs={jobs}"
-            );
-            assert_eq!(serial_preds, preds, "predictions differ at jobs={jobs}");
-        }
+        let digest = |kind: ModelKind, agg: Aggregation| {
+            let op = Arc::new(kind.operator(&graph));
+            let mut model = GraphModel::new(kind, agg, 7, 8, 6, 29);
+            train(&mut model, &op, &xs, &ys, &config);
+            let preds = model.predict_batched(&BatchedGraph::replicate(&op, xs.len()), &refs);
+            let params = model.params().iter().flat_map(|p| p.as_slice());
+            let bits: Vec<u8> = params
+                .chain(&preds)
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            faults::fnv1a(faults::FNV_OFFSET, &bits)
+        };
+        assert_eq!(
+            [
+                digest(ModelKind::ICNet, Aggregation::Nn),
+                digest(ModelKind::ChebNet { k: 3 }, Aggregation::Mean),
+                digest(ModelKind::Gcn, Aggregation::Sum),
+            ],
+            [
+                15717837311537409553,
+                1062412406501730781,
+                10781415436890231899
+            ]
+        );
     }
 
     /// `max|g − g_ref| ≤ 1e-9 · max|g_ref|` for every parameter matrix.
@@ -741,7 +736,7 @@ mod tests {
             for chunk in order.chunks(6) {
                 let layout = BatchedGraph::replicate(&op, chunk.len());
                 let (loss, grads, _) =
-                    batched_gradients(model, &layout, &xs, &ys, chunk, scale, 1, &mut pool);
+                    batched_gradients(model, &layout, &xs, &ys, chunk, scale, &mut pool);
                 let (ref_loss, ref_grads, _) =
                     batch_gradients(model, &op, &xs, &ys, chunk, scale, &mut pool);
                 let what = format!("{model} {:?} chunk {chunk:?}", model.output);
@@ -774,7 +769,7 @@ mod tests {
             for chunk in order.chunks(batch_size) {
                 let layout = BatchedGraph::replicate(op, chunk.len());
                 let (loss, grads, _) =
-                    batched_gradients(&model, &layout, xs, ys, chunk, scale, 1, &mut pool);
+                    batched_gradients(&model, &layout, xs, ys, chunk, scale, &mut pool);
                 let (ref_loss, ref_grads, _) =
                     batch_gradients(&model, op, xs, ys, chunk, scale, &mut pool);
                 let what = format!("{model} epoch {epoch} chunk {chunk:?}");
@@ -821,55 +816,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batched_training_is_bit_identical_to_serial() {
+    fn training_reports_a_deterministic_peak_tape_bytes() {
         let (op, xs, ys) = toy_dataset();
-        let run = |jobs: usize| {
-            let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 9);
-            let cfg = TrainConfig {
-                jobs,
-                batch_size: 12, // partial final chunk exercises both layouts
-                ..TrainConfig::quick()
-            };
-            let report = train(&mut model, &op, &xs, &ys, &cfg);
-            (report.loss_history, model.predict_batch(&op, &xs))
-        };
-        let serial = run(1);
-        for jobs in [2, 4] {
-            assert_eq!(serial, run(jobs), "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn training_reports_peak_tape_bytes_and_beats_its_heartbeat() {
-        let (op, xs, ys) = toy_dataset();
-        let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 11);
         let cfg = TrainConfig {
             max_epochs: 3,
             ..TrainConfig::default()
         };
-        let dog = budget::Watchdog::new(budget::WatchdogConfig {
-            stall_after: std::time::Duration::from_secs(60),
-            poll: std::time::Duration::from_millis(50),
-        });
-        let hb = dog.watch("trainer-test", |_| {});
-        let control = TrainControl {
-            heartbeat: Some(hb.clone()),
-            ..TrainControl::default()
+        let peak = || {
+            let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 11);
+            train(&mut model, &op, &xs, &ys, &cfg).peak_tape_bytes
         };
-        let report = train_with(&mut model, &op, &xs, &ys, &cfg, &control);
+        let first = peak();
         assert!(
-            report.peak_tape_bytes > 0,
+            first > 0,
             "a run with batches must record a tape high-water mark"
         );
-        assert!(
-            hb.ticks() > 0,
-            "the trainer must beat its heartbeat once per mini-batch"
-        );
-        assert!(!hb.tripped());
-        // Deterministic: a second identical run reads the same peak.
-        let mut model2 = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 8, 6, 11);
-        let report2 = train(&mut model2, &op, &xs, &ys, &cfg);
-        assert_eq!(report.peak_tape_bytes, report2.peak_tape_bytes);
+        assert_eq!(first, peak(), "a second identical run reads the same peak");
     }
 
     #[test]
@@ -911,7 +873,7 @@ mod tests {
         // And the batched engine agrees bit for bit.
         let layout = BatchedGraph::replicate(&op, 1);
         let (_, batched, _) =
-            batched_gradients(&model, &layout, &xs, &ys, &[n - 1], scale, 1, &mut pool);
+            batched_gradients(&model, &layout, &xs, &ys, &[n - 1], scale, &mut pool);
         assert_eq!(batched, leftover, "engines disagree on the leftover chunk");
 
         // Under batch_size == n the duplicate pair each carry 1/n: the
@@ -981,11 +943,14 @@ mod tests {
             adam_v: Vec::new(),
         };
         checkpoint::save(&path, &stale).expect("checkpoint saves");
-        let control = TrainControl {
-            checkpoint: Some(TrainCheckpointSpec { path, resume: true }),
-            ..TrainControl::default()
+        let config = TrainConfig {
+            control: TrainControl {
+                checkpoint: Some(TrainCheckpointSpec { path, resume: true }),
+                ..TrainControl::default()
+            },
+            ..config
         };
-        train_with(&mut model, &op, &xs, &ys, &config, &control);
+        train(&mut model, &op, &xs, &ys, &config);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::ops::Range;
 /// accumulates in ascending-k order).
 const MATMUL_COL_TILE: usize = 256;
 
-/// Shared matmul row-band kernel: `out = a_rows * b`, where `a_rows` holds
+/// The matmul row kernel: `out = a_rows * b`, where `a_rows` holds
 /// whole rows of the left operand (row-major, `ak` columns), `b` is the full
 /// right operand (`bc` columns) and `out` holds the matching output rows.
 /// Every output element is written exactly once (accumulation happens in a
@@ -284,18 +284,6 @@ impl Matrix {
     /// Panics on inner-dimension mismatch or when `out` is not
     /// `rows(self) x cols(rhs)`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into_jobs(rhs, out, 1);
-    }
-
-    /// [`Matrix::matmul_into`] with the output rows partitioned across
-    /// `jobs` scoped worker threads. Each thread owns a disjoint contiguous
-    /// row band of `out`, so the result is bit-identical for any `jobs`
-    /// value (the per-element accumulation order never changes).
-    ///
-    /// # Panics
-    ///
-    /// Same shape panics as [`Matrix::matmul_into`].
-    pub fn matmul_into_jobs(&self, rhs: &Matrix, out: &mut Matrix, jobs: usize) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul inner dimensions: {}x{} * {}x{}",
@@ -308,38 +296,14 @@ impl Matrix {
             self.rows,
             rhs.cols
         );
-        let (ak, bc) = (self.cols, rhs.cols);
-        if self.rows == 0 || bc == 0 {
+        if self.rows == 0 || rhs.cols == 0 {
             return; // no output elements at all
         }
-        if ak == 0 {
+        if self.cols == 0 {
             out.data.fill(0.0); // empty inner dimension: all-zero product
             return;
         }
-        let jobs = jobs.max(1).min(self.rows);
-        if jobs == 1 {
-            matmul_rows(&self.data, ak, &rhs.data, bc, &mut out.data);
-            return;
-        }
-        let band = self.rows.div_ceil(jobs);
-        std::thread::scope(|scope| {
-            for (a_band, out_band) in self
-                .data
-                .chunks(band * ak)
-                .zip(out.data.chunks_mut(band * bc))
-            {
-                let b = &rhs.data;
-                scope.spawn(move || matmul_rows(a_band, ak, b, bc, out_band));
-            }
-        });
-    }
-
-    /// [`Matrix::matmul`] with row-banded parallelism (see
-    /// [`Matrix::matmul_into_jobs`]).
-    pub fn matmul_jobs(&self, rhs: &Matrix, jobs: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into_jobs(rhs, &mut out, jobs);
-        out
+        matmul_rows(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
     /// `self * rhs^T` (the backward pass of a matmul needs `dC * B^T`,
@@ -349,30 +313,19 @@ impl Matrix {
     ///
     /// Panics unless `cols(self) == cols(rhs)`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_nt_jobs(rhs, 1)
-    }
-
-    /// [`Matrix::matmul_nt`] with the output rows partitioned across `jobs`
-    /// scoped worker threads; bit-identical for any `jobs` value (each
-    /// output element is one independent dot product).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cols(self) == cols(rhs)`.
-    pub fn matmul_nt_jobs(&self, rhs: &Matrix, jobs: usize) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_nt_into_jobs(rhs, &mut out, jobs);
+        self.matmul_nt_into(rhs, &mut out);
         out
     }
 
-    /// [`Matrix::matmul_nt_jobs`] written into `out`, overwriting its
-    /// contents (buffer-reuse variant for training hot paths).
+    /// [`Matrix::matmul_nt`] written into `out`, overwriting its contents
+    /// (buffer-reuse variant for training hot paths).
     ///
     /// # Panics
     ///
     /// Panics unless `cols(self) == cols(rhs)` and `out` is
     /// `rows(self) x rows(rhs)`.
-    pub fn matmul_nt_into_jobs(&self, rhs: &Matrix, out: &mut Matrix, jobs: usize) {
+    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt inner dimensions: {}x{} * ({}x{})^T",
@@ -398,23 +351,7 @@ impl Matrix {
         // of latency-bound scalar dot products. Each output element still
         // accumulates in ascending-k order from 0.0.
         let bt = rhs.transpose();
-        let (ak, bc) = (self.cols, rhs.rows);
-        let jobs = jobs.max(1).min(self.rows);
-        if jobs == 1 {
-            matmul_rows(&self.data, ak, &bt.data, bc, &mut out.data);
-            return;
-        }
-        let band = self.rows.div_ceil(jobs);
-        std::thread::scope(|scope| {
-            for (a_band, out_band) in self
-                .data
-                .chunks(band * ak)
-                .zip(out.data.chunks_mut(band * bc))
-            {
-                let b = &bt.data;
-                scope.spawn(move || matmul_rows(a_band, ak, b, bc, out_band));
-            }
-        });
+        matmul_rows(&self.data, self.cols, &bt.data, rhs.rows, &mut out.data);
     }
 
     /// `self^T * rhs` without materializing the transpose (the backward
@@ -821,21 +758,6 @@ mod tests {
     #[should_panic(expected = "matmul_tn inner dimensions")]
     fn matmul_tn_rejects_zero_dim_mismatch() {
         let _ = Matrix::zeros(0, 2).matmul_tn(&Matrix::zeros(1, 3));
-    }
-
-    #[test]
-    fn matmul_jobs_is_bit_identical_to_serial() {
-        let a = Matrix::from_fn(17, 13, |r, c| ((r * 31 + c * 7) % 11) as f64 - 5.0);
-        let b = Matrix::from_fn(13, 9, |r, c| ((r * 13 + c * 3) % 7) as f64 - 3.0);
-        let serial = a.matmul(&b);
-        for jobs in [1, 2, 3, 8, 64] {
-            assert_eq!(a.matmul_jobs(&b, jobs), serial, "jobs={jobs}");
-            assert_eq!(
-                a.matmul_nt_jobs(&b.transpose(), jobs),
-                serial,
-                "nt jobs={jobs}"
-            );
-        }
     }
 
     #[test]

@@ -160,27 +160,6 @@ impl CsrMatrix {
     /// Panics on inner-dimension mismatch or when `out` is not
     /// `rows(self) x cols(rhs)`.
     pub fn spmm_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.spmm_into_jobs(rhs, out, 1);
-    }
-
-    /// [`CsrMatrix::spmm`] with row-banded parallelism (see
-    /// [`CsrMatrix::spmm_into_jobs`]).
-    pub fn spmm_jobs(&self, rhs: &Matrix, jobs: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols());
-        self.spmm_into_jobs(rhs, &mut out, jobs);
-        out
-    }
-
-    /// [`CsrMatrix::spmm_into`] with the output rows partitioned across
-    /// `jobs` scoped worker threads. Each thread owns a disjoint contiguous
-    /// row band of `out` (sparse rows are row-exclusive in CSR), so the
-    /// result is bit-identical for any `jobs` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch or when `out` is not
-    /// `rows(self) x cols(rhs)`.
-    pub fn spmm_into_jobs(&self, rhs: &Matrix, out: &mut Matrix, jobs: usize) {
         assert_eq!(
             self.cols,
             rhs.rows(),
@@ -201,41 +180,26 @@ impl CsrMatrix {
         if self.rows == 0 || f == 0 {
             return; // no output elements at all
         }
-        let jobs = jobs.max(1).min(self.rows);
-        if jobs == 1 {
-            self.spmm_rows(rhs.as_slice(), f, out.as_mut_slice(), 0);
-            return;
-        }
-        let band = self.rows.div_ceil(jobs);
-        let rhs_data = rhs.as_slice();
-        std::thread::scope(|scope| {
-            for (chunk_idx, out_band) in out.as_mut_slice().chunks_mut(band * f).enumerate() {
-                let this = &*self;
-                scope.spawn(move || {
-                    this.spmm_rows(rhs_data, f, out_band, chunk_idx * band);
-                });
-            }
-        });
+        self.spmm_rows(rhs.as_slice(), f, out.as_mut_slice());
     }
 
-    /// Kernel shared by the serial and banded spmm paths: fills `out_band`
-    /// with the product rows. Each destination row is zeroed right before
-    /// its accumulation (while it is cache-hot), so `out_band` may hold
-    /// stale contents on entry and no separate whole-matrix zeroing pass is
-    /// needed; the per-element accumulation order is unchanged.
-    fn spmm_rows(&self, rhs_data: &[f64], f: usize, out_band: &mut [f64], row0: usize) {
+    /// The spmm kernel: fills `out` with the product rows. Each destination
+    /// row is zeroed right before its accumulation (while it is cache-hot),
+    /// so `out` may hold stale contents on entry and no separate
+    /// whole-matrix zeroing pass is needed; the per-element accumulation
+    /// order is unchanged.
+    fn spmm_rows(&self, rhs_data: &[f64], f: usize, out: &mut [f64]) {
         // Register-resident accumulators for the common narrow widths (the
         // GNN feature/hidden sizes); bit-identical to the generic loop.
         match f {
-            4 => return self.spmm_rows_w::<4>(rhs_data, out_band, row0),
-            7 => return self.spmm_rows_w::<7>(rhs_data, out_band, row0),
-            8 => return self.spmm_rows_w::<8>(rhs_data, out_band, row0),
-            16 => return self.spmm_rows_w::<16>(rhs_data, out_band, row0),
-            32 => return self.spmm_rows_w::<32>(rhs_data, out_band, row0),
+            4 => return self.spmm_rows_w::<4>(rhs_data, out),
+            7 => return self.spmm_rows_w::<7>(rhs_data, out),
+            8 => return self.spmm_rows_w::<8>(rhs_data, out),
+            16 => return self.spmm_rows_w::<16>(rhs_data, out),
+            32 => return self.spmm_rows_w::<32>(rhs_data, out),
             _ => {}
         }
-        for (local, dst) in out_band.chunks_exact_mut(f).enumerate() {
-            let r = row0 + local;
+        for (r, dst) in out.chunks_exact_mut(f).enumerate() {
             dst.fill(0.0);
             for i in self.indptr[r]..self.indptr[r + 1] {
                 let c = self.indices[i] as usize;
@@ -252,9 +216,8 @@ impl CsrMatrix {
     /// `W`: the destination row accumulates in registers and is stored once.
     /// Per-element accumulation order (ascending nonzero index from 0.0) is
     /// unchanged, so results are bit-identical to the generic kernel.
-    fn spmm_rows_w<const W: usize>(&self, rhs_data: &[f64], out_band: &mut [f64], row0: usize) {
-        for (local, dst) in out_band.chunks_exact_mut(W).enumerate() {
-            let r = row0 + local;
+    fn spmm_rows_w<const W: usize>(&self, rhs_data: &[f64], out: &mut [f64]) {
+        for (r, dst) in out.chunks_exact_mut(W).enumerate() {
             let mut acc = [0.0f64; W];
             for i in self.indptr[r]..self.indptr[r + 1] {
                 let c = self.indices[i] as usize;
@@ -494,28 +457,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn select_rows_rejects_a_column_past_the_width() {
         let _ = example().select_rows(&[0], 2, |_, c| c);
-    }
-
-    #[test]
-    fn spmm_jobs_is_bit_identical_to_serial() {
-        let s = CsrMatrix::from_triplets(
-            7,
-            7,
-            &[
-                (0, 1, 1.5),
-                (1, 0, -2.0),
-                (2, 2, 0.25),
-                (3, 6, 3.0),
-                (5, 0, 1.0),
-                (5, 5, -0.5),
-                (6, 4, 2.0),
-            ],
-        );
-        let d = Matrix::from_fn(7, 3, |r, c| ((r * 3 + c) % 5) as f64 - 2.0);
-        let serial = s.spmm(&d);
-        for jobs in [1, 2, 3, 16] {
-            assert_eq!(s.spmm_jobs(&d, jobs), serial, "jobs={jobs}");
-        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! on every training step — parameters live outside the tape and are
 //! re-inserted as leaves (see the `icnet` crate's trainer).
 //!
-//! Tapes are `Send`: graph operators are shared as `Arc<CsrMatrix>`, so a
-//! data-parallel trainer can run one tape per worker thread against the
-//! same operator (see `icnet::train`).
+//! Tapes are `Send`: graph operators are shared as `Arc<CsrMatrix>`, so
+//! worker threads (evaluation-suite cells, serving workers) can each run
+//! their own tapes against the same operator.
 
 use crate::matrix::Matrix;
 use crate::pool::BufferPool;
@@ -212,9 +212,6 @@ pub struct Tape {
     // Arc, which keeps the allocation alive (the address cannot be reused
     // while the entry exists).
     sparse_transposes: Vec<(usize, Arc<CsrMatrix>)>,
-    // Worker threads for row-banded kernels (0 and 1 both mean serial).
-    // Banding is row-exclusive, so results are bit-identical for any value.
-    jobs: usize,
     // Recycled buffers for node values and gradients (see [`BufferPool`]).
     pool: BufferPool,
 }
@@ -248,14 +245,6 @@ impl Tape {
             }
         }
         pool
-    }
-
-    /// Sets the worker-thread count for row-banded kernels (spmm and the
-    /// batched matmul). Results are bit-identical for any value; the
-    /// default (serial) is right for tapes that are themselves run on
-    /// per-instance worker threads.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs;
     }
 
     /// Number of recorded nodes.
@@ -353,10 +342,9 @@ impl Tape {
 
     /// Sparse-constant × dense product (`sparse` receives no gradient).
     pub fn spmm(&mut self, sparse: Arc<CsrMatrix>, dense: VarId) -> VarId {
-        let jobs = self.jobs.max(1);
         let cols = self.value(dense).cols();
         let mut value = self.pool.alloc(sparse.rows(), cols);
-        sparse.spmm_into_jobs(self.value(dense), &mut value, jobs);
+        sparse.spmm_into(self.value(dense), &mut value);
         self.push(value, Op::SpMM { sparse, dense })
     }
 
@@ -470,7 +458,7 @@ impl Tape {
     /// of graphs and `b` is a shared parameter. Forward equals
     /// [`Tape::matmul`]; the backward pass reduces `b`'s gradient per row
     /// segment — `sum_over_segments(scale * a[seg]^T dC[seg])`, folded in
-    /// segment order, a fixed order for any `jobs` (DESIGN.md §10).
+    /// segment order (DESIGN.md §10).
     ///
     /// # Panics
     ///
@@ -481,11 +469,9 @@ impl Tape {
             segments.total_rows(),
             "matmul_seg segments must cover the stacked rows"
         );
-        let jobs = self.jobs.max(1);
         let (rows, cols) = (self.value(a).rows(), self.value(b).cols());
         let mut value = self.pool.alloc(rows, cols);
-        self.value(a)
-            .matmul_into_jobs(self.value(b), &mut value, jobs);
+        self.value(a).matmul_into(self.value(b), &mut value);
         self.push(
             value,
             Op::MatMulSeg {
@@ -728,10 +714,8 @@ impl Tape {
         let Tape {
             nodes,
             sparse_transposes,
-            jobs,
             pool,
         } = self;
-        let jobs = (*jobs).max(1);
         for node in nodes.iter_mut() {
             if let Some(g) = node.grad.take() {
                 pool.absorb(g); // reclaim buffers from a previous backward
@@ -756,7 +740,7 @@ impl Tape {
                     // computing it.
                     if wants_grad(&head[a.0]) {
                         let mut da = pool.alloc(grad.rows(), head[b.0].value.rows());
-                        grad.matmul_nt_into_jobs(&head[b.0].value, &mut da, 1);
+                        grad.matmul_nt_into(&head[b.0].value, &mut da);
                         accumulate_owned(head, pool, a, da);
                     }
                     if wants_grad(&head[b.0]) {
@@ -767,7 +751,7 @@ impl Tape {
                 Op::SpMM { sparse, dense } => {
                     let st = cached_transpose(sparse_transposes, sparse);
                     let mut dd = pool.alloc(st.rows(), grad.cols());
-                    st.spmm_into_jobs(grad, &mut dd, jobs);
+                    st.spmm_into(grad, &mut dd);
                     accumulate_owned(head, pool, *dense, dd);
                 }
                 &Op::Add(a, b) => {
@@ -858,7 +842,7 @@ impl Tape {
                     // gradient would be thrown away, so it is not computed.
                     if wants_grad(&head[a.0]) {
                         let mut da = pool.alloc(grad.rows(), head[b.0].value.rows());
-                        grad.matmul_nt_into_jobs(&head[b.0].value, &mut da, jobs);
+                        grad.matmul_nt_into(&head[b.0].value, &mut da);
                         accumulate_owned(head, pool, a, da);
                     }
                     if wants_grad(&head[b.0]) {
@@ -1021,8 +1005,8 @@ impl Tape {
     }
 }
 
-// The training engine moves tapes across scoped worker threads; a compile
-// error here means an `!Send` type (e.g. `Rc`) crept back into the tape.
+// Worker threads build and run their own tapes; a compile error here
+// means an `!Send` type (e.g. `Rc`) crept back into the tape.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Tape>();
@@ -1438,32 +1422,6 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn jobs_do_not_change_tape_results() {
-        let s = Arc::new(CsrMatrix::from_triplets(
-            4,
-            4,
-            &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, -1.0), (3, 3, 0.5)],
-        ));
-        let seg = Arc::new(Segments::from_lens(&[4]));
-        let run = |jobs: usize| {
-            let mut tape = Tape::new();
-            tape.set_jobs(jobs);
-            let w = tape.leaf(Matrix::from_rows(&[&[0.2, -0.4], &[0.6, 0.1]]));
-            let x = tape.constant(Matrix::from_fn(4, 2, |r, c| (r + c) as f64 - 1.5));
-            let h = tape.spmm(Arc::clone(&s), x);
-            let m = tape.matmul_seg(h, w, Arc::clone(&seg), 1.0);
-            let sq = tape.hadamard(m, m);
-            let l = tape.sum_all(sq);
-            tape.backward(l);
-            (tape.value(l).get(0, 0), tape.grad(w).clone())
-        };
-        let base = run(1);
-        for jobs in [2, 3, 8] {
-            assert_eq!(run(jobs), base, "jobs={jobs}");
-        }
     }
 
     #[test]

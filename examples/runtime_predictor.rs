@@ -66,7 +66,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             FeatureSet::All,
             &train_config(200),
             5,
-            &icnet::TrainControl::default(),
         );
         println!(
             "{:<12} {:>12}",

@@ -306,14 +306,7 @@ fn poisoned_epoch_diverges_with_finite_parameters() {
 
     let _cleanup = Disarm;
     faults::arm_str("train.epoch:nan@o2", None).unwrap();
-    let report = icnet::train_with(
-        &mut model,
-        &op,
-        &xs,
-        &ys,
-        &config,
-        &icnet::TrainControl::default(),
-    );
+    let report = icnet::train(&mut model, &op, &xs, &ys, &config);
     assert!(report.diverged, "poison must be detected, not trained on");
     assert_eq!(report.epochs_run, 3, "died in the third epoch");
     assert_eq!(
@@ -366,29 +359,24 @@ fn torn_training_checkpoint_keeps_the_last_good_epoch() {
             .collect()
     };
     let mut clean = fresh();
-    let clean_report = icnet::train_with(
-        &mut clean,
-        &op,
-        &xs,
-        &ys,
-        &config,
-        &icnet::TrainControl::default(),
-    );
+    let clean_report = icnet::train(&mut clean, &op, &xs, &ys, &config);
 
     let dir = tmp_dir("torn_train_ckpt");
-    let control = icnet::TrainControl {
-        cancel: None,
-        checkpoint: Some(icnet::TrainCheckpointSpec {
-            path: format!("{dir}/train.ckpt"),
-            resume: true,
-        }),
-        heartbeat: None,
+    let checkpointed = icnet::TrainConfig {
+        control: icnet::TrainControl {
+            cancel: None,
+            checkpoint: Some(icnet::TrainCheckpointSpec {
+                path: format!("{dir}/train.ckpt"),
+                resume: true,
+            }),
+        },
+        ..config
     };
     // Saves succeed through epoch 3; every later one tears mid-write.
     let _cleanup = Disarm;
     faults::arm_str("train.checkpoint:torn@o3+", None).unwrap();
     let mut torn = fresh();
-    let report = icnet::train_with(&mut torn, &op, &xs, &ys, &config, &control);
+    let report = icnet::train(&mut torn, &op, &xs, &ys, &checkpointed);
     faults::disarm();
     assert_eq!(report.epochs_run, 8, "a failing save never stops training");
     let error = report.checkpoint_error.expect("save failure reported");
@@ -398,7 +386,7 @@ fn torn_training_checkpoint_keeps_the_last_good_epoch() {
     // The checkpoint on disk is the last *good* save (epoch 3): resuming
     // replays epochs 3..8 to the same bit-exact parameters.
     let mut resumed = fresh();
-    let report = icnet::train_with(&mut resumed, &op, &xs, &ys, &config, &control);
+    let report = icnet::train(&mut resumed, &op, &xs, &ys, &checkpointed);
     assert_eq!(report.epochs_run, 8);
     assert_eq!(report.checkpoint_error, None);
     assert_eq!(
@@ -498,7 +486,6 @@ fn armed_but_unmatched_plan_perturbs_nothing() {
             icnet::FeatureSet::All,
             &bench::harness::train_config(epochs),
             seed,
-            &icnet::TrainControl::default(),
         );
         let bits: Vec<u64> = trained
             .model

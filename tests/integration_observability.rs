@@ -51,7 +51,6 @@ fn tracing_is_invisible_to_results_and_captures_every_event_family() {
         FeatureSet::All,
         &train_config(epochs),
         seed,
-        &icnet::TrainControl::default(),
     );
     let reference_params = param_bits(&trained.model);
 
@@ -77,7 +76,6 @@ fn tracing_is_invisible_to_results_and_captures_every_event_family() {
         FeatureSet::All,
         &train_config(epochs),
         seed,
-        &icnet::TrainControl::default(),
     );
     assert_eq!(
         param_bits(&retrained.model),

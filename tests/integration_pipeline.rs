@@ -46,7 +46,6 @@ fn icnet_beats_the_mean_predictor_on_held_out_data() {
         FeatureSet::All,
         &train_config(250),
         3,
-        &icnet::TrainControl::default(),
     );
     let icnet_mse = result.mse.expect("gnn always fits");
     assert!(
@@ -151,7 +150,6 @@ fn attention_distribution_is_a_probability_vector() {
         FeatureSet::All,
         &train_config(60),
         9,
-        &icnet::TrainControl::default(),
     );
     let attn = model.feature_attention().expect("NN aggregation");
     assert_eq!(attn.len(), 7);
@@ -177,7 +175,6 @@ fn gcn_chebnet_icnet_all_produce_finite_mse() {
                 FeatureSet::All,
                 &train_config(30),
                 2,
-                &icnet::TrainControl::default(),
             );
             assert!(
                 result.mse.expect("fits").is_finite(),

@@ -5,7 +5,7 @@
 
 use budget::CancelToken;
 use icnet::{
-    encode_features, train_with, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind,
+    encode_features, train, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind,
     TrainCheckpointSpec, TrainConfig, TrainControl,
 };
 use std::sync::{Arc, Mutex};
@@ -61,6 +61,14 @@ fn config(max_epochs: usize) -> TrainConfig {
     }
 }
 
+/// `cfg` under the runtime controls `control`.
+fn controlled(cfg: &TrainConfig, control: TrainControl) -> TrainConfig {
+    TrainConfig {
+        control,
+        ..cfg.clone()
+    }
+}
+
 fn param_bits(model: &GraphModel) -> Vec<u64> {
     model
         .params()
@@ -76,7 +84,7 @@ fn checkpointing_a_clean_run_changes_nothing() {
     let cfg = config(7);
 
     let mut plain = fresh_model();
-    let plain_report = train_with(&mut plain, &op, &xs, &ys, &cfg, &TrainControl::default());
+    let plain_report = train(&mut plain, &op, &xs, &ys, &cfg);
 
     let path = ckpt_path("clean");
     let control = TrainControl {
@@ -85,10 +93,9 @@ fn checkpointing_a_clean_run_changes_nothing() {
             path: path.clone(),
             resume: true,
         }),
-        heartbeat: None,
     };
     let mut saved = fresh_model();
-    let saved_report = train_with(&mut saved, &op, &xs, &ys, &cfg, &control);
+    let saved_report = train(&mut saved, &op, &xs, &ys, &controlled(&cfg, control));
 
     assert_eq!(param_bits(&plain), param_bits(&saved));
     assert_eq!(plain_report.loss_history, saved_report.loss_history);
@@ -106,27 +113,29 @@ fn interrupted_then_resumed_runs_are_bit_identical() {
     let cfg = config(epochs);
 
     let mut clean = fresh_model();
-    let clean_report = train_with(&mut clean, &op, &xs, &ys, &cfg, &TrainControl::default());
+    let clean_report = train(&mut clean, &op, &xs, &ys, &cfg);
     let reference = param_bits(&clean);
     assert_eq!(clean_report.epochs_run, epochs);
 
     // First epoch, a mid-run epoch, and the boundary before the last epoch.
     for k in [1usize, epochs / 2, epochs - 1] {
         let path = ckpt_path(&format!("resume_k{k}"));
-        let control = TrainControl {
-            cancel: None,
-            checkpoint: Some(TrainCheckpointSpec {
-                path: path.clone(),
-                resume: true,
-            }),
-            heartbeat: None,
-        };
+        let checkpointed = controlled(
+            &cfg,
+            TrainControl {
+                cancel: None,
+                checkpoint: Some(TrainCheckpointSpec {
+                    path: path.clone(),
+                    resume: true,
+                }),
+            },
+        );
 
         // Crash leg: the injected interrupt lands at the epoch-k boundary.
         let _cleanup = Disarm;
         faults::arm_str(&format!("train.interrupt:die@o{k}"), None).unwrap();
         let mut interrupted = fresh_model();
-        let report = train_with(&mut interrupted, &op, &xs, &ys, &cfg, &control);
+        let report = train(&mut interrupted, &op, &xs, &ys, &checkpointed);
         faults::disarm();
         assert!(report.interrupted, "k={k}");
         assert!(!report.converged, "k={k}");
@@ -135,7 +144,7 @@ fn interrupted_then_resumed_runs_are_bit_identical() {
 
         // Resume leg: restores parameters, ADAM moments, and RNG position.
         let mut resumed = fresh_model();
-        let report = train_with(&mut resumed, &op, &xs, &ys, &cfg, &control);
+        let report = train(&mut resumed, &op, &xs, &ys, &checkpointed);
         assert!(!report.interrupted, "k={k}");
         assert_eq!(report.epochs_run, epochs, "k={k}: finished the run");
         assert_eq!(report.loss_history, clean_report.loss_history, "k={k}");
@@ -157,11 +166,10 @@ fn pre_tripped_token_stops_before_the_first_epoch() {
     let control = TrainControl {
         cancel: Some(token),
         checkpoint: None,
-        heartbeat: None,
     };
     let mut model = fresh_model();
     let initial = param_bits(&model);
-    let report = train_with(&mut model, &op, &xs, &ys, &config(9), &control);
+    let report = train(&mut model, &op, &xs, &ys, &controlled(&config(9), control));
     assert!(report.interrupted);
     assert_eq!(report.epochs_run, 0);
     assert!(report.loss_history.is_empty());
@@ -184,18 +192,11 @@ fn pre_tripped_token_on_resume_stops_at_epoch_n() {
     let _cleanup = Disarm;
     faults::arm_str("train.interrupt:die@o3", None).unwrap();
     let mut first = fresh_model();
-    let report = train_with(
-        &mut first,
-        &op,
-        &xs,
-        &ys,
-        &cfg,
-        &TrainControl {
-            cancel: None,
-            checkpoint: checkpoint.clone(),
-            heartbeat: None,
-        },
-    );
+    let control = TrainControl {
+        cancel: None,
+        checkpoint: checkpoint.clone(),
+    };
+    let report = train(&mut first, &op, &xs, &ys, &controlled(&cfg, control));
     faults::disarm();
     assert_eq!((report.epochs_run, report.interrupted), (3, true));
 
@@ -204,18 +205,11 @@ fn pre_tripped_token_on_resume_stops_at_epoch_n() {
     let token = CancelToken::default();
     token.cancel();
     let mut resumed = fresh_model();
-    let report = train_with(
-        &mut resumed,
-        &op,
-        &xs,
-        &ys,
-        &cfg,
-        &TrainControl {
-            cancel: Some(token),
-            checkpoint,
-            heartbeat: None,
-        },
-    );
+    let control = TrainControl {
+        cancel: Some(token),
+        checkpoint,
+    };
+    let report = train(&mut resumed, &op, &xs, &ys, &controlled(&cfg, control));
     assert!(report.interrupted);
     assert_eq!(report.epochs_run, 3, "halted at the restored boundary");
     assert_eq!(
@@ -232,29 +226,28 @@ fn converged_checkpoint_resumes_to_the_same_report() {
     let (op, xs, ys) = setup();
     // Loose tolerance: every epoch counts as stalled, so the run converges
     // after `patience` epochs and the checkpoint records that verdict.
+    let path = ckpt_path("converged");
     let cfg = TrainConfig {
         max_epochs: 50,
         lr: 5e-3,
         batch_size: 2,
         tol: f64::INFINITY,
         patience: 3,
+        control: TrainControl {
+            cancel: None,
+            checkpoint: Some(TrainCheckpointSpec {
+                path: path.clone(),
+                resume: true,
+            }),
+        },
         ..TrainConfig::default()
     };
-    let path = ckpt_path("converged");
-    let control = TrainControl {
-        cancel: None,
-        checkpoint: Some(TrainCheckpointSpec {
-            path: path.clone(),
-            resume: true,
-        }),
-        heartbeat: None,
-    };
     let mut model = fresh_model();
-    let first = train_with(&mut model, &op, &xs, &ys, &cfg, &control);
+    let first = train(&mut model, &op, &xs, &ys, &cfg);
     assert!(first.converged);
 
     let mut reloaded = fresh_model();
-    let second = train_with(&mut reloaded, &op, &xs, &ys, &cfg, &control);
+    let second = train(&mut reloaded, &op, &xs, &ys, &cfg);
     assert!(second.converged);
     assert_eq!(second.epochs_run, first.epochs_run);
     assert_eq!(second.loss_history, first.loss_history);
@@ -274,22 +267,21 @@ fn mismatched_hyperparameters_refuse_to_resume() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (op, xs, ys) = setup();
     let path = ckpt_path("fingerprint_mismatch");
-    let control = TrainControl {
-        cancel: None,
-        checkpoint: Some(TrainCheckpointSpec {
-            path: path.clone(),
-            resume: true,
-        }),
-        heartbeat: None,
-    };
+    let cfg = controlled(
+        &config(3),
+        TrainControl {
+            cancel: None,
+            checkpoint: Some(TrainCheckpointSpec {
+                path: path.clone(),
+                resume: true,
+            }),
+        },
+    );
     let mut model = fresh_model();
-    train_with(&mut model, &op, &xs, &ys, &config(3), &control);
+    train(&mut model, &op, &xs, &ys, &cfg);
     // Same checkpoint, different learning rate: silently mixing the two
     // optimization trajectories would be worse than stopping.
     let mut other = fresh_model();
-    let cfg = TrainConfig {
-        lr: 1e-4,
-        ..config(3)
-    };
-    train_with(&mut other, &op, &xs, &ys, &cfg, &control);
+    let cfg = TrainConfig { lr: 1e-4, ..cfg };
+    train(&mut other, &op, &xs, &ys, &cfg);
 }

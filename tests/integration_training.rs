@@ -1,13 +1,11 @@
-//! The deterministic parallel training & evaluation engine, end to end:
-//! bit-identical serial-vs-parallel training on a real generated dataset,
-//! job-count invariance of the Table I/II suite, the wall-clock speedup the
+//! The deterministic training & evaluation engine, end to end: job-count
+//! invariance of the Table I/II suite, the wall-clock speedup the
 //! fan-out exists for, and divergence surfacing as N/A instead of NaN.
 
 use bench::harness::{evaluate_gnn, run_mse_suite, EvalResult, SuiteControl};
 use bench::methods::BaselineKind;
-use dataset::{generate_parallel_with, graph_features, train_test_split, Dataset, DatasetConfig};
-use icnet::{train, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind, TrainConfig};
-use std::sync::Arc;
+use dataset::{generate_parallel_with, train_test_split, Dataset, DatasetConfig};
+use icnet::{Aggregation, FeatureSet, ModelKind, TrainConfig};
 use std::time::Instant;
 
 fn demo_dataset(instances: usize) -> Dataset {
@@ -16,40 +14,6 @@ fn demo_dataset(instances: usize) -> Dataset {
     generate_parallel_with(&config, 1, None)
         .expect("demo dataset generates")
         .0
-}
-
-#[test]
-fn parallel_training_is_bit_identical_to_serial_on_a_real_dataset() {
-    let data = demo_dataset(10);
-    let graph = CircuitGraph::from_circuit(&data.circuit);
-    let op = Arc::new(ModelKind::ICNet.operator(&graph));
-    let xs = graph_features(&data.circuit, &data.instances, FeatureSet::All);
-    let ys = data.labels();
-
-    let run = |jobs: usize| {
-        let mut model = GraphModel::new(ModelKind::ICNet, Aggregation::Nn, 7, 16, 16, 5);
-        let config = TrainConfig {
-            max_epochs: 8,
-            jobs,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &op, &xs, &ys, &config);
-        (report, model.predict_batch(&op, &xs))
-    };
-
-    let (serial_report, serial_preds) = run(1);
-    assert!(!serial_report.diverged);
-    for jobs in [2, 4] {
-        let (report, preds) = run(jobs);
-        assert_eq!(
-            serial_report.loss_history, report.loss_history,
-            "loss history must be bit-identical at jobs={jobs}"
-        );
-        assert_eq!(
-            serial_preds, preds,
-            "predictions must be bit-identical at jobs={jobs}"
-        );
-    }
 }
 
 #[test]
@@ -131,7 +95,6 @@ fn divergent_training_surfaces_as_na_not_nan() {
         FeatureSet::All,
         &config,
         1,
-        &icnet::TrainControl::default(),
     );
     assert!(result.mse.is_none(), "diverged cell must be N/A");
     assert!(result.note.contains("diverged"));
