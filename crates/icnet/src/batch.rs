@@ -13,11 +13,17 @@
 //! reference's. Every other row of that instance holds the reference's
 //! bits in every layer, so it is never stored or computed.
 //!
+//! The stacked layout is never built as a matrix for Sum and Mean pooling:
+//! it is read through the gather index, which names the compressed row
+//! holding each stacked row.
+//!
 //! The layout is structural (which operator, how many instances), so a
 //! trainer builds one `BatchedGraph` per distinct batch length and reuses
-//! it across epochs; the compressed rows depend on the features and are
-//! rebuilt per mini-batch.
+//! it across epochs. The compressed rows depend on the features and are
+//! rebuilt per mini-batch from each instance's diff rows
+//! ([`diffs_from_first`]), which a trainer finds once per run.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use tensor::{BufferPool, CsrMatrix, Matrix, Segments};
 
@@ -124,7 +130,10 @@ impl BatchedGraph {
 
     /// Packs `xs` into the compressed layout for a model whose last
     /// convolution output depends on inputs up to `hops` operator hops
-    /// away (DESIGN.md §10.1).
+    /// away (DESIGN.md §10.1). `diffs[s]` lists, ascending, the rows whose
+    /// bits differ from one base matrix that every instance is compared
+    /// against ([`diffs_from_first`]); a caller finds them once per
+    /// instance, not once per batch. A batch of one ignores them.
     ///
     /// The reference is the instance with the fewest rows off the batch's
     /// common value, taken per row as the value two of the first three
@@ -137,13 +146,19 @@ impl BatchedGraph {
     /// order, so each halo row is the same sum of the same terms as in the
     /// instance's own forward pass. A batch of one is copied as is.
     ///
+    /// Only diff rows are compared: off them every instance holds the
+    /// base, so two instances can differ, or one can leave the common
+    /// value, only where one of them is off the base.
+    ///
     /// # Panics
     ///
     /// Panics if the number of matrices or any row count disagrees with the
-    /// batch layout, or if the feature widths are inconsistent.
-    pub(crate) fn compress(
+    /// batch layout, if the feature widths are inconsistent, or if a batch
+    /// of several lacks one diff per instance.
+    pub(crate) fn compress<D: AsRef<[u32]>>(
         &self,
         xs: &[&Matrix],
+        diffs: &[D],
         hops: usize,
         pool: &mut BufferPool,
     ) -> Compressed {
@@ -161,21 +176,46 @@ impl BatchedGraph {
                 gather: None,
             };
         };
+        assert_eq!(diffs.len(), xs.len(), "compress: one diff per instance");
         let row = |s: usize, g: usize| &xs[s].as_slice()[g * width..(g + 1) * width];
-        let same = |s: usize, t: usize, g: usize| {
-            row(s, g)
+        let same = |s: usize, t: usize, g: usize| same_bits(row(s, g), row(t, g));
+        // Off the diff rows of instances 0 and 1 both hold the base, so the
+        // common value is the base there. Per remaining row, an instance
+        // holding its common value.
+        let mut candidates: Vec<u32> = diffs
+            .iter()
+            .take(2)
+            .flat_map(|d| d.as_ref().iter().copied())
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        let common: Vec<usize> = candidates
+            .iter()
+            .map(|&g| {
+                if xs.len() < 3 || same(0, 1, g as usize) {
+                    0
+                } else {
+                    2
+                }
+            })
+            .collect();
+        // Instance s is off the common value on some candidate rows, and on
+        // every one of its own diff rows outside them, where the common
+        // value is the base.
+        let off = |s: usize| {
+            let on_candidates = candidates
                 .iter()
-                .zip(row(t, g))
-                .all(|(p, q)| p.to_bits() == q.to_bits())
+                .zip(&common)
+                .filter(|&(&g, &c)| !same(s, c, g as usize))
+                .count();
+            let own = diffs[s]
+                .as_ref()
+                .iter()
+                .filter(|g| candidates.binary_search(g).is_err())
+                .count();
+            on_candidates + own
         };
-        // Per row, an instance holding its common value.
-        let common: Vec<usize> = (0..n)
-            .map(|g| if xs.len() < 3 || same(0, 1, g) { 0 } else { 2 })
-            .collect();
-        let off: Vec<Vec<usize>> = (0..xs.len())
-            .map(|s| (0..n).filter(|&g| !same(s, common[g], g)).collect())
-            .collect();
-        let reference = (0..off.len()).min_by_key(|&s| off[s].len()).unwrap_or(0);
+        let reference = (0..xs.len()).min_by_key(|&s| off(s)).unwrap_or(0);
 
         // Compressed row i is gate `source[i]` of instance `owner[i]`; every
         // stacked row starts out reading the reference's copy of its gate.
@@ -185,10 +225,11 @@ impl BatchedGraph {
         let mut gather: Vec<u32> = (0..xs.len()).flat_map(|_| 0..n as u32).collect();
         let mut marked = vec![usize::MAX; n];
         for s in (0..xs.len()).filter(|&s| s != reference) {
-            // A row on the common value in both instances is equal in both,
-            // so only rows off it in either can differ.
+            // A row on the base in both instances is equal in both, so only
+            // their diff rows can differ.
             let mut halo = Vec::new();
-            for &g in off[s].iter().chain(&off[reference]) {
+            let (own, theirs) = (diffs[s].as_ref(), diffs[reference].as_ref());
+            for g in own.iter().chain(theirs).map(|&g| g as usize) {
                 if marked[g] != s && !same(s, reference, g) {
                     marked[g] = s;
                     halo.push(g);
@@ -237,6 +278,43 @@ impl BatchedGraph {
     }
 }
 
+/// Every instance's diff rows against the first instance: the rows of
+/// `xs[s]` whose bits differ from `xs[0]`'s (`-0.0` and `0.0` differ),
+/// ascending. This is the `diffs` input of [`BatchedGraph::compress`].
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+pub(crate) fn diffs_from_first<M: Borrow<Matrix>>(xs: &[M]) -> Vec<Vec<u32>> {
+    let Some(base) = xs.first() else {
+        return Vec::new();
+    };
+    xs.iter()
+        .map(|x| diff_rows(base.borrow(), x.borrow()))
+        .collect()
+}
+
+/// The rows of `x` whose bits differ from `base`'s, ascending.
+fn diff_rows(base: &Matrix, x: &Matrix) -> Vec<u32> {
+    assert_eq!(
+        base.shape(),
+        x.shape(),
+        "feature stack: shape differs from the base"
+    );
+    let width = base.cols().max(1);
+    base.as_slice()
+        .chunks_exact(width)
+        .zip(x.as_slice().chunks_exact(width))
+        .enumerate()
+        .filter(|(_, (p, q))| !same_bits(p, q))
+        .map(|(g, _)| g as u32)
+        .collect()
+}
+
+fn same_bits(p: &[f64], q: &[f64]) -> bool {
+    p.iter().zip(q).all(|(a, b)| a.to_bits() == b.to_bits())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +345,13 @@ mod tests {
 
     fn compress(op: &CsrMatrix, xs: &[Matrix], hops: usize) -> Compressed {
         let refs: Vec<&Matrix> = xs.iter().collect();
-        BatchedGraph::replicate(op, xs.len()).compress(&refs, hops, &mut BufferPool::new())
+        compress_against(op, &refs, &xs[0], hops)
+    }
+
+    /// Compresses `xs` with their diffs taken against `base`.
+    fn compress_against(op: &CsrMatrix, xs: &[&Matrix], base: &Matrix, hops: usize) -> Compressed {
+        let diffs: Vec<Vec<u32>> = xs.iter().map(|x| diff_rows(base, x)).collect();
+        BatchedGraph::replicate(op, xs.len()).compress(xs, &diffs, hops, &mut BufferPool::new())
     }
 
     /// Each instance's halo (its rows held apart from the reference's), read
@@ -420,11 +504,182 @@ mod tests {
             BatchedGraph::single(Arc::clone(&base)),
             BatchedGraph::replicate(&base, 1),
         ] {
-            let c = batch.compress(&[&x], 2, &mut BufferPool::new());
+            let c = batch.compress::<&[u32]>(&[&x], &[], 2, &mut BufferPool::new());
             assert!(c.gather.is_none());
             assert_eq!(c.x, x);
             assert_eq!(*c.op, *base);
         }
+    }
+
+    /// The compressed layout derived by scanning every row of every
+    /// instance for the common value, the rows off it and the reference:
+    /// the derivation the diff-based [`BatchedGraph::compress`] must
+    /// reproduce exactly.
+    fn scan_compress(op: &CsrMatrix, xs: &[&Matrix], hops: usize) -> Compressed {
+        let n = op.rows();
+        let width = xs.first().map_or(0, |x| x.cols());
+        if xs.len() < 2 {
+            let mut x = Matrix::zeros(n * xs.len(), width);
+            if let Some(only) = xs.first() {
+                x.as_mut_slice().copy_from_slice(only.as_slice());
+            }
+            return Compressed {
+                x,
+                op: Arc::new(op.clone()),
+                segments: Arc::new(Segments::from_lens(&vec![n; xs.len()])),
+                gather: None,
+            };
+        }
+        let fan_out = op.transpose();
+        let row = |s: usize, g: usize| &xs[s].as_slice()[g * width..(g + 1) * width];
+        let same = |s: usize, t: usize, g: usize| same_bits(row(s, g), row(t, g));
+        let common: Vec<usize> = (0..n)
+            .map(|g| if xs.len() < 3 || same(0, 1, g) { 0 } else { 2 })
+            .collect();
+        let off: Vec<Vec<usize>> = (0..xs.len())
+            .map(|s| (0..n).filter(|&g| !same(s, common[g], g)).collect())
+            .collect();
+        let reference = (0..off.len()).min_by_key(|&s| off[s].len()).unwrap_or(0);
+        let mut source: Vec<usize> = (0..n).collect();
+        let mut owner = vec![reference; n];
+        let mut lens = vec![n];
+        let mut gather: Vec<u32> = (0..xs.len()).flat_map(|_| 0..n as u32).collect();
+        let mut marked = vec![usize::MAX; n];
+        for s in (0..xs.len()).filter(|&s| s != reference) {
+            let mut halo = Vec::new();
+            for &g in off[s].iter().chain(&off[reference]) {
+                if marked[g] != s && !same(s, reference, g) {
+                    marked[g] = s;
+                    halo.push(g);
+                }
+            }
+            let mut frontier = 0;
+            for _ in 0..hops {
+                let reached = halo.len();
+                for i in frontier..reached {
+                    for &r in fan_out.row_indices(halo[i]) {
+                        if std::mem::replace(&mut marked[r as usize], s) != s {
+                            halo.push(r as usize);
+                        }
+                    }
+                }
+                frontier = reached;
+            }
+            halo.sort_unstable();
+            for (i, &g) in halo.iter().enumerate() {
+                gather[s * n + g] = (source.len() + i) as u32;
+            }
+            owner.resize(source.len() + halo.len(), s);
+            lens.push(halo.len());
+            source.extend(halo);
+        }
+        let mut x = Matrix::zeros(source.len(), width);
+        if width > 0 {
+            for (dst, (&g, &s)) in x
+                .as_mut_slice()
+                .chunks_exact_mut(width)
+                .zip(source.iter().zip(&owner))
+            {
+                dst.copy_from_slice(row(s, g));
+            }
+        }
+        let op = op.select_rows(&source, source.len(), |i, c| {
+            gather[owner[i] * n + c] as usize
+        });
+        Compressed {
+            x,
+            op: Arc::new(op),
+            segments: Arc::new(Segments::from_lens(&lens)),
+            gather: Some(Arc::from(gather)),
+        }
+    }
+
+    #[test]
+    fn diff_based_compress_matches_the_full_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (n, width) = (40, 3);
+        let mut rng = StdRng::seed_from_u64(27);
+        let values = [0.0, -0.0, 1.0, 0.5, 2.0];
+        let mut layouts = 0;
+        let mut moved_reference = 0;
+        for trial in 0..12 {
+            // A sparse operator: a self-loop and two random reads per row.
+            let triplets: Vec<(usize, usize, f64)> = (0..n)
+                .flat_map(|r| [(r, r), (r, rng.gen_range(0..n)), (r, rng.gen_range(0..n))])
+                .map(|(r, c)| (r, c, 0.5 + c as f64 / 64.0))
+                .collect();
+            let op = CsrMatrix::from_triplets(n, n, &triplets);
+            // The empty selection, and lockings that change a few rows of
+            // it — to any value, so a change may also restore the bits,
+            // or flip the sign of a zero.
+            let plain =
+                Matrix::from_fn(n, width, |_, _| [0.0, 1.0, 0.25][rng.gen_range(0..3usize)]);
+            let locking = |rng: &mut StdRng, rows: usize| {
+                let mut x = plain.clone();
+                for _ in 0..rows {
+                    let (r, c) = (rng.gen_range(0..n), rng.gen_range(0..width));
+                    let v = x.get(r, c);
+                    let v = if v == 0.0 && rng.gen_bool(0.5) {
+                        -v
+                    } else {
+                        values[rng.gen_range(0..values.len())]
+                    };
+                    x.set(r, c, v);
+                }
+                x
+            };
+            let outside = locking(&mut rng, 3);
+            for b in [1, 2, 3, 16] {
+                let mut xs: Vec<Matrix> = (0..b)
+                    .map(|_| {
+                        let rows = rng.gen_range(0..5);
+                        locking(&mut rng, rows)
+                    })
+                    .collect();
+                if b >= 3 {
+                    // Instance 0 carries the most rows off the common value
+                    // and the last one is the empty selection, so the
+                    // reference is not instance 0.
+                    xs[0] = locking(&mut rng, 12);
+                    xs[b - 1] = plain.clone();
+                }
+                if b > 3 {
+                    // An instance off the empty selection on every row, one
+                    // off it only in the signs of its zeros, a duplicate.
+                    xs[3] = Matrix::from_fn(n, width, |r, c| {
+                        plain.get(r, c) + if c == trial % width { 3.0 } else { 0.0 }
+                    });
+                    xs[4] = plain.map(|v| if v == 0.0 { -0.0 } else { v });
+                    xs[5] = xs[1].clone();
+                }
+                let refs: Vec<&Matrix> = xs.iter().collect();
+                for hops in 0..3 {
+                    let want = scan_compress(&op, &refs, hops);
+                    // Diffs against a batch member, the empty selection,
+                    // and a matrix outside the batch (the trainer's base).
+                    for base in [&xs[0], &plain, &outside] {
+                        let got = compress_against(&op, &refs, base, hops);
+                        let what = format!("trial {trial}, B = {b}, {hops} hops");
+                        let bits = |m: &Matrix| {
+                            m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(&got.x), bits(&want.x), "{what}: x");
+                        assert_eq!(got.op, want.op, "{what}: operator");
+                        assert_eq!(got.segments, want.segments, "{what}: segments");
+                        assert_eq!(got.gather, want.gather, "{what}: gather");
+                        layouts += 1;
+                        moved_reference += usize::from(b >= 3 && !halos(&got, n)[0].is_empty());
+                    }
+                }
+            }
+        }
+        assert_eq!(layouts, 12 * 4 * 3 * 3);
+        assert_eq!(
+            moved_reference,
+            12 * 2 * 3 * 3,
+            "instance 0 was never the reference"
+        );
     }
 
     #[test]
@@ -432,7 +687,9 @@ mod tests {
         let batch = BatchedGraph::replicate(&op(3), 0);
         assert_eq!(batch.num_graphs(), 0);
         assert_eq!(batch.total_nodes(), 0);
-        let stacked = batch.compress(&[], 2, &mut BufferPool::new()).x;
+        let stacked = batch
+            .compress::<&[u32]>(&[], &[], 2, &mut BufferPool::new())
+            .x;
         assert_eq!(stacked.shape(), (0, 0));
     }
 }

@@ -1,7 +1,7 @@
 //! The graph regressor family: GCN, ChebNet, and ICNet.
 
 use crate::aggregate::Aggregation;
-use crate::batch::{BatchedGraph, Compressed};
+use crate::batch::{diffs_from_first, BatchedGraph, Compressed};
 use crate::graph::CircuitGraph;
 use crate::pool_lease::PoolLease;
 use std::fmt;
@@ -330,11 +330,12 @@ impl GraphModel {
 
     /// Builds the forward graph for a whole mini-batch on one tape. The
     /// convolutions run on the batch's compressed rows (`rows`, from
-    /// [`BatchedGraph::compress`]); a row gather then expands the last
-    /// layer to the stacked layout, and the per-graph stages (pooling,
-    /// softmax attention, head) walk it via `batch`'s [`Segments`]. Returns
-    /// a `B x 1` prediction node. Every prediction is bit-identical to the
-    /// instance's own forward pass (DESIGN.md §10.1).
+    /// [`BatchedGraph::compress`]); pooling then walks `batch`'s stacked
+    /// [`Segments`] through the gather index. Sum and Mean read each
+    /// instance's rows of the last layer in place; attention pooling
+    /// gathers them into stacked rows first. Returns a `B x 1` prediction
+    /// node. Every prediction is bit-identical to the instance's own
+    /// forward pass (DESIGN.md §10.1).
     ///
     /// `grad_scale` is the weight each row segment's parameter gradient
     /// carries in the backward fold (`1/batch_size` during training, `1.0`
@@ -387,15 +388,11 @@ impl GraphModel {
             let weights = &param_ids[layer * k..(layer + 1) * k];
             h2 = self.conv(tape, &op, &row_seg, grad_scale, h2, weights);
         }
-        // Every instance's rows of the last layer, in the stacked layout.
-        if let Some(index) = gather {
-            h2 = tape.gather_rows(h2, index);
-        }
 
         // Pool each graph's node rows into one row of a B x hidden matrix.
         let pooled = match self.aggregation {
             Aggregation::Sum | Aggregation::Mean => {
-                let summed = tape.segment_sum(h2, Arc::clone(&seg)); // B x h
+                let summed = tape.segment_sum(h2, Arc::clone(&seg), gather); // B x h
                 if self.aggregation == Aggregation::Mean {
                     let inv =
                         Matrix::from_fn(b, self.hidden, |g, _| 1.0 / seg.range(g).len() as f64);
@@ -406,6 +403,14 @@ impl GraphModel {
                 }
             }
             Aggregation::Nn => {
+                // The stacked rows feed both the Θgate scores and the
+                // weighted sum, and their two gradients are added per
+                // stacked row before the gather scatters the total. Reading
+                // through the index instead would scatter each separately
+                // and reassociate the sum, moving ICNet-Nn's trained bits.
+                if let Some(index) = gather {
+                    h2 = tape.gather_rows(h2, index);
+                }
                 let tg = theta_g.expect("Nn aggregation carries Θgate");
                 let scores = tape.matmul_seg(h2, tg, Arc::clone(&seg), grad_scale); // n x 1
                 let attn = tape.segment_softmax_col(scores, Arc::clone(&seg));
@@ -551,7 +556,14 @@ impl GraphModel {
         // Lease the thread's standing buffer pool so repeated inference
         // (the serve loop, evaluation sweeps) reuses one set of buffers.
         let mut lease = PoolLease::acquire();
-        let rows = batch.compress(xs, self.halo_hops(), lease.pool());
+        // One pass finds every instance's diff rows against the first; a
+        // batch of one is not compressed and needs none.
+        let diffs = if batch.num_graphs() > 1 {
+            diffs_from_first(xs)
+        } else {
+            Vec::new()
+        };
+        let rows = batch.compress(xs, &diffs, self.halo_hops(), lease.pool());
         let mut tape = Tape::with_pool(std::mem::take(lease.pool()));
         let ids = self.insert_params(&mut tape);
         let out = self.forward_batched(&mut tape, &ids, batch, rows, 1.0);
@@ -740,7 +752,8 @@ mod tests {
     ) -> (Vec<Matrix>, Matrix, Arc<[u32]>) {
         let batch = BatchedGraph::replicate(op, xs.len());
         let refs: Vec<&Matrix> = xs.iter().collect();
-        let rows = batch.compress(&refs, hops, &mut tensor::BufferPool::new());
+        let diffs = diffs_from_first(xs);
+        let rows = batch.compress(&refs, &diffs, hops, &mut tensor::BufferPool::new());
         let mut tape = Tape::new();
         let ids = model.insert_params(&mut tape);
         let k = model.kind.cheb_order();
@@ -848,7 +861,13 @@ mod tests {
         let refs: Vec<&Matrix> = xs.iter().collect();
         let model = GraphModel::new(ModelKind::ICNet, Aggregation::Sum, 7, 16, 16, 1);
         let batch = BatchedGraph::replicate(&op, xs.len());
-        let rows = batch.compress(&refs, model.halo_hops(), &mut tensor::BufferPool::new());
+        let diffs = diffs_from_first(&xs);
+        let rows = batch.compress(
+            &refs,
+            &diffs,
+            model.halo_hops(),
+            &mut tensor::BufferPool::new(),
+        );
         let kept = rows.x.rows() as f64 / batch.total_nodes() as f64;
         assert!(kept <= 0.25, "{:.1}% of rows kept", 100.0 * kept);
     }

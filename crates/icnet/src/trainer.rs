@@ -3,7 +3,10 @@
 //!
 //! Each mini-batch is one tape: [`BatchedGraph::compress`] keeps one
 //! reference instance in full and every other instance only on its halo,
-//! the rows its features can reach (DESIGN.md §10.1). The forward values
+//! the rows its features can reach (DESIGN.md §10.1). It works from each
+//! instance's diff rows against the first instance, found once per run.
+//! Sum and Mean pooling read the compressed last layer through the gather
+//! index, so no B·n-row matrix is built for them. The forward values
 //! are bit-identical to each instance's own forward pass; the weight
 //! gradients are exact sums folded in a different order, so they agree
 //! with the per-instance gradients to rounding (DESIGN.md §10.2).
@@ -26,7 +29,7 @@
 //! batch; the fix changes trajectories for such datasets, so the checkpoint
 //! fingerprint is versioned and stale checkpoints are refused loudly.
 
-use crate::batch::BatchedGraph;
+use crate::batch::{diffs_from_first, BatchedGraph};
 use crate::checkpoint::{self, TrainCheckpoint};
 use crate::model::GraphModel;
 use crate::pool_lease::PoolLease;
@@ -151,19 +154,23 @@ fn batch_scale(batch_size: usize, num_instances: usize) -> f64 {
 }
 
 /// Summed batch loss and scaled per-parameter gradients for one mini-batch:
-/// the chunk's instances are compressed onto `layout` and one tape computes
-/// the whole batch, each row segment's weight gradient scaled by `scale`.
+/// the chunk's instances are compressed onto `layout` (with `diffs[i]`,
+/// instance `i`'s diff rows against one base) and one tape computes the
+/// whole batch, each row segment's weight gradient scaled by `scale`.
+#[allow(clippy::too_many_arguments)]
 fn batched_gradients(
     model: &GraphModel,
     layout: &BatchedGraph,
     xs: &[Matrix],
+    diffs: &[Vec<u32>],
     ys: &[f64],
     batch: &[usize],
     scale: f64,
     pool: &mut BufferPool,
 ) -> (f64, Vec<Matrix>, u64) {
     let refs: Vec<&Matrix> = batch.iter().map(|&i| &xs[i]).collect();
-    let rows = layout.compress(&refs, model.halo_hops(), pool);
+    let batch_diffs: Vec<&[u32]> = batch.iter().map(|&i| diffs[i].as_slice()).collect();
+    let rows = layout.compress(&refs, &batch_diffs, model.halo_hops(), pool);
     let targets = Matrix::from_vec(batch.len(), 1, batch.iter().map(|&i| ys[i]).collect());
     let mut tape = Tape::with_pool(std::mem::take(pool));
     let ids = model.insert_params(&mut tape);
@@ -232,6 +239,9 @@ pub fn train(
     assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
     assert!(!xs.is_empty(), "empty training set");
     let scale = batch_scale(config.batch_size, xs.len());
+    // Every instance's diff rows against the first, found once for the run:
+    // each batch compresses from them instead of scanning its features.
+    let diffs = diffs_from_first(xs);
     // One layout (operator + transpose) per distinct chunk length, built
     // once and reused across every epoch. An epoch sees at most two
     // lengths: the nominal batch size and the final partial chunk.
@@ -358,7 +368,7 @@ pub fn train(
                 }
             };
             let (mut batch_loss, grads, tape_bytes) =
-                batched_gradients(model, layout, xs, ys, batch, scale, pool);
+                batched_gradients(model, layout, xs, &diffs, ys, batch, scale, pool);
             peak_tape_bytes = peak_tape_bytes.max(tape_bytes);
             if poison.take().is_some() {
                 batch_loss = f64::NAN;
@@ -580,6 +590,48 @@ mod tests {
     }
 
     #[test]
+    fn sum_and_mean_pooling_never_hold_the_stacked_last_layer() {
+        // Batches of 16 lockings of c1529 (1–6 key gates each) through a
+        // 16-wide ICNet. A tape that expands the last layer to all B·n
+        // stacked rows holds that matrix and its gradient, 2·B·n·hidden·8
+        // bytes, on top of everything else; pooling through the gather
+        // index keeps the whole tape below that.
+        let circuit = synth::iscas::circuit("c1529", 0).expect("known profile");
+        let graph = CircuitGraph::from_circuit(&circuit);
+        let op = Arc::new(ModelKind::ICNet.operator(&graph));
+        let gates: Vec<GateId> = circuit
+            .iter()
+            .filter(|(_, g)| !g.kind().is_input())
+            .map(|(id, _)| id)
+            .collect();
+        let (b, hidden) = (16, 16);
+        let xs: Vec<Matrix> = (0..2 * b)
+            .map(|s| {
+                let sel: Vec<GateId> = (0..1 + s % 6)
+                    .map(|i| gates[(s * 211 + i * 97) % gates.len()])
+                    .collect();
+                encode_features(&circuit, &sel, FeatureSet::All)
+            })
+            .collect();
+        let ys: Vec<f64> = (0..xs.len()).map(|i| (i % 5) as f64 * 0.3).collect();
+        let stacked = 2 * b * circuit.num_gates() * hidden * std::mem::size_of::<f64>();
+        for agg in [Aggregation::Sum, Aggregation::Mean] {
+            let mut model = GraphModel::new(ModelKind::ICNet, agg, 7, hidden, hidden, 1);
+            let config = TrainConfig {
+                batch_size: b,
+                max_epochs: 2,
+                ..TrainConfig::default()
+            };
+            let report = train(&mut model, &op, &xs, &ys, &config);
+            assert!(
+                report.peak_tape_bytes > 0 && (report.peak_tape_bytes as usize) < stacked,
+                "{agg}: tape peak {} B against the stacked {stacked} B",
+                report.peak_tape_bytes
+            );
+        }
+    }
+
+    #[test]
     fn sum_and_mean_aggregations_also_train() {
         let (op, xs, ys) = toy_dataset();
         for agg in [Aggregation::Sum, Aggregation::Mean] {
@@ -731,12 +783,13 @@ mod tests {
             23,
         ));
         let mut pool = BufferPool::new();
+        let diffs = diffs_from_first(&xs);
         for model in &models {
             let op = Arc::new(model.kind.operator(&graph));
             for chunk in order.chunks(6) {
                 let layout = BatchedGraph::replicate(&op, chunk.len());
                 let (loss, grads, _) =
-                    batched_gradients(model, &layout, &xs, &ys, chunk, scale, &mut pool);
+                    batched_gradients(model, &layout, &xs, &diffs, &ys, chunk, scale, &mut pool);
                 let (ref_loss, ref_grads, _) =
                     batch_gradients(model, &op, &xs, &ys, chunk, scale, &mut pool);
                 let what = format!("{model} {:?} chunk {chunk:?}", model.output);
@@ -764,12 +817,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut order: Vec<usize> = (0..xs.len()).collect();
         let mut pool = BufferPool::new();
+        let diffs = diffs_from_first(xs);
         for epoch in 0..epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(batch_size) {
                 let layout = BatchedGraph::replicate(op, chunk.len());
                 let (loss, grads, _) =
-                    batched_gradients(&model, &layout, xs, ys, chunk, scale, &mut pool);
+                    batched_gradients(&model, &layout, xs, &diffs, ys, chunk, scale, &mut pool);
                 let (ref_loss, ref_grads, _) =
                     batch_gradients(&model, op, xs, ys, chunk, scale, &mut pool);
                 let what = format!("{model} epoch {epoch} chunk {chunk:?}");
@@ -872,8 +926,16 @@ mod tests {
         );
         // And the batched engine agrees bit for bit.
         let layout = BatchedGraph::replicate(&op, 1);
-        let (_, batched, _) =
-            batched_gradients(&model, &layout, &xs, &ys, &[n - 1], scale, &mut pool);
+        let (_, batched, _) = batched_gradients(
+            &model,
+            &layout,
+            &xs,
+            &diffs_from_first(&xs),
+            &ys,
+            &[n - 1],
+            scale,
+            &mut pool,
+        );
         assert_eq!(batched, leftover, "engines disagree on the leftover chunk");
 
         // Under batch_size == n the duplicate pair each carry 1/n: the

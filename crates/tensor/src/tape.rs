@@ -49,10 +49,12 @@ enum Op {
         segments: Arc<Segments>,
         scale: f64,
     },
-    /// Per-segment row sum: `(total_rows x C) -> (num_segments x C)`.
+    /// Per-segment row sum: `(total_rows x C) -> (num_segments x C)`, or
+    /// with an index, `out[s] = sum_{i in seg s} a[index[i]]`.
     SegmentSum {
         a: VarId,
         segments: Arc<Segments>,
+        index: Option<Arc<[u32]>>,
     },
     /// Softmax down a stacked column, renormalized per row segment.
     SegmentSoftmaxCol {
@@ -488,31 +490,53 @@ impl Tape {
     /// `(num_segments x C)`. This is the batched Sum readout (and, scaled,
     /// the Mean readout).
     ///
+    /// With an `index`, the stacked rows are read through it without being
+    /// built: `out[s] = sum_{i in seg s} a[index[i]]`, summed in ascending
+    /// `i` from 0.0, so the result is bit-identical to
+    /// [`Tape::gather_rows`] followed by the plain sum. The backward pass
+    /// scatter-adds `grad[s]` into row `index[i]` of a zeroed gradient in
+    /// ascending `i` — the order in which the gather's backward adds the
+    /// stacked rows' gradient copies, so the gradient bits match too.
+    ///
     /// # Panics
     ///
-    /// Panics if `segments` does not cover exactly the rows of `a`.
-    pub fn segment_sum(&mut self, a: VarId, segments: Arc<Segments>) -> VarId {
+    /// Panics if `segments` does not cover exactly the rows of `a` (or,
+    /// with an index, the index entries), or if an index is not a row of
+    /// `a`.
+    pub fn segment_sum(
+        &mut self,
+        a: VarId,
+        segments: Arc<Segments>,
+        index: Option<Arc<[u32]>>,
+    ) -> VarId {
+        let (rows, cols) = self.value(a).shape();
+        let stacked = index.as_ref().map_or(rows, |index| {
+            assert!(
+                index.iter().all(|&r| (r as usize) < rows),
+                "segment_sum: index past the {rows} rows"
+            );
+            index.len()
+        });
         assert_eq!(
-            self.value(a).rows(),
+            stacked,
             segments.total_rows(),
             "segment_sum segments must cover the stacked rows"
         );
-        let cols = self.value(a).cols();
         let mut value = self.pool.zeros(segments.len(), cols);
         {
             let src = self.value(a).as_slice();
             let dst = value.as_mut_slice();
             for (s, range) in segments.iter().enumerate() {
-                for r in range {
-                    let row = &src[r * cols..(r + 1) * cols];
-                    let out = &mut dst[s * cols..(s + 1) * cols];
-                    for (o, &x) in out.iter_mut().zip(row) {
+                let out = &mut dst[s * cols..(s + 1) * cols];
+                for i in range {
+                    let r = index.as_ref().map_or(i, |index| index[i] as usize);
+                    for (o, &x) in out.iter_mut().zip(&src[r * cols..(r + 1) * cols]) {
                         *o += x;
                     }
                 }
             }
         }
-        self.push(value, Op::SegmentSum { a, segments })
+        self.push(value, Op::SegmentSum { a, segments, index })
     }
 
     /// Softmax down a stacked `(total_rows x 1)` column, renormalized per
@@ -858,21 +882,42 @@ impl Tape {
                         accumulate_owned(head, pool, b, db);
                     }
                 }
-                Op::SegmentSum { a, segments } => {
+                Op::SegmentSum { a, segments, index } => {
                     let (ar, cols) = head[a.0].value.shape();
-                    // Every row of `da` belongs to exactly one segment, so
-                    // the copies below overwrite the whole (pooled) buffer.
-                    let mut da = pool.alloc(ar, cols);
-                    {
-                        let dst = da.as_mut_slice();
-                        let g = grad.as_slice();
-                        for (s, range) in segments.iter().enumerate() {
-                            for r in range {
-                                dst[r * cols..(r + 1) * cols]
-                                    .copy_from_slice(&g[s * cols..(s + 1) * cols]);
+                    let g = grad.as_slice();
+                    let da = match index {
+                        // Every row of `da` belongs to exactly one segment,
+                        // so the copies overwrite the whole (pooled) buffer.
+                        None => {
+                            let mut da = pool.alloc(ar, cols);
+                            let dst = da.as_mut_slice();
+                            for (s, range) in segments.iter().enumerate() {
+                                for r in range {
+                                    dst[r * cols..(r + 1) * cols]
+                                        .copy_from_slice(&g[s * cols..(s + 1) * cols]);
+                                }
                             }
+                            da
                         }
-                    }
+                        // A row may be read by several segments (or none):
+                        // scatter-add in ascending stacked row.
+                        Some(index) => {
+                            let mut da = pool.zeros(ar, cols);
+                            let dst = da.as_mut_slice();
+                            for (s, range) in segments.iter().enumerate() {
+                                let grow = &g[s * cols..(s + 1) * cols];
+                                for &r in &index[range] {
+                                    let r = r as usize;
+                                    for (o, &gv) in
+                                        dst[r * cols..(r + 1) * cols].iter_mut().zip(grow)
+                                    {
+                                        *o += gv;
+                                    }
+                                }
+                            }
+                            da
+                        }
+                    };
                     accumulate_owned(head, pool, *a, da);
                 }
                 Op::SegmentSoftmaxCol { a, segments } => {
@@ -1263,7 +1308,7 @@ mod tests {
         // segment_sum: pool a trainable stacked matrix.
         let seg2 = Arc::clone(&seg);
         let build = move |tape: &mut Tape, x: VarId| {
-            let pooled = tape.segment_sum(x, Arc::clone(&seg2));
+            let pooled = tape.segment_sum(x, Arc::clone(&seg2), None);
             let sq = tape.hadamard(pooled, pooled);
             tape.sum_all(sq)
         };
@@ -1410,7 +1455,7 @@ mod tests {
                 let ones_row = tape.constant(Matrix::ones(1, 4));
                 let spread = tape.matmul(attn, ones_row);
                 let weighted = tape.hadamard(hv, spread);
-                tape.segment_sum(weighted, Arc::clone(&seg))
+                tape.segment_sum(weighted, Arc::clone(&seg), None)
             };
             let sq = tape.hadamard(pooled, pooled);
             let l = tape.sum_all(sq);
@@ -1496,6 +1541,118 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.constant(Matrix::zeros(2, 1));
         let _ = tape.gather_rows(a, Arc::from(vec![2]));
+    }
+
+    /// Pools `a` over `seg` through `index`, either read in place or first
+    /// gathered into stacked rows, weights the pooled rows by `w` and
+    /// returns the value and gradient bits.
+    fn indexed_pool(
+        a: &Matrix,
+        index: &Arc<[u32]>,
+        seg: &Arc<Segments>,
+        w: &Matrix,
+        gathered: bool,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut tape = Tape::new();
+        let av = tape.leaf(a.clone());
+        let pooled = if gathered {
+            let stacked = tape.gather_rows(av, Arc::clone(index));
+            tape.segment_sum(stacked, Arc::clone(seg), None)
+        } else {
+            tape.segment_sum(av, Arc::clone(seg), Some(Arc::clone(index)))
+        };
+        let wv = tape.constant(w.clone());
+        let weighted = tape.hadamard(pooled, wv);
+        let l = tape.sum_all(weighted);
+        tape.backward(l);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        (bits(tape.value(pooled)), bits(tape.grad(av)))
+    }
+
+    #[test]
+    fn indexed_segment_sum_is_bit_identical_to_gather_then_sum() {
+        // Row 0 is read by every segment, row 3 by none; the zeros are
+        // signed so that `0.0 + -0.0` and `-0.0 + -0.0` both occur, in the
+        // values and in the gradients (weights of both signs of zero).
+        let a = Matrix::from_rows(&[
+            &[-0.0, 1.5, 0.1],
+            &[0.0, -0.0, 0.2],
+            &[-0.0, 2.25, 1e-17],
+            &[7.0, 8.0, 9.0],
+        ]);
+        let index: Arc<[u32]> = Arc::from(vec![0, 1, 0, 2, 0, 0, 2, 1]);
+        let seg = Arc::new(Segments::from_lens(&[3, 0, 4, 1]));
+        let w = Matrix::from_rows(&[
+            &[-0.0, 0.5, 1e16],
+            &[1.0, 1.0, 1.0],
+            &[0.0, -0.0, 0.3],
+            &[-0.0, -0.0, -1.0],
+        ]);
+        let (values, grads) = indexed_pool(&a, &index, &seg, &w, false);
+        assert_eq!((values, grads), indexed_pool(&a, &index, &seg, &w, true));
+    }
+
+    #[test]
+    fn indexed_segment_sum_grad_matches_finite_difference() {
+        let index: Arc<[u32]> = Arc::from(vec![1, 1, 0, 2, 1]);
+        let seg = Arc::new(Segments::from_lens(&[2, 3]));
+        let build = move |tape: &mut Tape, x: VarId| {
+            let pooled = tape.segment_sum(x, Arc::clone(&seg), Some(Arc::clone(&index)));
+            let sq = tape.hadamard(pooled, pooled);
+            let e = tape.exp(sq);
+            tape.sum_all(e)
+        };
+        check_grads(
+            &build,
+            Matrix::from_rows(&[&[0.3, -0.2], &[0.5, 0.1], &[-0.4, 0.6]]),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "segment_sum: index past")]
+    fn indexed_segment_sum_rejects_an_index_past_the_rows() {
+        let mut tape = Tape::new();
+        let a = tape.constant(Matrix::zeros(2, 1));
+        let seg = Arc::new(Segments::from_lens(&[1]));
+        let _ = tape.segment_sum(a, seg, Some(Arc::from(vec![2])));
+    }
+
+    #[test]
+    fn unindexed_segment_sum_sums_and_copies_each_segment_in_row_order() {
+        // Without an index the op is the plain per-segment fold: each
+        // output row is its segment's rows added in order from 0.0, and
+        // each input row's gradient is a copy of its segment's.
+        let a = Matrix::from_rows(&[
+            &[-0.0, 1e17],
+            &[-0.0, 1.0],
+            &[0.1, -1e17],
+            &[0.2, 3.0],
+            &[0.0, -0.0],
+        ]);
+        let seg = Arc::new(Segments::from_lens(&[3, 0, 2]));
+        let w = Matrix::from_rows(&[&[-0.0, 2.0], &[5.0, 5.0], &[0.5, -0.0]]);
+        let mut tape = Tape::new();
+        let av = tape.leaf(a.clone());
+        let pooled = tape.segment_sum(av, Arc::clone(&seg), None);
+        let wv = tape.constant(w.clone());
+        let weighted = tape.hadamard(pooled, wv);
+        let l = tape.sum_all(weighted);
+        tape.backward(l);
+        let mut want = Matrix::zeros(3, 2);
+        let mut want_grad = Matrix::zeros(5, 2);
+        for (s, range) in seg.iter().enumerate() {
+            for r in range {
+                for c in 0..2 {
+                    want.set(s, c, want.get(s, c) + a.get(r, c));
+                    want_grad.set(r, c, w.get(s, c));
+                }
+            }
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(tape.value(pooled)), bits(&want));
+        assert_eq!(bits(tape.grad(av)), bits(&want_grad));
+        // 1e17 + 1.0 - 1e17 in row order is 0.0, not 1.0.
+        assert_eq!(want.get(0, 1), 0.0);
     }
 
     #[test]
