@@ -55,11 +55,6 @@ pub struct Options {
     /// that, is quarantined `MemoryExceeded` — never labeled, because a
     /// budget-perturbed work count is not the unbudgeted ground truth.
     pub mem_budget: Option<u64>,
-    /// Watchdog stall window in seconds: a worker whose progress heartbeat
-    /// stops advancing for this long is cancelled and its instance
-    /// quarantined `Stalled` (catches non-polling hangs that deadlines
-    /// cannot see).
-    pub watchdog_stall: Option<f64>,
 }
 
 impl Default for Options {
@@ -82,7 +77,6 @@ impl Default for Options {
             progress: false,
             fault_plan: None,
             mem_budget: None,
-            watchdog_stall: None,
         }
     }
 }
@@ -150,14 +144,6 @@ impl Options {
                     assert!(bytes > 0, "--mem-budget must be a positive byte count");
                     opts.mem_budget = Some(bytes);
                 }
-                "--watchdog-stall" => {
-                    let secs: f64 = value("--watchdog-stall").parse().expect("seconds stall");
-                    assert!(
-                        secs.is_finite() && secs > 0.0,
-                        "--watchdog-stall must be a positive number of seconds"
-                    );
-                    opts.watchdog_stall = Some(secs);
-                }
                 "--quick" => opts.quick = true,
                 other => {
                     if extra(other, &mut value) {
@@ -168,7 +154,7 @@ impl Options {
                          --budget <work> --epochs <n> --seed <n> --keys-max <n> \
                          --out <dir> --jobs <n> --resume <path> --deadline <secs> \
                          --retries <n> --keep-going --no-keep-going \
-                         --mem-budget <bytes> --watchdog-stall <secs> \
+                         --mem-budget <bytes> \
                          --trace <path> --progress --fault-plan <spec> --quick{}{extra_usage}",
                         if extra_usage.is_empty() { "" } else { " " },
                     );
@@ -229,7 +215,6 @@ impl Options {
         config.attack.conflicts_per_solve = Some(200_000);
         config.attack.deadline = self.deadline.map(std::time::Duration::from_secs_f64);
         config.attack.mem_budget = self.mem_budget;
-        config.watchdog_stall = self.watchdog_stall.map(std::time::Duration::from_secs_f64);
         config.seed = self.seed;
         config.retry.max_attempts = self.retries + 1;
         config.keep_going = self.keep_going;
@@ -306,7 +291,7 @@ pub fn exit_if_interrupted() {
 
 /// Flushes the observability sink and prints the end-of-run profile (top
 /// stages by wall time and by solver work) to stderr. No-op if
-/// [`Options::init_observability`] was never called.
+/// [`Options::init_runtime`] was never called.
 pub fn finish_observability() {
     if let Some(summary) = obs::finish() {
         eprint!("{}", summary.render());
@@ -394,20 +379,14 @@ mod tests {
     }
 
     #[test]
-    fn memory_and_watchdog_flags_parse_and_configure() {
-        let o = parse(&["--mem-budget", "8000000", "--watchdog-stall", "30"]);
+    fn memory_budget_flag_parses_and_configures() {
+        let o = parse(&["--mem-budget", "8000000"]);
         assert_eq!(o.mem_budget, Some(8_000_000));
-        assert_eq!(o.watchdog_stall, Some(30.0));
         let mut config = dataset::DatasetConfig::quick_demo();
         o.configure(&mut config);
         assert_eq!(config.attack.mem_budget, Some(8_000_000));
-        assert_eq!(
-            config.watchdog_stall,
-            Some(std::time::Duration::from_secs(30))
-        );
         let o = parse(&[]);
         assert_eq!(o.mem_budget, None, "no budget unless requested");
-        assert_eq!(o.watchdog_stall, None, "no watchdog unless requested");
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Resource budgets: stop conditions, deterministic memory accounting and
-//! stall watchdogs, with no dependencies so every layer can use them:
+//! Resource budgets: stop conditions and deterministic memory accounting,
+//! with no dependencies so every layer can use them:
 //!
 //! - [`Limits`] — every bound a long run stops on (work and conflict
-//!   budgets, run and per-query deadlines, the memory budget, a
-//!   [`CancelToken`] and a [`Heartbeat`]) in one value, with one
-//!   [`Limits::check`] that names the bound that holds as a typed [`Stop`].
-//!   The solver's search loop and the SAT attack's DIP loop each poll it at
-//!   one site.
+//!   budgets, run and per-query deadlines, the memory budget and a
+//!   [`CancelToken`]) in one value, with one [`Limits::check`] that names
+//!   the bound that holds as a typed [`Stop`]. The solver's search loop and
+//!   the SAT attack's DIP loop each poll it at one site.
 //! - [`MemoryMeter`] — explicit *logical-byte* accounting. Components report
 //!   the bytes they asked for (element count × element size), never what the
 //!   allocator actually reserved, so a reading is a pure function of the
@@ -14,10 +13,6 @@
 //!   makes a memory verdict label-safe: a budget trip at N logical bytes
 //!   reproduces everywhere, while RSS-based verdicts would quarantine
 //!   different instances on different hosts (see `DESIGN.md` §12).
-//! - [`Watchdog`] — a monitor thread fed by per-worker [`Heartbeat`]s.
-//!   Deadlines are *polled*, so a worker stuck between polls is invisible to
-//!   them; the watchdog watches for heartbeats that stop advancing and trips
-//!   a caller-supplied cancellation hook.
 //! - [`process_rss_bytes`] — the one deliberately *physical* reading, for
 //!   the serve-side watermark that sheds load before the OS OOM-kills the
 //!   process. Shedding is machine-local back-pressure, not a label, so
@@ -25,11 +20,9 @@
 
 mod limits;
 mod meter;
-mod watchdog;
 
 pub use limits::{CancelToken, Limits, Poll, Stop};
 pub use meter::{MemoryMeter, MeterScope};
-pub use watchdog::{Heartbeat, Watchdog, WatchdogConfig};
 
 /// Resident-set size of the current process in bytes, if the platform
 /// exposes it (`/proc/self/statm` on Linux; `None` elsewhere).

@@ -1,6 +1,5 @@
 //! Stop conditions: every bound a long run polls, in one value.
 
-use crate::Heartbeat;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,13 +87,13 @@ impl Stop {
 }
 
 /// Every stop condition of one run: deterministic budgets, wall-clock
-/// deadlines, a logical-byte memory budget, a cancel token and a watchdog
-/// heartbeat. `None` leaves a bound off.
+/// deadlines, a logical-byte memory budget and a cancel token. `None`
+/// leaves a bound off.
 ///
-/// A poll site reads the clock (and beats the heartbeat) on its own cadence
-/// through [`Limits::tick`] and asks [`Limits::check`] which bound, if any,
-/// holds. The deterministic bounds (work, conflicts, memory) decide labels;
-/// the wall-clock ones and the token only decide whether a run finishes.
+/// A poll site reads the clock on its own cadence through [`Limits::tick`]
+/// and asks [`Limits::check`] which bound, if any, holds. The deterministic
+/// bounds (work, conflicts, memory) decide labels; the wall-clock ones and
+/// the token only decide whether a run finishes.
 #[derive(Debug, Clone, Default)]
 pub struct Limits {
     /// Total work a run may spend, polled between queries, so a run that
@@ -115,9 +114,6 @@ pub struct Limits {
     pub mem_budget: Option<u64>,
     /// Cross-thread cancellation flag.
     pub cancel: Option<CancelToken>,
-    /// Watchdog pulse, beaten at every [`Limits::tick`], so a stall monitor
-    /// can see progress the polled deadlines cannot.
-    pub heartbeat: Option<Heartbeat>,
 }
 
 /// What one poll site knows when it calls [`Limits::check`]. A `None`
@@ -165,13 +161,9 @@ impl Limits {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// A poll site's clock cadence: beats the heartbeat and returns the
-    /// time when a deadline needs it. Without a deadline the clock is never
-    /// read.
+    /// A poll site's clock cadence: returns the time when a deadline needs
+    /// it. Without a deadline the clock is never read.
     pub fn tick(&self) -> Option<Instant> {
-        if let Some(hb) = &self.heartbeat {
-            hb.beat();
-        }
         (self.deadline.is_some() || self.per_query_deadline.is_some()).then(Instant::now)
     }
 
@@ -226,7 +218,6 @@ mod tests {
             per_query_deadline: Some(Duration::from_secs(if holds[3] { 10 } else { 11 })),
             mem_budget: Some(1),
             cancel: Some(token),
-            heartbeat: None,
         };
         let poll = Poll {
             started,
@@ -308,17 +299,17 @@ mod tests {
     }
 
     #[test]
-    fn tick_beats_the_heartbeat_and_reads_the_clock_for_a_deadline() {
-        let dog = crate::Watchdog::new(crate::WatchdogConfig::default());
-        let hb = dog.watch("limits", |_| {});
-        let limits = Limits {
-            heartbeat: Some(hb.clone()),
+    fn tick_reads_the_clock_only_for_a_deadline() {
+        assert_eq!(Limits::default().tick(), None);
+        assert!(Limits::default()
+            .with_deadline(Duration::ZERO)
+            .tick()
+            .is_some());
+        let per_query = Limits {
+            per_query_deadline: Some(Duration::ZERO),
             ..Limits::default()
         };
-        assert_eq!(limits.tick(), None);
-        assert_eq!(hb.ticks(), 1);
-        assert!(limits.with_deadline(Duration::ZERO).tick().is_some());
-        assert_eq!(hb.ticks(), 2);
+        assert!(per_query.tick().is_some());
     }
 
     #[test]

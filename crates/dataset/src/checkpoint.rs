@@ -104,15 +104,15 @@ pub fn instance_key(config: &DatasetConfig, locked: &LockedCircuit) -> u64 {
 
 /// Fingerprint of the supervision policy a quarantine verdict was reached
 /// under: the scheme (with its parameters), both wall-clock deadlines, the
-/// retry policy, the logical-byte memory budget, and the watchdog stall
-/// window. A `fail` record is only authoritative for runs with the *same*
-/// fingerprint — raise the deadline, add retries, raise `--mem-budget`, or
-/// change a scheme parameter (e.g. the Anti-SAT key width) and the instance
-/// deserves another attack, so [`CheckpointLog::lookup_failure`] treats the
-/// stale record as absent. The scheme is part of this fingerprint even
-/// though it also shapes [`instance_key`]: a quarantine verdict says "this
-/// scheme at these parameters was too hard under this policy", and neither
-/// half of that statement survives a parameter change.
+/// retry policy and the logical-byte memory budget. A `fail` record is only
+/// authoritative for runs with the *same* fingerprint — raise the deadline,
+/// add retries, raise `--mem-budget`, or change a scheme parameter (e.g. the
+/// Anti-SAT key width) and the instance deserves another attack, so
+/// [`CheckpointLog::lookup_failure`] treats the stale record as absent. The
+/// scheme is part of this fingerprint even though it also shapes
+/// [`instance_key`]: a quarantine verdict says "this scheme at these
+/// parameters was too hard under this policy", and neither half of that
+/// statement survives a parameter change.
 ///
 /// The memory budget rides here and *not* in [`instance_key`] for the same
 /// reason the deadlines do: it decides whether an attack finishes, and an
@@ -121,15 +121,19 @@ pub fn instance_key(config: &DatasetConfig, locked: &LockedCircuit) -> u64 {
 /// never the verdict of a completed run). Completed labels therefore
 /// survive a budget change; only quarantine verdicts are invalidated.
 pub fn supervision_key(config: &DatasetConfig) -> u64 {
+    // `stall=None` is the window of the removed stall watchdog, which every
+    // current config leaves off. The literal keeps each value equal to the
+    // one earlier builds wrote, so their quarantine records still match;
+    // records written with a window set match no current config and are
+    // re-attacked.
     let fingerprint = format!(
-        "scheme={};deadline={:?};per_query={:?};attempts={};escalation={};mem={:?};stall={:?}",
+        "scheme={};deadline={:?};per_query={:?};attempts={};escalation={};mem={:?};stall=None",
         config.scheme,
         config.attack.deadline,
         config.attack.per_query_deadline,
         config.retry.max_attempts.max(1),
         config.retry.escalation,
         config.attack.mem_budget,
-        config.watchdog_stall,
     );
     fnv1a(FNV_OFFSET, fingerprint.as_bytes())
 }
@@ -609,22 +613,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fingerprints_are_pinned() {
-        // Logs and CSV caches written by earlier builds resume only while
-        // these values stay put: a change here orphans every saved record.
-        let quick = DatasetConfig::quick_demo();
+    /// `quick_demo` with every label and supervision bound set.
+    fn limited() -> DatasetConfig {
         let mut limited = DatasetConfig::quick_demo();
         limited.attack.work_budget = Some(7_000_000);
         limited.attack.conflicts_per_solve = Some(4096);
         limited.attack.deadline = Some(std::time::Duration::from_millis(2500));
         limited.attack.per_query_deadline = Some(std::time::Duration::from_millis(750));
         limited.attack.mem_budget = Some(500_000);
-        limited.watchdog_stall = Some(std::time::Duration::from_secs(3));
         limited.retry = crate::RetryPolicy {
             max_attempts: 3,
             escalation: 4,
         };
+        limited
+    }
+
+    /// The supervision value builds with the stall watchdog wrote for a
+    /// window of `stall`.
+    fn supervision_key_with_stall(config: &DatasetConfig, stall: std::time::Duration) -> u64 {
+        let fingerprint = format!(
+            "scheme={};deadline={:?};per_query={:?};attempts={};escalation={};mem={:?};stall={:?}",
+            config.scheme,
+            config.attack.deadline,
+            config.attack.per_query_deadline,
+            config.retry.max_attempts.max(1),
+            config.retry.escalation,
+            config.attack.mem_budget,
+            Some(stall),
+        );
+        fnv1a(FNV_OFFSET, fingerprint.as_bytes())
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Logs and CSV caches written by earlier builds resume only while
+        // these values stay put: a change here orphans every saved record.
+        let quick = DatasetConfig::quick_demo();
+        let limited = limited();
         let keys = |config: &DatasetConfig| {
             let circuit = crate::generate::sweep_circuit(config).unwrap();
             let locked = crate::generate::lock_instance(config, &circuit, 0).unwrap();
@@ -649,9 +674,63 @@ mod tests {
                 "rev=3;scheme=xor-lock;budget=Some(7000000);conflicts=Some(4096);measure=SolverWork"
                     .to_owned(),
                 "cf0604ac47237a6b".to_owned(),
-                "6c5cf6b772641f1a".to_owned()
+                "768764fb30897f59".to_owned()
             )
         );
+    }
+
+    #[test]
+    fn a_log_with_stalled_records_still_resumes() {
+        // Logs written with the removed stall watchdog hold `stalled` fail
+        // records under a `stall=Some(..)` supervision value. They still
+        // open, their labels are reused, and the stalled instance is
+        // re-attacked, because no current config has that value.
+        let stall = std::time::Duration::from_secs(3);
+        assert_eq!(
+            format!("{:016x}", supervision_key_with_stall(&limited(), stall)),
+            "6c5cf6b772641f1a",
+            "the value `limited` was pinned to while the watchdog existed"
+        );
+        let mut config = DatasetConfig::quick_demo();
+        config.num_instances = 4;
+        let stalled = 2;
+        let (baseline, _) = crate::generate_parallel_with(&config, 1, None).unwrap();
+        let circuit = crate::generate::sweep_circuit(&config).unwrap();
+        let key_of = |index| {
+            let locked = crate::generate::lock_instance(&config, &circuit, index).unwrap();
+            instance_key(&config, &locked)
+        };
+        let path = tmp("stalled.ckpt");
+        let mut log = CheckpointLog::open(&path).unwrap();
+        for (index, instance) in baseline.instances.iter().enumerate() {
+            if index == stalled {
+                let failure = InstanceFailure {
+                    kind: FailureKind::Stalled,
+                    attempts: 1,
+                    message: "watchdog: no heartbeat progress for 3s; attack cancelled".into(),
+                    iterations: 0,
+                    work: 0,
+                };
+                let old = supervision_key_with_stall(&config, stall);
+                log.record_failure(key_of(index), index, old, &failure)
+                    .unwrap();
+            } else {
+                log.record(key_of(index), index, instance).unwrap();
+            }
+        }
+        drop(log);
+
+        let mut log = CheckpointLog::open(&path).unwrap();
+        assert_eq!((log.len(), log.num_quarantined()), (3, 1));
+        for current in [config.clone(), limited()] {
+            let supervision = supervision_key(&current);
+            assert!(log.lookup_failure(key_of(stalled), supervision).is_none());
+        }
+        let (resumed, report) = crate::generate_parallel_with(&config, 2, Some(&mut log)).unwrap();
+        assert_eq!(report.reused(), 3, "completed labels are reused");
+        assert_eq!(report.attacked(), 1, "the stalled instance is re-attacked");
+        assert_eq!(report.quarantined(), 0);
+        assert_eq!(resumed, baseline);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct DatasetConfig {
     /// one interrupt (operator Ctrl-C): the sweep derives its internal
     /// worker token as a *child* of it, so the sweep can abort its own
     /// workers on an internal error without tripping the caller's token.
-    /// Whenever `watchdog_stall` is set the heartbeat is sweep-owned: each
-    /// attack gets a per-instance heartbeat in place of this one.
     pub attack: AttackConfig,
     /// Which runtime measure becomes the label.
     pub measure: RuntimeMeasure,
@@ -41,15 +39,6 @@ pub struct DatasetConfig {
     /// a failure report; when false, the first such failure aborts the
     /// sweep with [`DatasetError::Quarantined`].
     pub keep_going: bool,
-    /// When set, the sweep runs a [`budget::Watchdog`] and gives each
-    /// worker a heartbeat the solver beats from inside its search loop; a
-    /// worker whose heartbeat stops advancing for this long has hung
-    /// somewhere deadline polling cannot reach (a stuck oracle, a livelocked
-    /// hook) and its instance is quarantined as
-    /// [`crate::supervise::FailureKind::Stalled`]. Wall-clock by nature —
-    /// like the deadlines, it decides whether an attack finishes, never what
-    /// label it gets. `None` = no watchdog.
-    pub watchdog_stall: Option<std::time::Duration>,
     /// Optional replacement attack runner (fault injection in tests);
     /// `None` = the real [`attack::attack_locked`].
     pub attack_hook: Option<AttackHook>,
@@ -68,7 +57,6 @@ impl fmt::Debug for DatasetConfig {
             .field("measure", &self.measure)
             .field("retry", &self.retry)
             .field("keep_going", &self.keep_going)
-            .field("watchdog_stall", &self.watchdog_stall)
             .field("attack_hook", &self.attack_hook.as_ref().map(|_| "<hook>"))
             .finish()
     }
@@ -88,7 +76,6 @@ impl DatasetConfig {
             measure: RuntimeMeasure::SolverWork,
             retry: RetryPolicy::default(),
             keep_going: true,
-            watchdog_stall: None,
             attack_hook: None,
         }
     }
@@ -116,7 +103,6 @@ impl DatasetConfig {
             measure: RuntimeMeasure::SolverWork,
             retry: RetryPolicy::default(),
             keep_going: true,
-            watchdog_stall: None,
             attack_hook: None,
         }
     }

@@ -16,8 +16,8 @@
 //! [`Instance::censored`].
 //!
 //! Every label comes from [`generate_parallel_with`], the supervised sweep:
-//! it retries, quarantines and watchdogs attacks, on any number of workers,
-//! with byte-identical results.
+//! it retries and quarantines attacks, on any number of workers, with
+//! byte-identical results.
 //!
 //! # Example
 //!

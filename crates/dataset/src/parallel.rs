@@ -185,17 +185,6 @@ pub fn generate_parallel_with(
     // Quarantine records are only trusted across runs with the same
     // deadlines and retry policy (see `checkpoint::supervision_key`).
     let supervision = supervision_key(config);
-    // One watchdog for the whole sweep (when configured): each worker arms
-    // a per-instance heartbeat; a heartbeat that stops advancing for the
-    // stall window cancels a per-instance *child* token, so the trip stops
-    // exactly one attack, never the sweep.
-    let watchdog = config.watchdog_stall.map(|stall| {
-        budget::Watchdog::new(budget::WatchdogConfig {
-            stall_after: stall,
-            poll: (stall / 8).clamp(Duration::from_millis(5), Duration::from_millis(100)),
-        })
-    });
-
     // A quarantine is fatal exactly when the operator opted out of
     // keep-going; everything routes through here so the policy lives in
     // one place.
@@ -305,23 +294,7 @@ pub fn generate_parallel_with(
                         return Ok(None);
                     }
                 }
-                // Arm the watchdog for this instance (when configured). The
-                // solver and DIP loop beat the heartbeat from inside their
-                // hot loops; a hung oracle or livelocked hook stops the
-                // beats, the watchdog cancels the per-instance child token,
-                // and the attack unwinds as Cancelled — which the tripped
-                // heartbeat below reclassifies as a Stalled quarantine.
-                let mut attack_cfg = cfg.attack.clone();
-                let heartbeat = watchdog.as_ref().map(|dog| {
-                    let stall_cancel = cancel.child();
-                    attack_cfg = attack_cfg.clone().with_cancel(stall_cancel.clone());
-                    let hb = dog.watch(&format!("worker{wid}/instance{index}"), move |_label| {
-                        stall_cancel.cancel();
-                    });
-                    attack_cfg.heartbeat = Some(hb.clone());
-                    hb
-                });
-                match supervise_attack(config, &locked, index, &attack_cfg) {
+                match supervise_attack(config, &locked, index, &cfg.attack) {
                     Supervised::Done(result) => {
                         obs::emit(obs::EventKind::MemHighwater {
                             scope: "attack",
@@ -338,37 +311,8 @@ pub fn generate_parallel_with(
                         Ok(None)
                     }
                     Supervised::Cancelled => {
-                        // A tripped heartbeat means the cancellation was the
-                        // watchdog's, aimed at this instance alone: the
-                        // attack hung somewhere its deadline polling cannot
-                        // see. Quarantine as Stalled (persisted under the
-                        // supervision fingerprint, like timeouts). A
-                        // sweep-level cancel takes precedence — that is a
-                        // shutdown, not a verdict on the instance.
-                        if let Some(hb) = &heartbeat {
-                            if hb.tripped() && !cancel.is_cancelled() {
-                                let stall = config
-                                    .watchdog_stall
-                                    .expect("heartbeat exists only with a stall window");
-                                quarantine(
-                                    index,
-                                    InstanceFailure {
-                                        kind: crate::supervise::FailureKind::Stalled,
-                                        attempts: 1,
-                                        message: format!(
-                                            "watchdog: no heartbeat progress for {stall:?}; \
-                                             attack cancelled"
-                                        ),
-                                        iterations: 0,
-                                        work: 0,
-                                    },
-                                    false,
-                                    true,
-                                )?;
-                            }
-                        }
-                        // Otherwise: another worker's error or an external
-                        // cancel — shutdown, nothing to report here.
+                        // Another worker's error or an external cancel:
+                        // shutdown, nothing to report here.
                         Ok(None)
                     }
                 }
@@ -683,36 +627,6 @@ mod tests {
         // (perturbed completions quarantine instead of labeling).
         let baseline = serial(&small_config());
         assert_eq!(data, baseline);
-    }
-
-    #[test]
-    fn watchdog_quarantines_a_non_polling_hang_as_stalled() {
-        let mut config = small_config();
-        config.watchdog_stall = Some(Duration::from_millis(120));
-        config.attack_hook = Some(Arc::new(|index, locked, cfg| {
-            if index == 2 {
-                // A non-polling hang: never beats the heartbeat, ignores
-                // deadlines. Only the cancel token — tripped by the
-                // watchdog — gets us out.
-                while !cfg.is_cancelled() {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-            attack::attack_locked(locked, cfg)
-        }));
-        for jobs in [1, 2] {
-            let (data, report) = generate_parallel_with(&config, jobs, None).unwrap();
-            assert_eq!(data.instances.len(), 5, "only the hung instance is lost");
-            assert_eq!(report.quarantined(), 1, "jobs={jobs}");
-            let f = &report.failures[0];
-            assert_eq!(f.index, 2);
-            assert_eq!(f.failure.kind, crate::supervise::FailureKind::Stalled);
-            assert!(
-                f.failure.message.contains("watchdog"),
-                "{}",
-                f.failure.message
-            );
-        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!
 //! Deterministic budget exhaustion ([`attack::AttackOutcome::BudgetExceeded`])
 //! is *not* a failure — it yields a reproducible censored label, exactly as
-//! before. Only wall-clock timeouts, panics, attack errors, memory-budget
-//! exhaustion, and watchdog-detected stalls quarantine. Memory exhaustion
+//! before. Only wall-clock timeouts, panics, attack errors and memory-budget
+//! exhaustion quarantine. Memory exhaustion
 //! ([`attack::AttackOutcome::MemoryExceeded`]) is deterministic for a given
 //! budget and therefore never retried within a run; like the wall-clock
 //! deadlines, the budget rides in the checkpoint's supervision fingerprint,
@@ -110,8 +110,10 @@ pub enum FailureKind {
     /// resume under a raised `--mem-budget` re-attacks the instance (the
     /// budget rides in the supervision fingerprint, not the instance key).
     MemoryExceeded,
-    /// The watchdog saw the worker's heartbeat stop advancing: the attack
-    /// hung somewhere deadline polling cannot reach (e.g. a stuck oracle).
+    /// Read from logs written with the removed stall watchdog; never
+    /// produced. Kept so such a log still opens: its `stall=Some(..)`
+    /// supervision value matches no current config, so the instance is
+    /// re-attacked.
     Stalled,
 }
 

@@ -70,28 +70,6 @@ pub fn fanin_cone(circuit: &Circuit, roots: &[GateId]) -> Vec<GateId> {
     cone
 }
 
-/// The transitive fan-out cone of a set of gates (including the roots).
-pub fn fanout_cone(circuit: &Circuit, roots: &[GateId]) -> Vec<GateId> {
-    let fanouts = circuit.fanouts();
-    let mut seen = vec![false; circuit.num_gates()];
-    let mut stack: Vec<GateId> = roots.to_vec();
-    let mut cone = Vec::new();
-    while let Some(id) = stack.pop() {
-        if seen[id.index()] {
-            continue;
-        }
-        seen[id.index()] = true;
-        cone.push(id);
-        for &f in &fanouts[id.index()] {
-            if !seen[f.index()] {
-                stack.push(f);
-            }
-        }
-    }
-    cone.sort();
-    cone
-}
-
 /// Gates that do not reach any primary output (dead logic).
 pub fn dead_gates(circuit: &Circuit) -> Vec<GateId> {
     let live = fanin_cone(circuit, circuit.outputs());
@@ -135,15 +113,6 @@ mod tests {
         assert_eq!(cone.len(), 8);
         assert!(cone.contains(&c.find("n1").unwrap()));
         assert!(!cone.contains(&c.find("n7").unwrap()));
-    }
-
-    #[test]
-    fn fanout_cone_reaches_outputs() {
-        let c = c17();
-        let n11 = c.find("n11").unwrap();
-        let cone = fanout_cone(&c, &[n11]);
-        assert!(cone.contains(&c.find("n22").unwrap()));
-        assert!(cone.contains(&c.find("n23").unwrap()));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Inclusive length bounds for [`vec`].
+    /// Inclusive length bounds for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -44,8 +44,8 @@ const STOP_POLL_INTERVAL: usize = 64;
 impl Solver {
     /// Simplifies the clause database in place: root-level sweep,
     /// subsumption, self-subsuming resolution, and budgeted failed-literal
-    /// probing (see the [module docs](crate::simplify) for the pipeline and
-    /// its soundness argument). A superset of [`Solver::simplify`].
+    /// probing (the `simplify` module docs give the pipeline and its
+    /// soundness argument). A superset of [`Solver::simplify`].
     ///
     /// Must be called with no assumptions in flight (always true between
     /// [`Solver::solve`] calls). The solver remains incrementally usable:

@@ -253,8 +253,9 @@ pub fn run_levels(config: &LoadgenConfig, workload: &Workload) -> Vec<LevelRepor
 
 /// Logical bytes of one request's inference inputs (propagation operator +
 /// feature matrix) for the given model architecture — the same number the
-/// server records per request in [`ServeStats::peak_request_bytes`]
-/// (`crate::ServeStats`). A pure function of the workload, so the client
+/// server records per request in
+/// [`ServeStats::peak_request_bytes`](crate::ServeStats::peak_request_bytes).
+/// A pure function of the workload, so the client
 /// can stamp it into `BENCH_serve.json` without a stats side channel.
 /// `None` when the netlist does not parse or the mask names a missing gate.
 pub fn workload_request_bytes(

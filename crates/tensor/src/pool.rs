@@ -27,8 +27,9 @@ const MIN_POOLED_ELEMS: usize = 1024;
 /// buffer count of one training tape.
 const MAX_POOLED_BUFFERS: usize = 256;
 
-/// A recycling free-list of flat `f64` buffers (see the [module
-/// docs](self)).
+/// A recycling free-list of flat `f64` buffers: a finished tape surrenders
+/// its buffers here and the next tape allocates from them, with
+/// bit-identical results.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<f64>>,
@@ -113,7 +114,7 @@ impl BufferPool {
 
     /// Returns a matrix's buffer to the pool for reuse. Small buffers (and
     /// anything beyond the pool's cap) are dropped instead of held — see
-    /// [`MIN_POOLED_ELEMS`]; retaining them would grow the free list without
+    /// `MIN_POOLED_ELEMS`; retaining them would grow the free list without
     /// bound as tapes surrender scalars the next tape never asks for.
     pub fn absorb(&mut self, m: Matrix) {
         let buf = m.into_vec();

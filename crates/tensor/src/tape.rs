@@ -34,7 +34,6 @@ enum Op {
     Sub(VarId, VarId),
     Hadamard(VarId, VarId),
     Scale(VarId, f64),
-    AddBiasRow(VarId, VarId),
     Relu(VarId),
     Exp(VarId),
     Transpose(VarId),
@@ -102,7 +101,6 @@ impl Op {
             | Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Hadamard(a, b)
-            | Op::AddBiasRow(a, b)
             | Op::MatMulSeg { a, b, .. }
             | Op::AddBiasRowSeg { x: a, bias: b, .. }
             | Op::SegmentWeightedSum { h: a, attn: b, .. } => [Some(a), Some(b)],
@@ -383,31 +381,6 @@ impl Tape {
         let mut value = self.pool.alloc(rows, cols);
         self.value(a).map_into(&mut value, |v| v * c);
         self.push(value, Op::Scale(a, c))
-    }
-
-    /// Adds a `1 x cols` bias row to every row of `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 x cols(x)`.
-    pub fn add_bias_row(&mut self, x: VarId, bias: VarId) -> VarId {
-        let (xr, xc) = self.value(x).shape();
-        assert_eq!(self.value(bias).shape(), (1, xc), "bias must be 1 x cols");
-        let mut value = self.pool.alloc(xr, xc);
-        if xc > 0 {
-            let bias_row = self.value(bias).as_slice();
-            let xv = self.value(x).as_slice();
-            for (orow, xrow) in value
-                .as_mut_slice()
-                .chunks_exact_mut(xc)
-                .zip(xv.chunks_exact(xc))
-            {
-                for ((o, &xe), &be) in orow.iter_mut().zip(xrow).zip(bias_row) {
-                    *o = xe + be;
-                }
-            }
-        }
-        self.push(value, Op::AddBiasRow(x, bias))
     }
 
     /// Rectified linear unit.
@@ -714,15 +687,6 @@ impl Tape {
         self.push(value, Op::GatherRows { a, index })
     }
 
-    /// Mean squared error between `pred` and a constant `target`, as a
-    /// `1 x 1` node. Convenience composition of `sub`/`hadamard`/`mean_all`.
-    pub fn mse_loss(&mut self, pred: VarId, target: Matrix) -> VarId {
-        let t = self.constant(target);
-        let diff = self.sub(pred, t);
-        let sq = self.hadamard(diff, diff);
-        self.mean_all(sq)
-    }
-
     /// Runs the backward pass from `target` (which must be `1 x 1`),
     /// accumulating gradients into every reachable node.
     ///
@@ -802,10 +766,6 @@ impl Tape {
                     }
                 }
                 &Op::Scale(a, c) => accumulate_scaled(head, pool, a, c, grad),
-                &Op::AddBiasRow(x, bias) => {
-                    accumulate_scaled(head, pool, x, 1.0, grad);
-                    accumulate_owned(head, pool, bias, grad.col_sums());
-                }
                 &Op::Relu(a) => {
                     let (rows, cols) = grad.shape();
                     let mut da = pool.alloc(rows, cols);
@@ -1211,29 +1171,6 @@ mod tests {
             tape.mean_all(sq)
         };
         check_grads(&build, Matrix::from_rows(&[&[0.1, -0.4], &[0.9, 0.2]]));
-    }
-
-    #[test]
-    fn add_bias_row_grad() {
-        let build = |tape: &mut Tape, b: VarId| {
-            let x = tape.constant(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
-            let h = tape.add_bias_row(x, b);
-            let sq = tape.hadamard(h, h);
-            tape.sum_all(sq)
-        };
-        check_grads(&build, Matrix::from_rows(&[&[0.5, -1.0]]));
-    }
-
-    #[test]
-    fn mse_loss_value_and_grad() {
-        let mut tape = Tape::new();
-        let pred = tape.leaf(Matrix::column(&[1.0, 2.0]));
-        let loss = tape.mse_loss(pred, Matrix::column(&[0.0, 0.0]));
-        assert!((tape.value(loss).get(0, 0) - 2.5).abs() < 1e-12);
-        tape.backward(loss);
-        // d/dp mean((p - t)^2) = 2(p - t)/n
-        assert!((tape.grad(pred).get(0, 0) - 1.0).abs() < 1e-12);
-        assert!((tape.grad(pred).get(1, 0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

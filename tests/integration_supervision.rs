@@ -185,7 +185,7 @@ fn no_keep_going_aborts_on_the_first_sick_instance() {
 /// while it runs.
 #[test]
 fn conflict_free_solves_still_hit_the_deadline_on_the_propagation_axis() {
-    use budget::{CancelToken, Limits, Stop, Watchdog, WatchdogConfig};
+    use budget::{CancelToken, Limits, Stop};
     use sat::{Lit, SolveResult, Solver};
 
     // 600 chains of 400 equivalences: ~240k propagations per decision
@@ -207,14 +207,6 @@ fn conflict_free_solves_still_hit_the_deadline_on_the_propagation_axis() {
     };
     let pre_cancelled = CancelToken::new();
     pre_cancelled.cancel();
-    // The mid-solve token is raised once the solver's heartbeat shows a
-    // propagation-cadence poll after the entry poll: the solve is running.
-    let mid_solve = CancelToken::new();
-    let dog = Watchdog::new(WatchdogConfig {
-        stall_after: Duration::from_secs(3600),
-        poll: Duration::from_millis(50),
-    });
-    let pulse = dog.watch("chains", |_| {});
     let cases = [
         (
             Limits::default().with_deadline(Duration::from_millis(5)),
@@ -224,30 +216,12 @@ fn conflict_free_solves_still_hit_the_deadline_on_the_propagation_axis() {
             Limits::default().with_cancel(pre_cancelled),
             Stop::Cancelled,
         ),
-        (
-            Limits {
-                heartbeat: Some(pulse.clone()),
-                ..Limits::default().with_cancel(mid_solve.clone())
-            },
-            Stop::Cancelled,
-        ),
     ];
     for (limits, expected) in cases {
         let mut solver = build();
         let start = std::time::Instant::now();
-        let watched = limits.heartbeat.is_some();
         solver.set_limits(limits, start);
-        let verdict = std::thread::scope(|scope| {
-            if watched {
-                scope.spawn(|| {
-                    while pulse.ticks() < 2 {
-                        std::thread::yield_now();
-                    }
-                    mid_solve.cancel();
-                });
-            }
-            solver.solve()
-        });
+        let verdict = solver.solve();
         let elapsed = start.elapsed();
         assert_eq!(solver.stats().conflicts, 0, "chains never conflict");
         // The only way to stop a conflict-free solve is the
@@ -269,6 +243,39 @@ fn conflict_free_solves_still_hit_the_deadline_on_the_propagation_axis() {
         // The solver survives the stop and stays usable.
         solver.set_limits(Limits::default(), start);
         assert!(matches!(solver.solve(), SolveResult::Sat(_)));
+    }
+
+    // A token raised from another thread must stop the solve inside its
+    // search. Nothing signals when the search has begun (a solve first
+    // fills its decision heap, ~20 ms for these 240k variables in a debug
+    // build), so the raise is retimed until it lands there: a raise the
+    // entry poll sees doubles the wait, a solve that finishes first halves
+    // it.
+    let mut wait = Duration::from_millis(5);
+    for attempt in 1.. {
+        assert!(attempt <= 16, "no raise landed inside the search");
+        let mut solver = build();
+        let mid_solve = CancelToken::new();
+        let start = std::time::Instant::now();
+        solver.set_limits(Limits::default().with_cancel(mid_solve.clone()), start);
+        let verdict = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(wait);
+                mid_solve.cancel();
+            });
+            solver.solve()
+        });
+        match verdict {
+            SolveResult::Unknown if solver.stats().propagations == 0 => wait *= 2,
+            SolveResult::Unknown => {
+                assert_eq!(solver.stop(), Some(Stop::Cancelled));
+                assert_eq!(solver.stats().conflicts, 0, "chains never conflict");
+                solver.set_limits(Limits::default(), start);
+                assert!(matches!(solver.solve(), SolveResult::Sat(_)));
+                break;
+            }
+            _ => wait /= 2,
+        }
     }
 }
 

@@ -275,25 +275,6 @@ proptest! {
         }
     }
 
-    /// The netlist optimizer never changes circuit function.
-    #[test]
-    fn optimizer_preserves_function(seed in 0u64..2000, keys in 1usize..4) {
-        let base = synth::generate(
-            &synth::GeneratorConfig::new("p", 6, 3, 40).with_seed(seed),
-        );
-        // Locked + key applied: rich in constants and MUX trees.
-        let locked = obfuscate::lock_random(
-            &base,
-            obfuscate::SchemeKind::LutLock { lut_size: 3 },
-            keys,
-            seed,
-        ).unwrap();
-        let applied = locked.apply_key(&locked.key).unwrap();
-        let (optimized, stats) = netlist::opt::optimize(&applied).unwrap();
-        prop_assert!(applied.equiv_random(&optimized, &[], &[], 8, seed).unwrap());
-        prop_assert!(stats.gates_after <= stats.gates_before);
-    }
-
     /// Keys round-trip through hex for arbitrary lengths.
     #[test]
     fn key_hex_round_trip(bits in proptest::collection::vec(any::<bool>(), 0..128)) {
