@@ -32,10 +32,10 @@ pub enum AttackOutcome {
     /// machine-dependent, so supervisors quarantine these instead of
     /// labeling them.
     TimedOut(Stop),
-    /// The logical-byte [`Limits::mem_budget`] stayed exhausted even after
-    /// the solver's staged learnt-DB degradation. Deterministic, but the
-    /// partial runtime reflects a degraded search, so supervisors
-    /// quarantine (a raised budget re-attacks) rather than label.
+    /// The solver's logical bytes exceeded [`Limits::mem_budget`].
+    /// Deterministic, but the partial runtime is not the attack's runtime,
+    /// so supervisors quarantine (a raised budget re-attacks) rather than
+    /// label.
     MemoryExceeded,
     /// The attack was stopped through its [`budget::CancelToken`] — an
     /// operator or coordinator decision, not a property of the instance.
@@ -58,7 +58,7 @@ pub struct AttackResult {
     /// Deterministic + wall-clock runtime of the run.
     pub runtime: AttackRuntime,
     /// Peak logical bytes the attack solver's storage reached (see
-    /// [`budget::MemoryMeter`]) — the per-instance `mem.highwater` figure.
+    /// [`Solver::logical_bytes`]) — the per-instance `mem.highwater` figure.
     pub peak_logical_bytes: u64,
 }
 
@@ -187,7 +187,7 @@ pub fn attack(
         oracle_queries: oracle.num_queries(),
         solver_stats,
         runtime: AttackRuntime::new(&solver_stats, start.elapsed()),
-        peak_logical_bytes: solver.meter().high_water(),
+        peak_logical_bytes: solver.peak_logical_bytes(),
     })
 }
 

@@ -51,9 +51,8 @@ pub struct Options {
     /// disabled entirely when absent.
     pub fault_plan: Option<String>,
     /// Per-attack logical-byte budget (see the `budget` crate). An attack
-    /// that exceeds it degrades (learnt-DB pressure first) and, failing
-    /// that, is quarantined `MemoryExceeded` — never labeled, because a
-    /// budget-perturbed work count is not the unbudgeted ground truth.
+    /// whose solver exceeds it stops and is quarantined `MemoryExceeded`;
+    /// a raised-budget resume re-attacks it.
     pub mem_budget: Option<u64>,
 }
 

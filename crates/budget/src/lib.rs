@@ -1,4 +1,4 @@
-//! Resource budgets: stop conditions and deterministic memory accounting,
+//! Resource budgets: stop conditions and the one physical memory reading,
 //! with no dependencies so every layer can use them:
 //!
 //! - [`Limits`] — every bound a long run stops on (work and conflict
@@ -6,23 +6,19 @@
 //!   [`CancelToken`]) in one value, with one [`Limits::check`] that names
 //!   the bound that holds as a typed [`Stop`]. The solver's search loop and
 //!   the SAT attack's DIP loop each poll it at one site.
-//! - [`MemoryMeter`] — explicit *logical-byte* accounting. Components report
-//!   the bytes they asked for (element count × element size), never what the
-//!   allocator actually reserved, so a reading is a pure function of the
-//!   computation and identical on every machine and allocator. That is what
-//!   makes a memory verdict label-safe: a budget trip at N logical bytes
-//!   reproduces everywhere, while RSS-based verdicts would quarantine
-//!   different instances on different hosts (see `DESIGN.md` §12).
+//!   The memory budget caps the SAT solver's *logical* bytes (what it
+//!   asked for, element count × element size, never what the allocator
+//!   reserved), so a budget trip at N logical bytes reproduces on every
+//!   machine, while an RSS-based verdict would quarantine different
+//!   instances on different hosts (see `DESIGN.md` §12).
 //! - [`process_rss_bytes`] — the one deliberately *physical* reading, for
 //!   the serve-side watermark that sheds load before the OS OOM-kills the
 //!   process. Shedding is machine-local back-pressure, not a label, so
 //!   physical truth is the right measure there.
 
 mod limits;
-mod meter;
 
 pub use limits::{CancelToken, Limits, Poll, Stop};
-pub use meter::{MemoryMeter, MeterScope};
 
 /// Resident-set size of the current process in bytes, if the platform
 /// exposes it (`/proc/self/statm` on Linux; `None` elsewhere).

@@ -58,8 +58,7 @@ impl CancelToken {
 pub enum Stop {
     /// The [`Limits::cancel`] token was raised.
     Cancelled,
-    /// The [`Limits::mem_budget`] stayed exceeded after the poller's own
-    /// degradation.
+    /// The [`Limits::mem_budget`] was exceeded.
     Memory,
     /// The whole-run [`Limits::deadline`] passed.
     Deadline,
@@ -109,8 +108,8 @@ pub struct Limits {
     /// Wall-clock bound on each query (guards against one pathological
     /// query eating the whole deadline).
     pub per_query_deadline: Option<Duration>,
-    /// Logical-byte cap (see [`crate::MemoryMeter`]) on the solver's clause
-    /// storage. Deterministic and machine-independent.
+    /// Cap on the solver's logical bytes (clause arena, watchers and
+    /// per-variable storage). Deterministic and machine-independent.
     pub mem_budget: Option<u64>,
     /// Cross-thread cancellation flag.
     pub cancel: Option<CancelToken>,
@@ -127,7 +126,7 @@ pub struct Poll {
     pub query_started: Option<Instant>,
     /// The time, on polls that read the clock (see [`Limits::tick`]).
     pub now: Option<Instant>,
-    /// Whether the memory budget stays exceeded.
+    /// Whether the memory budget is exceeded.
     pub over_memory: bool,
     /// Conflicts spent by the query in flight.
     pub conflicts: Option<u64>,

@@ -58,18 +58,6 @@ impl CnfFormula {
         solver
     }
 
-    /// Logical bytes held by the clause list: one 4-byte literal per slot,
-    /// bytes *requested* rather than allocator capacity, so the value is a
-    /// pure function of the formula (see the `budget` crate). Register it
-    /// with a `budget::MemoryMeter` scope to count an encoding against a
-    /// memory budget.
-    pub fn logical_bytes(&self) -> u64 {
-        self.clauses
-            .iter()
-            .map(|c| c.len() as u64 * std::mem::size_of::<Lit>() as u64)
-            .sum()
-    }
-
     /// Evaluates the formula under a full assignment (index = variable).
     ///
     /// # Panics
@@ -124,17 +112,6 @@ mod tests {
         assert!(f.eval(&[true, false, true]));
         assert!(!f.eval(&[true, false, false]));
         let _ = y;
-    }
-
-    #[test]
-    fn logical_bytes_count_literal_slots() {
-        let mut f = CnfFormula::new();
-        let a = f.fresh_var();
-        let b = f.fresh_var();
-        f.add_sink_clause(&[Lit::positive(a)]);
-        f.add_sink_clause(&[Lit::positive(a), Lit::negative(b)]);
-        assert_eq!(f.logical_bytes(), 3 * std::mem::size_of::<Lit>() as u64);
-        assert_eq!(CnfFormula::new().logical_bytes(), 0);
     }
 
     #[test]

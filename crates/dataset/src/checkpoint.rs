@@ -117,9 +117,9 @@ pub fn instance_key(config: &DatasetConfig, locked: &LockedCircuit) -> u64 {
 /// The memory budget rides here and *not* in [`instance_key`] for the same
 /// reason the deadlines do: it decides whether an attack finishes, and an
 /// attack that finished under one budget would have produced the same label
-/// under any roomier one (degradation only trades search speed for bytes,
-/// never the verdict of a completed run). Completed labels therefore
-/// survive a budget change; only quarantine verdicts are invalidated.
+/// under any roomier one (the budget only stops a search, never alters
+/// one). Completed labels therefore survive a budget change; only
+/// quarantine verdicts are invalidated.
 pub fn supervision_key(config: &DatasetConfig) -> u64 {
     // `stall=None` is the window of the removed stall watchdog, which every
     // current config leaves off. The literal keeps each value equal to the

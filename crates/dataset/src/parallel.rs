@@ -589,6 +589,41 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_sweep_is_pinned() {
+        // Which instances a memory budget labels, their CSV bytes, and the
+        // quarantine verdicts, pinned across commits: a change to the
+        // memory verdict that moves any of them fails here.
+        let mut config = small_config();
+        config.attack.mem_budget = Some(splitting_budget(&config));
+        let (data, report) = generate_parallel_with(&config, 1, None).unwrap();
+        let quarantined: Vec<(usize, crate::supervise::FailureKind)> = report
+            .failures
+            .iter()
+            .map(|f| (f.index, f.failure.kind))
+            .collect();
+        let labelled: Vec<usize> = (0..config.num_instances)
+            .filter(|i| quarantined.iter().all(|(q, _)| q != i))
+            .collect();
+        assert_eq!(data.instances.len(), labelled.len());
+        let csv = crate::dataset_to_csv(&data.instances);
+        let digest = faults::fnv1a(faults::FNV_OFFSET, csv.as_bytes());
+        use crate::supervise::FailureKind::MemoryExceeded;
+        assert_eq!(
+            (labelled, digest, quarantined),
+            (
+                vec![0, 5],
+                14166138968741009655,
+                vec![
+                    (1, MemoryExceeded),
+                    (2, MemoryExceeded),
+                    (3, MemoryExceeded),
+                    (4, MemoryExceeded)
+                ]
+            )
+        );
+    }
+
+    #[test]
     fn raised_budget_resume_reattacks_only_quarantined_instances() {
         let mut tight = small_config();
         tight.attack.mem_budget = Some(splitting_budget(&tight));
@@ -623,8 +658,8 @@ mod tests {
         assert_eq!(report.quarantined(), 0);
 
         // The healed dataset is byte-identical to a never-budgeted run:
-        // labels that completed under the budget were never perturbed by it
-        // (perturbed completions quarantine instead of labeling).
+        // the budget only stops searches, so labels that completed under it
+        // ran the unbudgeted search.
         let baseline = serial(&small_config());
         assert_eq!(data, baseline);
     }

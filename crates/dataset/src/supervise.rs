@@ -105,8 +105,8 @@ pub enum FailureKind {
     /// The worker servicing the instance died mid-attack (injected fault or
     /// external kill); the instance got no verdict of its own.
     Death,
-    /// The attack exceeded its logical-byte memory budget even after staged
-    /// degradation. Deterministic for a given budget, so never retried; a
+    /// The attack exceeded its logical-byte memory budget. Deterministic
+    /// for a given budget, so never retried; a
     /// resume under a raised `--mem-budget` re-attacks the instance (the
     /// budget rides in the supervision fingerprint, not the instance key).
     MemoryExceeded,
@@ -247,56 +247,20 @@ pub(crate) fn supervise_attack(
         let failure = match run {
             Ok(Ok(result)) => match result.outcome {
                 AttackOutcome::KeyRecovered(_) | AttackOutcome::BudgetExceeded => {
-                    // A completion whose search was perturbed by memory
-                    // pressure (aggressive learnt-DB shedding fired at least
-                    // once) carries a budget-dependent work measure: the
-                    // degraded search explored a different clause database
-                    // than an unbudgeted run would have. Labeling it would
-                    // make the label a function of `--mem-budget`, breaking
-                    // the contract that completed labels survive a budget
-                    // raise. Quarantine instead — deterministic for the
-                    // budget, so no retry — and let a roomier resume produce
-                    // the true (unperturbed) label.
-                    if attack_cfg.mem_budget.is_some()
-                        && result.solver_stats.mem_pressure_events > 0
-                    {
-                        return Supervised::Failed(InstanceFailure {
-                            kind: FailureKind::MemoryExceeded,
-                            attempts: attempt + 1,
-                            message: format!(
-                                "completed under memory pressure ({} degradation round{}, \
-                                 budget {:?}, peak {} bytes); label withheld",
-                                result.solver_stats.mem_pressure_events,
-                                if result.solver_stats.mem_pressure_events == 1 {
-                                    ""
-                                } else {
-                                    "s"
-                                },
-                                attack_cfg.mem_budget,
-                                result.peak_logical_bytes,
-                            ),
-                            iterations: result.iterations,
-                            work: result.solver_stats.work(),
-                        });
-                    }
-                    return Supervised::Done(result);
+                    return Supervised::Done(result)
                 }
                 AttackOutcome::Cancelled => return Supervised::Cancelled,
                 AttackOutcome::MemoryExceeded => {
-                    // Deterministic for the configured budget: the solver
-                    // degraded as far as it could and still did not fit, and
-                    // retrying under the same budget replays the same search.
-                    // Quarantine immediately; only a raised budget (a new
-                    // supervision fingerprint) re-attacks the instance.
+                    // Deterministic for the configured budget: retrying under
+                    // the same budget replays the same search. Quarantine
+                    // immediately; only a raised budget (a new supervision
+                    // fingerprint) re-attacks the instance.
                     return Supervised::Failed(InstanceFailure {
                         kind: FailureKind::MemoryExceeded,
                         attempts: attempt + 1,
                         message: format!(
-                            "logical-byte budget {:?} exceeded after {} degradation round{} (peak {} bytes)",
-                            attack_cfg.mem_budget,
-                            result.solver_stats.mem_pressure_events,
-                            if result.solver_stats.mem_pressure_events == 1 { "" } else { "s" },
-                            result.peak_logical_bytes,
+                            "logical-byte budget {:?} exceeded (peak {} bytes)",
+                            attack_cfg.mem_budget, result.peak_logical_bytes,
                         ),
                         iterations: result.iterations,
                         work: result.solver_stats.work(),

@@ -191,7 +191,7 @@ impl ClauseArena {
 
     /// Logical bytes the arena occupies: words appended so far (headers,
     /// literals, and not-yet-collected tombstones), independent of `Vec`
-    /// capacity growth policy — see `budget::MemoryMeter` for why logical
+    /// capacity growth policy — see `Solver::logical_bytes` for why logical
     /// rather than physical bytes.
     pub(crate) fn logical_bytes(&self) -> u64 {
         self.data.len() as u64 * 4

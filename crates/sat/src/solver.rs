@@ -83,10 +83,6 @@ const VAR_BYTES: u64 = 26;
 /// Logical bytes accounted per clause header for its two watchers (a
 /// `Watcher` is a `ClauseRef` + blocker `Lit`, 8 bytes each).
 const WATCHER_BYTES_PER_CLAUSE: u64 = 16;
-/// Memory-pressure floor for the learnt-clause cap: degradation never
-/// squeezes `max_learnts` below this, so search keeps *some* learning even
-/// in the last stage before a [`Stop::Memory`] verdict.
-const MIN_MAX_LEARNTS: usize = 64;
 
 /// An incremental CDCL SAT solver. See the [crate docs](crate) for the
 /// feature list and an example.
@@ -114,11 +110,11 @@ pub struct Solver {
     started: Instant,
     /// Which bound stopped the most recent solve.
     stop: Option<Stop>,
-    /// Shared logical-byte meter this solver accounts its arena, watcher,
-    /// and per-variable storage to.
-    meter: budget::MemoryMeter,
-    /// Bytes currently accounted to `meter`, so re-accounting is a delta.
-    accounted_bytes: u64,
+    /// Logical bytes of the clause arena, watchers and per-variable
+    /// storage (see [`Solver::logical_bytes`]).
+    logical_bytes: u64,
+    /// The largest `logical_bytes` has been.
+    peak_logical_bytes: u64,
     max_learnts: usize,
     pub(crate) num_learnt_live: usize,
     gc_fraction: f64,
@@ -168,8 +164,8 @@ impl Solver {
             limits: Limits::default(),
             started: Instant::now(),
             stop: None,
-            meter: budget::MemoryMeter::new(),
-            accounted_bytes: 0,
+            logical_bytes: 0,
+            peak_logical_bytes: 0,
             max_learnts: 4000,
             num_learnt_live: 0,
             gc_fraction: DEFAULT_GC_FRACTION,
@@ -245,34 +241,27 @@ impl Solver {
     /// returns [`SolveResult::Unknown`], [`Solver::stop`] names the bound
     /// by [`Limits::check`]'s precedence, and the solver remains usable.
     ///
-    /// The memory budget caps the *logical* bytes (see
-    /// [`budget::MemoryMeter`]) of the clause arena, watchers and
-    /// per-variable storage. Enforcement is staged: over budget, the solver
-    /// first applies aggressive learnt-DB reduction pressure (halving the
-    /// learnt cap down to a floor, reducing, and force-compacting the
-    /// arena); only if the formula still does not fit does it stop with
-    /// [`Stop::Memory`]. Logical bytes are a pure function of the search
-    /// trajectory, so the verdict is deterministic and machine-independent
-    /// — label-safe, unlike an RSS cap.
+    /// The memory budget caps [`Solver::logical_bytes`]: the first poll
+    /// that finds them over the cap stops the solve with [`Stop::Memory`].
+    /// Logical bytes are a pure function of the search trajectory, so the
+    /// verdict is deterministic and machine-independent — label-safe,
+    /// unlike an RSS cap.
     pub fn set_limits(&mut self, limits: Limits, started: Instant) {
         self.limits = limits;
         self.started = started;
     }
 
-    /// Registers an external [`budget::MemoryMeter`] to account this
-    /// solver's storage to (for callers that pool one meter across the
-    /// solver and the structures feeding it). The solver's current
-    /// footprint moves from the old meter to the new one.
-    pub fn set_meter(&mut self, meter: budget::MemoryMeter) {
-        self.meter.free(self.accounted_bytes);
-        self.meter = meter;
-        self.meter.alloc(self.accounted_bytes);
+    /// The *logical* bytes of the clause arena, watchers and per-variable
+    /// storage: what the solver asked for (element count × element size),
+    /// never what the allocator reserved, so a reading is identical on
+    /// every machine and allocator.
+    pub fn logical_bytes(&self) -> u64 {
+        self.logical_bytes
     }
 
-    /// The meter this solver accounts to (peak usage via
-    /// [`budget::MemoryMeter::high_water`]).
-    pub fn meter(&self) -> &budget::MemoryMeter {
-        &self.meter
+    /// The largest [`Solver::logical_bytes`] reading this solver has held.
+    pub fn peak_logical_bytes(&self) -> u64 {
+        self.peak_logical_bytes
     }
 
     /// The bound that stopped the most recent solve: `Some` exactly when it
@@ -281,34 +270,25 @@ impl Solver {
         self.stop
     }
 
-    /// Re-derives the solver's logical footprint and pushes the delta to
-    /// the meter. Called from every site that grows or compacts the big
-    /// allocations; O(1).
+    /// Re-derives the solver's logical footprint and its peak. Called from
+    /// every site that grows or compacts the big allocations; O(1).
     fn account_memory(&mut self) {
-        let bytes = self.arena.logical_bytes()
+        self.logical_bytes = self.arena.logical_bytes()
             + self.arena.num_headers() as u64 * WATCHER_BYTES_PER_CLAUSE
             + self.assign.len() as u64 * VAR_BYTES;
-        self.meter.resize(self.accounted_bytes, bytes);
-        self.accounted_bytes = bytes;
+        self.peak_logical_bytes = self.peak_logical_bytes.max(self.logical_bytes);
     }
 
-    /// Memory-budget enforcement at a conflict boundary. Returns `false`
-    /// when the solve must give up with [`Stop::Memory`]; `true`
-    /// when within budget, possibly after shedding learnt clauses. The
-    /// `budget.exceed` fault site forces the over-budget path so chaos
-    /// tests can exercise degradation without a real memory spike.
-    fn check_memory(&mut self) -> bool {
+    /// Whether the solver's logical bytes exceed the memory budget. The
+    /// `budget.exceed` fault site forces a trip so chaos tests can exercise
+    /// the memory verdict without a real memory spike.
+    fn over_memory(&self) -> bool {
         let Some(cap) = self.limits.mem_budget else {
-            return true;
+            return false;
         };
         if let Some(fault) = faults::inject("budget.exceed") {
             match fault.action {
-                // A forced trip: behave as if even full degradation could
-                // not fit the formula under the budget.
-                faults::Action::Unknown => {
-                    self.stats.mem_pressure_events += 1;
-                    return false;
-                }
+                faults::Action::Unknown => return true,
                 faults::Action::Panic => panic!(
                     "injected fault: budget.exceed panic (occurrence {})",
                     fault.occurrence
@@ -316,25 +296,7 @@ impl Solver {
                 _ => fault.unsupported("budget.exceed"),
             }
         }
-        if self.meter.current() <= cap {
-            return true;
-        }
-        // Stage 1: shed learnt clauses. Halve the cap (respecting the
-        // floor), reduce, and force a compaction regardless of the wasted
-        // fraction — tombstones do not give bytes back until collected.
-        self.max_learnts = (self.num_learnt_live / 2).max(MIN_MAX_LEARNTS);
-        self.reduce_db();
-        // reduce_db grows max_learnts by 10% for the next cycle; under
-        // memory pressure that relief is cancelled so pressure stays on.
-        self.max_learnts = self.max_learnts.saturating_sub(self.max_learnts / 11);
-        let fraction = self.gc_fraction;
-        self.gc_fraction = 0.0;
-        self.maybe_gc();
-        self.gc_fraction = fraction;
-        self.stats.mem_pressure_events += 1;
-        // Stage 2: if the *problem* clauses alone still exceed the budget,
-        // no amount of learnt shedding will fit — give up deterministically.
-        self.meter.current() <= cap
+        self.logical_bytes > cap
     }
 
     /// Tunes when the clause arena is compacted: collection runs once the
@@ -938,13 +900,6 @@ impl Solver {
             return SolveResult::Unsat;
         }
         self.cancel_until(0);
-        // Seed the order heap with every unassigned variable.
-        for i in 0..self.assign.len() {
-            let v = Var::from_index(i);
-            if self.assign[i] == VAL_UNDEF && !self.order.contains(v) {
-                self.order.insert(v, &self.activity);
-            }
-        }
 
         let conflicts_start = self.stats.conflicts;
         let mut restart_count = 0u64;
@@ -976,7 +931,7 @@ impl Solver {
                     now,
                     // Memory only grows through learning, and a budget that
                     // the formula alone overflows gives up before any work.
-                    over_memory: (entry || conflicted) && !self.check_memory(),
+                    over_memory: (entry || conflicted) && self.over_memory(),
                     conflicts: conflicted.then_some(conflicts),
                     work: None,
                 };
@@ -992,7 +947,18 @@ impl Solver {
                         self.emit_snapshot();
                     }
                 }
-                entry = false;
+                if entry {
+                    // Seed the order heap with every unassigned variable,
+                    // only once the entry poll has passed: a solve stopped
+                    // there returns without paying O(vars).
+                    for i in 0..self.assign.len() {
+                        let v = Var::from_index(i);
+                        if self.assign[i] == VAL_UNDEF && !self.order.contains(v) {
+                            self.order.insert(v, &self.activity);
+                        }
+                    }
+                    entry = false;
+                }
             }
             if conflicted {
                 // Learnt-DB upkeep and restarts come after the poll, so a
@@ -1098,57 +1064,6 @@ impl Solver {
     #[cfg(test)]
     pub(crate) fn set_max_learnts(&mut self, n: usize) {
         self.max_learnts = n;
-    }
-}
-
-impl Drop for Solver {
-    fn drop(&mut self) {
-        // Give the accounted footprint back so a meter shared across
-        // consecutive solvers (one attack = many queries) stays balanced.
-        self.meter.free(self.accounted_bytes);
-    }
-}
-
-impl Clone for Solver {
-    fn clone(&self) -> Self {
-        let cloned = Solver {
-            arena: self.arena.clone(),
-            watches: self.watches.clone(),
-            assign: self.assign.clone(),
-            level: self.level.clone(),
-            reason: self.reason.clone(),
-            trail: self.trail.clone(),
-            trail_lim: self.trail_lim.clone(),
-            qhead: self.qhead,
-            activity: self.activity.clone(),
-            var_inc: self.var_inc,
-            cla_inc: self.cla_inc,
-            order: self.order.clone(),
-            saved_phase: self.saved_phase.clone(),
-            seen: self.seen.clone(),
-            ok: self.ok,
-            stats: self.stats,
-            limits: self.limits.clone(),
-            started: self.started,
-            stop: self.stop,
-            meter: self.meter.clone(),
-            accounted_bytes: self.accounted_bytes,
-            max_learnts: self.max_learnts,
-            num_learnt_live: self.num_learnt_live,
-            gc_fraction: self.gc_fraction,
-            probe_budget: self.probe_budget,
-            probe_cursor: self.probe_cursor,
-            learnt_buf: self.learnt_buf.clone(),
-            analyze_clear: self.analyze_clear.clone(),
-            lbd_buf: self.lbd_buf.clone(),
-            #[cfg(debug_assertions)]
-            original: self.original.clone(),
-        };
-        // The clone shares the meter handle; its footprint is a second copy
-        // of every buffer, which must be accounted (and is freed again by
-        // the clone's own Drop).
-        cloned.meter.alloc(cloned.accounted_bytes);
-        cloned
     }
 }
 
@@ -1668,18 +1583,23 @@ mod tests {
     }
 
     #[test]
-    fn meter_tracks_logical_bytes_and_balances_on_drop() {
-        let meter = budget::MemoryMeter::new();
-        {
-            let mut s = solver_with_vars(4);
-            s.set_meter(meter.clone());
-            assert!(meter.current() > 0, "variables are accounted");
-            let before = meter.current();
-            s.add_clause([lit(1), lit(2), lit(3)]);
-            assert!(meter.current() > before, "clauses are accounted");
-        }
-        assert_eq!(meter.current(), 0, "drop returns the footprint");
-        assert!(meter.high_water() > 0);
+    fn logical_bytes_track_storage_and_peak() {
+        let mut s = solver_with_vars(4);
+        assert!(s.logical_bytes() > 0, "variables are accounted");
+        let before = s.logical_bytes();
+        s.add_clause([lit(1), lit(2), lit(3)]);
+        assert!(s.logical_bytes() > before, "clauses are accounted");
+        assert_eq!(s.peak_logical_bytes(), s.logical_bytes());
+    }
+
+    #[test]
+    fn a_solve_stopped_at_entry_leaves_the_order_heap_unseeded() {
+        let mut s = pigeonhole(7, 6);
+        limit(&mut s, Limits::default().with_deadline(Duration::ZERO));
+        assert_eq!(s.solve(), SolveResult::Unknown);
+        assert_eq!(s.stop(), Some(Stop::Deadline));
+        assert!(s.order.is_empty(), "entry poll runs before O(vars) seeding");
+        assert_eq!(s.stats().propagations, 0);
     }
 
     #[test]
@@ -1703,12 +1623,11 @@ mod tests {
     }
 
     #[test]
-    fn tight_memory_budget_degrades_then_gives_up() {
-        // A budget below the problem clauses themselves: no amount of
-        // learnt shedding can fit the formula, so the solve must give up
-        // with the Memory cause rather than thrash.
+    fn tight_memory_budget_gives_up_before_any_search() {
+        // A budget below the problem clauses themselves: the solve gives up
+        // with the Memory cause before any search work.
         let mut s = pigeonhole(8, 7);
-        let floor = s.meter().current();
+        let floor = s.logical_bytes();
         limit(
             &mut s,
             Limits {
@@ -1718,6 +1637,7 @@ mod tests {
         );
         assert_eq!(s.solve(), SolveResult::Unknown);
         assert_eq!(s.stop(), Some(Stop::Memory));
+        assert_eq!(s.stats().propagations, 0);
         // Raising the budget lets the same solver finish.
         limit(&mut s, Limits::default());
         assert!(s.solve().is_unsat());
@@ -1727,7 +1647,7 @@ mod tests {
     fn memory_budget_verdict_is_deterministic() {
         let run = || {
             let mut s = pigeonhole(8, 7);
-            let cap = s.meter().current() + 4096;
+            let cap = s.logical_bytes() + 4096;
             limit(
                 &mut s,
                 Limits {
@@ -1736,13 +1656,14 @@ mod tests {
                 },
             );
             let verdict = s.solve();
-            (verdict, *s.stats())
+            (verdict, s.stop(), *s.stats())
         };
-        let (v1, s1) = run();
-        let (v2, s2) = run();
-        assert_eq!(v1, v2);
+        let (v1, stop1, s1) = run();
+        let (v2, stop2, s2) = run();
+        assert_eq!((v1, stop1), (SolveResult::Unknown, Some(Stop::Memory)));
+        assert_eq!((v2, stop2), (SolveResult::Unknown, Some(Stop::Memory)));
         assert_eq!(s1, s2, "logical-byte trips reproduce exactly");
-        assert!(s1.mem_pressure_events > 0, "degradation actually ran");
+        assert!(s1.conflicts > 0, "the trip came from learning");
     }
 
     #[test]

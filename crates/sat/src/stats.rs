@@ -20,9 +20,6 @@ pub struct SolverStats {
     pub deleted_clauses: u64,
     /// Solve calls.
     pub solves: u64,
-    /// Memory-pressure degradation rounds: times the memory budget forced
-    /// an aggressive learnt-DB reduction (see `Solver::set_limits`).
-    pub mem_pressure_events: u64,
 }
 
 impl SolverStats {
@@ -45,9 +42,6 @@ impl SolverStats {
             learnt_clauses: self.learnt_clauses.saturating_sub(earlier.learnt_clauses),
             deleted_clauses: self.deleted_clauses.saturating_sub(earlier.deleted_clauses),
             solves: self.solves.saturating_sub(earlier.solves),
-            mem_pressure_events: self
-                .mem_pressure_events
-                .saturating_sub(earlier.mem_pressure_events),
         }
     }
 }

@@ -236,6 +236,14 @@ fn conflict_free_solves_still_hit_the_deadline_on_the_propagation_axis() {
             expected.describe()
         );
         assert_eq!(solver.stop(), Some(expected));
+        if expected == Stop::Deadline {
+            // The deadline is still open at the entry poll, so what stops
+            // the solve is the propagation axis, after real work.
+            assert!(
+                solver.stats().propagations > 0,
+                "the 5ms deadline was caught at the entry poll"
+            );
+        }
         assert!(
             elapsed < Duration::from_secs(10),
             "overshoot: a 5ms deadline took {elapsed:?}"
@@ -246,11 +254,11 @@ fn conflict_free_solves_still_hit_the_deadline_on_the_propagation_axis() {
     }
 
     // A token raised from another thread must stop the solve inside its
-    // search. Nothing signals when the search has begun (a solve first
-    // fills its decision heap, ~20 ms for these 240k variables in a debug
-    // build), so the raise is retimed until it lands there: a raise the
-    // entry poll sees doubles the wait, a solve that finishes first halves
-    // it.
+    // search. Nothing signals when the search has begun (past its entry
+    // poll a solve fills its decision heap, ~20 ms for these 240k variables
+    // in a debug build), so the raise is retimed until it lands there: a
+    // raise the entry poll sees doubles the wait, a solve that finishes
+    // first halves it.
     let mut wait = Duration::from_millis(5);
     for attempt in 1.. {
         assert!(attempt <= 16, "no raise landed inside the search");
