@@ -26,12 +26,12 @@ pub enum AttackOutcome {
     /// reproducible lower bound, so the instance is still usable as a
     /// censored label.
     BudgetExceeded,
-    /// A wall-clock bound expired: [`Stop::Deadline`] for the whole-attack
-    /// [`Limits::deadline`], [`Stop::QueryDeadline`] for one solver call's
-    /// [`Limits::per_query_deadline`]. The partial runtime is
-    /// machine-dependent, so supervisors quarantine these instead of
-    /// labeling them.
-    TimedOut(Stop),
+    /// The whole-attack [`Limits::deadline`] expired. The partial runtime
+    /// is machine-dependent, so supervisors quarantine these instead of
+    /// labeling them. A single pathological query is bounded by the
+    /// deterministic [`Limits::conflicts_per_solve`] cap instead, which ends
+    /// as [`AttackOutcome::BudgetExceeded`].
+    TimedOut,
     /// The solver's logical bytes exceeded [`Limits::mem_budget`].
     /// Deterministic, but the partial runtime is not the attack's runtime,
     /// so supervisors quarantine (a raised budget re-attacks) rather than
@@ -109,11 +109,10 @@ pub fn attack(
     // The bound that ended the DIP loop; `None` once no DIP remains.
     let stopped = loop {
         // The loop's one stop poll, between queries: it sees the work
-        // budget, and the deadlines even when every query finishes below
+        // budget, and the deadline even when every query finishes below
         // the solver's own poll cadence.
         let poll = Poll {
             started: start,
-            query_started: None,
             now: config.tick(),
             over_memory: false,
             conflicts: None,
@@ -162,14 +161,7 @@ pub fn attack(
         Some(stop) => outcome_of(stop),
         None => {
             // No DIP remains: any key satisfying the I/O constraints is
-            // correct. The extraction solve stays under the attack deadline
-            // but not the per-query one: it is the last call and must not be
-            // starved by an earlier slow query.
-            let extraction = Limits {
-                per_query_deadline: None,
-                ..config.clone()
-            };
-            solver.set_limits(extraction, start);
+            // correct.
             match solver.solve() {
                 SolveResult::Sat(model) => AttackOutcome::KeyRecovered(
                     miter.key1.iter().map(|&v| model.value(v)).collect(),
@@ -202,7 +194,7 @@ fn outcome_of(stop: Stop) -> AttackOutcome {
     match stop {
         Stop::Cancelled => AttackOutcome::Cancelled,
         Stop::Memory => AttackOutcome::MemoryExceeded,
-        Stop::Deadline | Stop::QueryDeadline => AttackOutcome::TimedOut(stop),
+        Stop::Deadline => AttackOutcome::TimedOut,
         Stop::Conflicts | Stop::Work => AttackOutcome::BudgetExceeded,
     }
 }
@@ -305,7 +297,7 @@ mod tests {
         let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 10, 3).unwrap();
         let config = AttackConfig::default().with_deadline(Duration::ZERO);
         let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
+        assert_eq!(result.outcome, AttackOutcome::TimedOut);
         assert!(result.key().is_none());
         assert_eq!(result.iterations, 0);
     }
@@ -319,7 +311,7 @@ mod tests {
         let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 10, 3).unwrap();
         let config = AttackConfig::default().with_deadline(Duration::ZERO);
         let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
+        assert_eq!(result.outcome, AttackOutcome::TimedOut);
         assert_eq!(result.solver_stats.propagations, 0);
     }
 
@@ -332,38 +324,7 @@ mod tests {
         let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 12, 3).unwrap();
         let config = AttackConfig::default().with_deadline(Duration::from_millis(5));
         let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
-    }
-
-    #[test]
-    fn per_query_deadline_times_out_a_pathological_query() {
-        let base = synth::generate(&GeneratorConfig::new("mid", 16, 8, 150).with_seed(2));
-        let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 12, 3).unwrap();
-        let config = AttackConfig {
-            per_query_deadline: Some(Duration::ZERO),
-            ..AttackConfig::default()
-        };
-        let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(
-            result.outcome,
-            AttackOutcome::TimedOut(Stop::QueryDeadline),
-            "an expired per-query bound must not be blamed on the attack deadline"
-        );
-    }
-
-    #[test]
-    fn attack_deadline_wins_attribution_over_per_query() {
-        // With both bounds set and the whole-attack deadline already
-        // expired, the timeout is attributed to the attack deadline even
-        // though the per-query bound would also have fired.
-        let base = synth::generate(&GeneratorConfig::new("mid", 16, 8, 150).with_seed(2));
-        let locked = lock_random(&base, SchemeKind::LutLock { lut_size: 4 }, 12, 3).unwrap();
-        let config = AttackConfig {
-            per_query_deadline: Some(Duration::ZERO),
-            ..AttackConfig::default().with_deadline(Duration::ZERO)
-        };
-        let result = attack_locked(&locked, &config).unwrap();
-        assert_eq!(result.outcome, AttackOutcome::TimedOut(Stop::Deadline));
+        assert_eq!(result.outcome, AttackOutcome::TimedOut);
     }
 
     #[test]
@@ -418,7 +379,7 @@ mod tests {
     fn anti_sat_deadline_mid_iteration_times_out_not_budget() {
         // Regression (issue 9): a resistant instance with an ample *work*
         // budget and a small wall-clock deadline dies mid-DIP-iteration
-        // inside the solver; the outcome must name the expired deadline and
+        // inside the solver; the outcome must be the timeout and
         // never degrade into BudgetExceeded.
         let base = synth::generate(&GeneratorConfig::new("mid", 16, 8, 150).with_seed(2));
         let locked = lock_random(&base, SchemeKind::AntiSat { key_width: 8 }, 1, 3).unwrap();
@@ -429,13 +390,10 @@ mod tests {
         let result = attack_locked(&locked, &config).unwrap();
         assert_eq!(
             result.outcome,
-            AttackOutcome::TimedOut(Stop::Deadline),
+            AttackOutcome::TimedOut,
             "iterations={}",
             result.iterations
         );
-        if let AttackOutcome::TimedOut(bound) = result.outcome {
-            assert_eq!(bound.describe(), "deadline");
-        }
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! observed output. When no DIP remains, any key satisfying the accumulated
 //! constraints is functionally correct.
 //!
-//! Besides wall-clock time the attack reports a deterministic *solver-work*
-//! runtime measure (see [`AttackRuntime`]), which is what the dataset
-//! pipeline trains ICNet on: it is machine-independent and reproducible,
-//! while preserving the paper's key property that runtime varies steeply
-//! with the number and position of obfuscated gates.
+//! The attack reports two runtimes (see [`AttackRuntime`]). The
+//! deterministic *solver-work* measure is the dataset pipeline's one label:
+//! it is machine-independent and reproducible, while preserving the paper's
+//! key property that runtime varies steeply with the number and position of
+//! obfuscated gates. The wall-clock time is reported, never a label.
+//!
+//! A run stops on the bounds of its [`AttackConfig`]. The whole-attack
+//! deadline ends it as [`AttackOutcome::TimedOut`], a machine-dependent
+//! verdict the sweep quarantines; a single pathological query is bounded by
+//! the deterministic per-solve conflict cap instead, which ends the run as
+//! a censored [`AttackOutcome::BudgetExceeded`].
 //!
 //! # Example
 //!
@@ -38,4 +44,4 @@ mod runtime;
 pub use dip::{attack, attack_locked, AttackConfig, AttackOutcome, AttackResult};
 pub use error::AttackError;
 pub use oracle::{Oracle, SimOracle};
-pub use runtime::{AttackRuntime, RuntimeMeasure, WORK_UNITS_PER_SECOND};
+pub use runtime::{AttackRuntime, WORK_UNITS_PER_SECOND};

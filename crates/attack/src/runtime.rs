@@ -11,25 +11,18 @@ use std::time::Duration;
 /// on this constant, never their ordering.
 pub const WORK_UNITS_PER_SECOND: f64 = 2.0e7;
 
-/// Which runtime measure the dataset pipeline records as the label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeMeasure {
-    /// Deterministic solver-work proxy (reproducible across machines). This
-    /// is the default: the paper's tables are about the *relationships*
-    /// between runtimes, which the proxy preserves while making every
-    /// experiment bit-reproducible.
-    #[default]
-    SolverWork,
-    /// Actual elapsed wall-clock time of the attack.
-    WallClock,
-}
-
-/// The runtime of one attack, under both measures.
+/// The runtime of one attack: the deterministic solver work that labels
+/// it, and the wall-clock time it took.
+///
+/// The label is always the work: the paper's tables are about the
+/// *relationships* between runtimes, which the proxy preserves while making
+/// every label bit-reproducible across machines, worker counts and resumed
+/// runs. The wall time is reported, never a label.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttackRuntime {
     /// Solver work expended (deterministic).
     pub work: u64,
-    /// Wall-clock time elapsed.
+    /// Wall-clock time elapsed (reported only).
     pub wall: Duration,
 }
 
@@ -42,21 +35,18 @@ impl AttackRuntime {
         }
     }
 
-    /// Runtime in seconds under the chosen measure (synthetic seconds for
-    /// [`RuntimeMeasure::SolverWork`]).
-    pub fn seconds(&self, measure: RuntimeMeasure) -> f64 {
-        match measure {
-            RuntimeMeasure::SolverWork => self.work as f64 / WORK_UNITS_PER_SECOND,
-            RuntimeMeasure::WallClock => self.wall.as_secs_f64(),
-        }
+    /// Runtime in synthetic seconds: the work over
+    /// [`WORK_UNITS_PER_SECOND`].
+    pub fn seconds(&self) -> f64 {
+        self.work as f64 / WORK_UNITS_PER_SECOND
     }
 
     /// Natural log of the runtime in seconds, floored to avoid `-inf` on
     /// sub-microsecond attacks. Runtime prediction is trained on this scale
     /// because deobfuscation time grows exponentially with key count
     /// (paper, Eq. 3).
-    pub fn log_seconds(&self, measure: RuntimeMeasure) -> f64 {
-        self.seconds(measure).max(1e-6).ln()
+    pub fn log_seconds(&self) -> f64 {
+        self.seconds().max(1e-6).ln()
     }
 }
 
@@ -65,7 +55,7 @@ impl fmt::Display for AttackRuntime {
         write!(
             f,
             "{:.3}s synthetic ({} work units, {:.3}s wall)",
-            self.seconds(RuntimeMeasure::SolverWork),
+            self.seconds(),
             self.work,
             self.wall.as_secs_f64()
         )
@@ -77,13 +67,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seconds_under_both_measures() {
+    fn seconds_count_work_not_wall() {
         let rt = AttackRuntime {
             work: 2_000_000,
             wall: Duration::from_millis(250),
         };
-        assert!((rt.seconds(RuntimeMeasure::SolverWork) - 0.1).abs() < 1e-12);
-        assert!((rt.seconds(RuntimeMeasure::WallClock) - 0.25).abs() < 1e-12);
+        assert!((rt.seconds() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -92,7 +81,7 @@ mod tests {
             work: 0,
             wall: Duration::ZERO,
         };
-        assert!(rt.log_seconds(RuntimeMeasure::SolverWork).is_finite());
+        assert!(rt.log_seconds().is_finite());
     }
 
     #[test]
@@ -107,28 +96,15 @@ mod tests {
                 work,
                 wall: Duration::ZERO,
             };
-            assert_eq!(rt.log_seconds(RuntimeMeasure::SolverWork), floor);
+            assert_eq!(rt.log_seconds(), floor);
         }
         let above = AttackRuntime {
             work: 21,
             wall: Duration::ZERO,
         };
-        let got = above.log_seconds(RuntimeMeasure::SolverWork);
+        let got = above.log_seconds();
         assert_eq!(got, (21.0 / WORK_UNITS_PER_SECOND).ln());
         assert!(got > floor);
-
-        // Sub-microsecond wall clocks collapse to the same floor; anything
-        // at or above a microsecond is exact.
-        let sub = AttackRuntime {
-            work: 0,
-            wall: Duration::from_nanos(999),
-        };
-        assert_eq!(sub.log_seconds(RuntimeMeasure::WallClock), floor);
-        let exact = AttackRuntime {
-            work: 0,
-            wall: Duration::from_micros(2),
-        };
-        assert!((exact.log_seconds(RuntimeMeasure::WallClock) - 2e-6f64.ln()).abs() < 1e-15);
     }
 
     #[test]

@@ -192,10 +192,9 @@ fn main() {
     // training run, and must not trip icnet's checkpoint-shape refusal.
     let config = |slug: &str, n_train: usize| {
         let mut config = cli::interruptible_train_config(opts.epochs);
-        config.control.checkpoint = ckpt_dir.as_ref().map(|dir| icnet::TrainCheckpointSpec {
-            path: format!("{dir}/crossgen-{slug}-{n_train}i.ckpt"),
-            resume: true,
-        });
+        config.control.checkpoint = ckpt_dir
+            .as_ref()
+            .map(|dir| format!("{dir}/crossgen-{slug}-{n_train}i.ckpt"));
         config
     };
     // Training is deliberately ICNet-NN on All features — the paper's best

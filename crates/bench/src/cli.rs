@@ -36,7 +36,7 @@ pub struct Options {
     /// wall-clock verdict is machine-dependent.
     pub deadline: Option<f64>,
     /// Extra attempts per instance after the first (retry policy runs
-    /// `retries + 1` attempts total, each at escalated deadlines).
+    /// `retries + 1` attempts total, each at an escalated deadline).
     pub retries: usize,
     /// Keep sweeping past quarantined instances (default). With
     /// `--no-keep-going` the first quarantine aborts the whole sweep.

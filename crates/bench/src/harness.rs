@@ -494,19 +494,16 @@ impl SuiteControl {
     fn train_control(&self, label: &str, dataset_tag: u64) -> icnet::TrainControl {
         icnet::TrainControl {
             cancel: self.cancel.clone(),
+            // The tag keys the file to the exact training set. A resumed
+            // sweep whose dataset changed under it — e.g. a raised memory
+            // budget turned quarantined instances into fresh labels —
+            // starts those cells from scratch instead of tripping the
+            // trainer's fingerprint guard on a checkpoint from the smaller
+            // dataset.
             checkpoint: self
                 .train_checkpoint_dir
                 .as_ref()
-                .map(|dir| icnet::TrainCheckpointSpec {
-                    // The tag keys the file to the exact training set. A
-                    // resumed sweep whose dataset changed under it — e.g.
-                    // a raised memory budget turned quarantined instances
-                    // into fresh labels — starts those cells from scratch
-                    // instead of tripping the trainer's fingerprint guard
-                    // on a checkpoint from the smaller dataset.
-                    path: format!("{dir}/{}-{dataset_tag:016x}.ckpt", slug(label)),
-                    resume: true,
-                }),
+                .map(|dir| format!("{dir}/{}-{dataset_tag:016x}.ckpt", slug(label))),
         }
     }
 }
@@ -795,6 +792,32 @@ mod tests {
     }
 
     #[test]
+    fn table2_suite_is_pinned() {
+        // The paper-table pipeline end to end, pinned across commits by the
+        // FNV digests of its dataset and results CSVs: LUT-4 labels on
+        // c432, then every Table II baseline and every GNN cell (three
+        // kinds × three aggregations × both feature sets). A change that
+        // moves one label or one trained bit fails here, at one suite
+        // worker and at two.
+        let config = DatasetConfig::dataset2("c432", 16);
+        let (data, report) = generate_parallel_with(&config, 1, None).expect("sweep runs");
+        assert_eq!(report.quarantined(), 0);
+        let digest = |text: &str| faults::fnv1a(faults::FNV_OFFSET, text.as_bytes());
+        let dataset = digest(&dataset::dataset_to_csv(&data.instances));
+        let roster = BaselineKind::table2();
+        for jobs in [1, 2] {
+            let results = run_mse_suite(&data, &roster, 3, 1, jobs, &SuiteControl::default());
+            assert_eq!(results.len(), 4 * roster.len() + 18, "every cell appears");
+            let csv = results_to_csv(&results);
+            assert_eq!(
+                (dataset, digest(&csv)),
+                (3717293536920582225, 6409388694581227746),
+                "jobs={jobs}\n{csv}"
+            );
+        }
+    }
+
+    #[test]
     fn corrupt_cache_is_a_miss_not_a_panic() {
         // A crash mid-write used to leave a torn CSV that the next run
         // `expect`ed into a panic; now it must log, regenerate, and replace
@@ -826,18 +849,15 @@ mod tests {
 
     #[test]
     fn cache_path_separates_every_label_relevant_field() {
-        // A label depends on the per-solve conflict cap and the runtime
-        // measure as much as on the work budget: configs differing only
-        // there must never share a cache file (a wrong-label cache hit).
+        // A label depends on the per-solve conflict cap as much as on the
+        // work budget: configs differing only there must never share a
+        // cache file (a wrong-label cache hit).
         let config = DatasetConfig::quick_demo();
         let path = dataset_cache_path(&config, "out");
         assert_eq!(path, dataset_cache_path(&config.clone(), "out"));
         let mut capped = config.clone();
         capped.attack.conflicts_per_solve = Some(99);
         assert_ne!(path, dataset_cache_path(&capped, "out"), "conflict cap");
-        let mut wall = config.clone();
-        wall.measure = attack::RuntimeMeasure::WallClock;
-        assert_ne!(path, dataset_cache_path(&wall, "out"), "runtime measure");
         let mut budget = config.clone();
         budget.attack.work_budget = Some(1);
         assert_ne!(path, dataset_cache_path(&budget, "out"), "work budget");
@@ -898,12 +918,10 @@ mod tests {
             train_checkpoint_dir: Some("out/train".to_owned()),
         };
         let tc = ctl.train_control("ICNet All feat / NN", 0xDEAD_BEEF);
-        let spec = tc.checkpoint.expect("checkpoint configured");
         assert_eq!(
-            spec.path,
-            "out/train/icnet-all-feat---nn-00000000deadbeef.ckpt"
+            tc.checkpoint.as_deref(),
+            Some("out/train/icnet-all-feat---nn-00000000deadbeef.ckpt")
         );
-        assert!(spec.resume, "suite checkpoints always resume");
         assert!(ctl.train_control("x", 0).cancel.is_none());
     }
 

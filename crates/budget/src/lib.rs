@@ -2,8 +2,8 @@
 //! with no dependencies so every layer can use them:
 //!
 //! - [`Limits`] — every bound a long run stops on (work and conflict
-//!   budgets, run and per-query deadlines, the memory budget and a
-//!   [`CancelToken`]) in one value, with one [`Limits::check`] that names
+//!   budgets, the run deadline, the memory budget and a [`CancelToken`])
+//!   in one value, with one [`Limits::check`] that names
 //!   the bound that holds as a typed [`Stop`]. The solver's search loop and
 //!   the SAT attack's DIP loop each poll it at one site.
 //!   The memory budget caps the SAT solver's *logical* bytes (what it

@@ -62,8 +62,6 @@ pub enum Stop {
     Memory,
     /// The whole-run [`Limits::deadline`] passed.
     Deadline,
-    /// The [`Limits::per_query_deadline`] of the query in flight passed.
-    QueryDeadline,
     /// The [`Limits::conflicts_per_solve`] cap ran out.
     Conflicts,
     /// The [`Limits::work_budget`] ran out.
@@ -71,22 +69,21 @@ pub enum Stop {
 }
 
 impl Stop {
-    /// Flag-style name of the bound ("deadline", "per-query deadline", ...),
+    /// Flag-style name of the bound ("deadline", "work budget", ...),
     /// for diagnostics.
     pub fn describe(&self) -> &'static str {
         match self {
             Stop::Cancelled => "cancel",
             Stop::Memory => "memory budget",
             Stop::Deadline => "deadline",
-            Stop::QueryDeadline => "per-query deadline",
             Stop::Conflicts => "per-solve conflict cap",
             Stop::Work => "work budget",
         }
     }
 }
 
-/// Every stop condition of one run: deterministic budgets, wall-clock
-/// deadlines, a logical-byte memory budget and a cancel token. `None`
+/// Every stop condition of one run: deterministic budgets, a wall-clock
+/// deadline, a logical-byte memory budget and a cancel token. `None`
 /// leaves a bound off.
 ///
 /// A poll site reads the clock on its own cadence through [`Limits::tick`]
@@ -99,15 +96,12 @@ pub struct Limits {
     /// stops on it overshoots by at most one query.
     pub work_budget: Option<u64>,
     /// Conflicts one solver call may spend (guards against a single
-    /// pathological query).
+    /// pathological query; deterministic, unlike a per-query clock).
     pub conflicts_per_solve: Option<u64>,
     /// Wall-clock bound on the whole run. Unlike the work budget this
     /// bounds *time*: SAT-hard structures blow past any conflict estimate,
     /// and a dataset sweep must terminate.
     pub deadline: Option<Duration>,
-    /// Wall-clock bound on each query (guards against one pathological
-    /// query eating the whole deadline).
-    pub per_query_deadline: Option<Duration>,
     /// Cap on the solver's logical bytes (clause arena, watchers and
     /// per-variable storage). Deterministic and machine-independent.
     pub mem_budget: Option<u64>,
@@ -121,9 +115,6 @@ pub struct Limits {
 pub struct Poll {
     /// When the run (and its [`Limits::deadline`]) started.
     pub started: Instant,
-    /// When the query in flight (and its [`Limits::per_query_deadline`])
-    /// started.
-    pub query_started: Option<Instant>,
     /// The time, on polls that read the clock (see [`Limits::tick`]).
     pub now: Option<Instant>,
     /// Whether the memory budget is exceeded.
@@ -160,32 +151,27 @@ impl Limits {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// A poll site's clock cadence: returns the time when a deadline needs
-    /// it. Without a deadline the clock is never read.
+    /// A poll site's clock cadence: returns the time when the deadline
+    /// needs it. Without a deadline the clock is never read.
     pub fn tick(&self) -> Option<Instant> {
-        (self.deadline.is_some() || self.per_query_deadline.is_some()).then(Instant::now)
+        self.deadline.is_some().then(Instant::now)
     }
 
     /// The first bound that holds at `at`, in [`Stop`]'s precedence order:
-    /// cancel, memory, the run deadline, the per-query deadline, the
-    /// conflict cap, the work budget.
+    /// cancel, memory, the deadline, the conflict cap, the work budget.
     pub fn check(&self, at: &Poll) -> Option<Stop> {
-        let elapsed = |since: Instant| at.now.map(|now| now.saturating_duration_since(since));
-        let expired = |limit: Option<Duration>, since: Option<Instant>| {
-            limit
-                .zip(since.and_then(elapsed))
-                .is_some_and(|(l, e)| e >= l)
-        };
+        let expired = self
+            .deadline
+            .zip(at.now)
+            .is_some_and(|(limit, now)| now.saturating_duration_since(at.started) >= limit);
         let spent =
             |cap: Option<u64>, used: Option<u64>| cap.zip(used).is_some_and(|(c, u)| u >= c);
         if self.is_cancelled() {
             Some(Stop::Cancelled)
         } else if at.over_memory {
             Some(Stop::Memory)
-        } else if expired(self.deadline, Some(at.started)) {
+        } else if expired {
             Some(Stop::Deadline)
-        } else if expired(self.per_query_deadline, at.query_started) {
-            Some(Stop::QueryDeadline)
         } else if spent(self.conflicts_per_solve, at.conflicts) {
             Some(Stop::Conflicts)
         } else if spent(self.work_budget, at.work) {
@@ -202,47 +188,43 @@ mod tests {
 
     /// Limits with every bound set, and a poll at which each bound holds
     /// exactly when its flag in `holds` is set (in [`Stop`] order).
-    fn case(holds: [bool; 6]) -> (Limits, Poll) {
+    fn case(holds: [bool; 5]) -> (Limits, Poll) {
         let token = CancelToken::new();
         if holds[0] {
             token.cancel();
         }
         let started = Instant::now();
-        let query_started = started + Duration::from_secs(50);
         let now = started + Duration::from_secs(60);
         let limits = Limits {
             work_budget: Some(100),
             conflicts_per_solve: Some(10),
             deadline: Some(Duration::from_secs(if holds[2] { 60 } else { 61 })),
-            per_query_deadline: Some(Duration::from_secs(if holds[3] { 10 } else { 11 })),
             mem_budget: Some(1),
             cancel: Some(token),
         };
         let poll = Poll {
             started,
-            query_started: Some(query_started),
             now: Some(now),
             over_memory: holds[1],
-            conflicts: Some(if holds[4] { 10 } else { 9 }),
-            work: Some(if holds[5] { 100 } else { 99 }),
+            conflicts: Some(if holds[3] { 10 } else { 9 }),
+            work: Some(if holds[4] { 100 } else { 99 }),
         };
         (limits, poll)
     }
 
-    const ORDER: [Stop; 6] = [
+    const ORDER: [Stop; 5] = [
         Stop::Cancelled,
         Stop::Memory,
         Stop::Deadline,
-        Stop::QueryDeadline,
         Stop::Conflicts,
         Stop::Work,
     ];
 
     #[test]
     fn each_bound_alone_stops_with_its_own_reason() {
-        assert_eq!(check(case([false; 6])), None);
+        assert_eq!(check(case([false; 5])), None);
         for (i, &stop) in ORDER.iter().enumerate() {
-            let mut holds = [false; 6];
+            let mut holds = [false; 5];
             holds[i] = true;
             assert_eq!(check(case(holds)), Some(stop), "{}", stop.describe());
         }
@@ -256,7 +238,7 @@ mod tests {
     fn the_earlier_bound_wins_for_every_pair() {
         for (i, &first) in ORDER.iter().enumerate() {
             for j in i + 1..ORDER.len() {
-                let mut holds = [false; 6];
+                let mut holds = [false; 5];
                 holds[i] = true;
                 holds[j] = true;
                 assert_eq!(
@@ -272,23 +254,22 @@ mod tests {
 
     #[test]
     fn a_poll_sees_only_the_bounds_it_reports() {
-        let (limits, mut poll) = case([false, false, true, true, true, true]);
-        poll.now = None;
+        let (limits, mut poll) = case([false, false, true, true, true]);
+        let now = poll.now.take();
         poll.conflicts = None;
         poll.work = None;
         assert_eq!(limits.check(&poll), None, "no clock, no counters");
-        poll.now = case([false; 6]).1.now.map(|t| t + Duration::from_secs(1));
-        poll.query_started = None;
+        poll.now = now;
         assert_eq!(
             limits.check(&poll),
             Some(Stop::Deadline),
-            "without a query in flight only the run deadline is timed"
+            "a poll that reads the clock sees the deadline"
         );
     }
 
     #[test]
     fn unset_bounds_never_hold() {
-        let (_, poll) = case([false, true, true, true, true, true]);
+        let (_, poll) = case([false, true, true, true, true]);
         let poll = Poll {
             over_memory: false,
             ..poll
@@ -304,11 +285,6 @@ mod tests {
             .with_deadline(Duration::ZERO)
             .tick()
             .is_some());
-        let per_query = Limits {
-            per_query_deadline: Some(Duration::ZERO),
-            ..Limits::default()
-        };
-        assert!(per_query.tick().is_some());
     }
 
     #[test]

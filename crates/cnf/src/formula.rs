@@ -4,7 +4,7 @@ use std::fmt;
 
 /// An in-memory CNF formula: a variable count plus a clause list.
 ///
-/// Useful for inspecting or serializing an encoding without a live solver.
+/// Useful for inspecting an encoding without a live solver.
 ///
 /// ```
 /// use cnf::{encode_circuit, CnfFormula};
@@ -13,7 +13,6 @@ use std::fmt;
 /// let enc = encode_circuit(&netlist::c17(), &mut formula);
 /// assert_eq!(formula.num_vars(), netlist::c17().num_gates());
 /// assert!(formula.num_clauses() > 0);
-/// let _dimacs = formula.to_dimacs();
 /// # let _ = enc;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -41,21 +40,6 @@ impl CnfFormula {
     /// The clause list.
     pub fn clauses(&self) -> &[Vec<Lit>] {
         &self.clauses
-    }
-
-    /// Serializes the formula as DIMACS CNF text.
-    pub fn to_dimacs(&self) -> String {
-        sat::write_dimacs(self.num_vars, &self.clauses)
-    }
-
-    /// Loads every clause into a fresh [`sat::Solver`].
-    pub fn to_solver(&self) -> sat::Solver {
-        let mut solver = sat::Solver::new();
-        solver.new_vars(self.num_vars);
-        for clause in &self.clauses {
-            solver.add_clause(clause.iter().copied());
-        }
-        solver
     }
 
     /// Evaluates the formula under a full assignment (index = variable).
@@ -98,7 +82,7 @@ impl fmt::Display for CnfFormula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_xor, fix_vars};
+    use crate::encode_xor;
 
     #[test]
     fn formula_collects_clauses() {
@@ -112,30 +96,6 @@ mod tests {
         assert!(f.eval(&[true, false, true]));
         assert!(!f.eval(&[true, false, false]));
         let _ = y;
-    }
-
-    #[test]
-    fn to_solver_round_trip() {
-        let mut f = CnfFormula::new();
-        let a = f.fresh_var();
-        let b = f.fresh_var();
-        let _y = encode_xor(&mut f, Lit::positive(a), Lit::positive(b));
-        fix_vars(&mut f, &[a, b], &[true, true]);
-        let mut solver = f.to_solver();
-        match solver.solve() {
-            sat::SolveResult::Sat(m) => assert!(!m.value(Var::from_index(2))),
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dimacs_export_parses_back() {
-        let mut f = CnfFormula::new();
-        let a = f.fresh_var();
-        f.add_sink_clause(&[Lit::positive(a)]);
-        let (vars, clauses) = sat::parse_dimacs(&f.to_dimacs()).unwrap();
-        assert_eq!(vars, 1);
-        assert_eq!(clauses.len(), 1);
     }
 
     #[test]

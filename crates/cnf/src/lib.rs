@@ -2,7 +2,7 @@
 //!
 //! This crate bridges the [`netlist`] IR to the [`sat`] solver. Its central
 //! abstraction is [`ClauseSink`], implemented both by [`CnfFormula`] (an
-//! in-memory clause list, convertible to DIMACS) and by [`sat::Solver`]
+//! in-memory clause list) and by [`sat::Solver`]
 //! (direct incremental encoding, which is what the SAT attack uses).
 //! [`encode_miter`] shares every gate the key cannot reach between the
 //! miter's two key copies. [`IoConstraint`] is the attack's per-DIP

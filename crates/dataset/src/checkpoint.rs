@@ -20,13 +20,13 @@
 //! or erroring (see [`crate::supervise`]). A resumed sweep skips known-bad
 //! instances instead of re-diverging on them — but only while the
 //! *supervision policy* is unchanged: each `fail` record carries a
-//! [`supervision_key`] fingerprint of the deadlines and retry policy it
+//! [`supervision_key`] fingerprint of the deadline and retry policy it
 //! gave up under, and [`CheckpointLog::lookup_failure`] ignores records
 //! from a different policy. Rerunning with a raised `--deadline` or
 //! `--retries` therefore re-attacks known-bad instances instead of
 //! trusting a verdict reached under tighter limits. (Success records need
 //! no such guard: a completed or budget-censored label is a deterministic
-//! function of the inputs fingerprinted by [`instance_key`]; deadlines can
+//! function of the inputs fingerprinted by [`instance_key`]; the deadline can
 //! only time an attack out, never change a label it produced.)
 //!
 //! Format: a header line `# icnet-checkpoint v3`, then one record per line:
@@ -74,18 +74,22 @@ pub(crate) const LABEL_REVISION: u32 = 3;
 /// What decides the label a finished attack gets: the labelling
 /// algorithm's revision (`LABEL_REVISION`) and the configuration fields —
 /// the scheme identity *with its parameters* (`SchemeKind`'s `Display`
-/// carries LUT size / Anti-SAT key width), the work budget, the per-solve
-/// conflict cap, and the runtime measure. Wall-clock deadlines, the retry
-/// policy and the memory budget are deliberately excluded — they decide
+/// carries LUT size / Anti-SAT key width), the work budget and the
+/// per-solve conflict cap. The wall-clock deadline, the retry policy and
+/// the memory budget are deliberately excluded — they decide
 /// whether an attack *finishes*, never what label a finished attack gets —
 /// and are fingerprinted separately by [`supervision_key`] for quarantine
 /// records. Both [`instance_key`] and every dataset cache keyed on a sweep
 /// configuration hash this string, so the two can never disagree about
 /// which configurations share labels.
+///
+/// `measure=SolverWork` names the one label measure. The literal keeps each
+/// fingerprint equal to the one earlier builds wrote, when the measure was
+/// a setting, so their checkpoint records and dataset caches stay valid.
 pub fn label_fingerprint(config: &DatasetConfig) -> String {
     format!(
-        "rev={LABEL_REVISION};scheme={};budget={:?};conflicts={:?};measure={:?}",
-        config.scheme, config.attack.work_budget, config.attack.conflicts_per_solve, config.measure
+        "rev={LABEL_REVISION};scheme={};budget={:?};conflicts={:?};measure=SolverWork",
+        config.scheme, config.attack.work_budget, config.attack.conflicts_per_solve
     )
 }
 
@@ -103,7 +107,7 @@ pub fn instance_key(config: &DatasetConfig, locked: &LockedCircuit) -> u64 {
 }
 
 /// Fingerprint of the supervision policy a quarantine verdict was reached
-/// under: the scheme (with its parameters), both wall-clock deadlines, the
+/// under: the scheme (with its parameters), the wall-clock deadline, the
 /// retry policy and the logical-byte memory budget. A `fail` record is only
 /// authoritative for runs with the *same* fingerprint — raise the deadline,
 /// add retries, raise `--mem-budget`, or change a scheme parameter (e.g. the
@@ -115,22 +119,22 @@ pub fn instance_key(config: &DatasetConfig, locked: &LockedCircuit) -> u64 {
 /// statement survives a parameter change.
 ///
 /// The memory budget rides here and *not* in [`instance_key`] for the same
-/// reason the deadlines do: it decides whether an attack finishes, and an
+/// reason the deadline does: it decides whether an attack finishes, and an
 /// attack that finished under one budget would have produced the same label
 /// under any roomier one (the budget only stops a search, never alters
 /// one). Completed labels therefore survive a budget change; only
 /// quarantine verdicts are invalidated.
 pub fn supervision_key(config: &DatasetConfig) -> u64 {
-    // `stall=None` is the window of the removed stall watchdog, which every
-    // current config leaves off. The literal keeps each value equal to the
-    // one earlier builds wrote, so their quarantine records still match;
-    // records written with a window set match no current config and are
-    // re-attacked.
+    // `per_query=None` is the removed per-query deadline and `stall=None`
+    // the window of the removed stall watchdog, both of which every current
+    // config leaves off. The literals keep each value equal to the one
+    // earlier builds wrote, so their quarantine records still match;
+    // records written with either bound set match no current config and
+    // are re-attacked.
     let fingerprint = format!(
-        "scheme={};deadline={:?};per_query={:?};attempts={};escalation={};mem={:?};stall=None",
+        "scheme={};deadline={:?};per_query=None;attempts={};escalation={};mem={:?};stall=None",
         config.scheme,
         config.attack.deadline,
-        config.attack.per_query_deadline,
         config.retry.max_attempts.max(1),
         config.retry.escalation,
         config.attack.mem_budget,
@@ -278,7 +282,7 @@ impl CheckpointLog {
     /// The recorded quarantine failure for `key`, if its attack already
     /// exhausted the retry policy in a previous run *under the same
     /// supervision policy* (`supervision` = [`supervision_key`] of the
-    /// current config). A record written under different deadlines or a
+    /// current config). A record written under a different deadline or a
     /// different retry policy is ignored, so a rerun with a raised
     /// `--deadline` / `--retries` re-attacks the instance instead of
     /// trusting a verdict reached under tighter limits.
@@ -619,7 +623,6 @@ mod tests {
         limited.attack.work_budget = Some(7_000_000);
         limited.attack.conflicts_per_solve = Some(4096);
         limited.attack.deadline = Some(std::time::Duration::from_millis(2500));
-        limited.attack.per_query_deadline = Some(std::time::Duration::from_millis(750));
         limited.attack.mem_budget = Some(500_000);
         limited.retry = crate::RetryPolicy {
             max_attempts: 3,
@@ -629,13 +632,12 @@ mod tests {
     }
 
     /// The supervision value builds with the stall watchdog wrote for a
-    /// window of `stall`.
+    /// window of `stall` (and no per-query deadline).
     fn supervision_key_with_stall(config: &DatasetConfig, stall: std::time::Duration) -> u64 {
         let fingerprint = format!(
-            "scheme={};deadline={:?};per_query={:?};attempts={};escalation={};mem={:?};stall={:?}",
+            "scheme={};deadline={:?};per_query=None;attempts={};escalation={};mem={:?};stall={:?}",
             config.scheme,
             config.attack.deadline,
-            config.attack.per_query_deadline,
             config.retry.max_attempts.max(1),
             config.retry.escalation,
             config.attack.mem_budget,
@@ -674,7 +676,7 @@ mod tests {
                 "rev=3;scheme=xor-lock;budget=Some(7000000);conflicts=Some(4096);measure=SolverWork"
                     .to_owned(),
                 "cf0604ac47237a6b".to_owned(),
-                "768764fb30897f59".to_owned()
+                "ea922a9396d2d7f6".to_owned()
             )
         );
     }
@@ -688,8 +690,8 @@ mod tests {
         let stall = std::time::Duration::from_secs(3);
         assert_eq!(
             format!("{:016x}", supervision_key_with_stall(&limited(), stall)),
-            "6c5cf6b772641f1a",
-            "the value `limited` was pinned to while the watchdog existed"
+            "dde3e8a748b583f1",
+            "the value `limited` had while the watchdog existed"
         );
         let mut config = DatasetConfig::quick_demo();
         config.num_instances = 4;
@@ -774,10 +776,6 @@ mod tests {
         let mut retried = config.clone();
         retried.retry.max_attempts += 1;
         assert_ne!(base, supervision_key(&retried), "retry policy changes it");
-
-        let mut per_query = config.clone();
-        per_query.attack.per_query_deadline = Some(std::time::Duration::from_secs(1));
-        assert_ne!(base, supervision_key(&per_query));
     }
 
     #[test]

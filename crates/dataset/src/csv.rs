@@ -163,7 +163,6 @@ mod tests {
         // shortest representation that re-parses to the same bits), and the
         // floored label must stay consistent with re-deriving it from the
         // parsed seconds column.
-        let measure = attack::RuntimeMeasure::SolverWork;
         for work in [0u64, 1, 7, 19, 20, 21, 12345] {
             let runtime = attack::AttackRuntime {
                 work,
@@ -174,8 +173,8 @@ mod tests {
                 key_bits: 1,
                 iterations: 0,
                 work,
-                seconds: runtime.seconds(measure),
-                log_seconds: runtime.log_seconds(measure),
+                seconds: runtime.seconds(),
+                log_seconds: runtime.log_seconds(),
                 censored: false,
             };
             let parsed = dataset_from_csv(&dataset_to_csv(std::slice::from_ref(&inst))).unwrap();

@@ -1,7 +1,7 @@
 use crate::error::DatasetError;
 use crate::instance::Instance;
 use crate::supervise::{AttackHook, RetryPolicy};
-use attack::{AttackConfig, AttackOutcome, AttackResult, RuntimeMeasure};
+use attack::{AttackConfig, AttackOutcome, AttackResult};
 use netlist::Circuit;
 use obfuscate::{eligible_gates, lut_lock, select_gates, LockedCircuit, SchemeKind};
 use rand::rngs::StdRng;
@@ -30,8 +30,6 @@ pub struct DatasetConfig {
     /// worker token as a *child* of it, so the sweep can abort its own
     /// workers on an internal error without tripping the caller's token.
     pub attack: AttackConfig,
-    /// Which runtime measure becomes the label.
-    pub measure: RuntimeMeasure,
     /// How timed-out / panicking attacks are retried before quarantine.
     pub retry: RetryPolicy,
     /// When true (the default), a sweep quarantines instances that exhaust
@@ -54,7 +52,6 @@ impl fmt::Debug for DatasetConfig {
             .field("key_range", &self.key_range)
             .field("seed", &self.seed)
             .field("attack", &self.attack)
-            .field("measure", &self.measure)
             .field("retry", &self.retry)
             .field("keep_going", &self.keep_going)
             .field("attack_hook", &self.attack_hook.as_ref().map(|_| "<hook>"))
@@ -73,7 +70,6 @@ impl DatasetConfig {
             key_range: (1, 350),
             seed: 1,
             attack: AttackConfig::with_work_budget(50_000_000),
-            measure: RuntimeMeasure::SolverWork,
             retry: RetryPolicy::default(),
             keep_going: true,
             attack_hook: None,
@@ -100,7 +96,6 @@ impl DatasetConfig {
             key_range: (1, 6),
             seed: 3,
             attack: AttackConfig::with_work_budget(5_000_000),
-            measure: RuntimeMeasure::SolverWork,
             retry: RetryPolicy::default(),
             keep_going: true,
             attack_hook: None,
@@ -198,23 +193,19 @@ pub(crate) fn lock_instance(
     Ok(locked)
 }
 
-/// Builds the label for an already locked and attacked instance.
-pub(crate) fn label_instance(
-    config: &DatasetConfig,
-    locked: &LockedCircuit,
-    result: &AttackResult,
-) -> Instance {
-    let seconds = result.runtime.seconds(config.measure);
+/// Builds the label for an already locked and attacked instance: its
+/// solver work, in synthetic seconds ([`attack::AttackRuntime::seconds`]).
+pub(crate) fn label_instance(locked: &LockedCircuit, result: &AttackResult) -> Instance {
     Instance {
         selected: locked.selected.clone(),
         key_bits: locked.key_len(),
         iterations: result.iterations,
         work: result.runtime.work,
-        seconds,
-        log_seconds: seconds.max(1e-6).ln(),
+        seconds: result.runtime.seconds(),
+        log_seconds: result.runtime.log_seconds(),
         censored: matches!(
             result.outcome,
-            AttackOutcome::BudgetExceeded | AttackOutcome::TimedOut(_)
+            AttackOutcome::BudgetExceeded | AttackOutcome::TimedOut
         ),
     }
 }

@@ -13,7 +13,8 @@ pub struct Instance {
     pub iterations: usize,
     /// Deterministic solver work expended.
     pub work: u64,
-    /// Runtime label in seconds (under the configured measure).
+    /// Runtime label in synthetic seconds (solver work over
+    /// [`attack::WORK_UNITS_PER_SECOND`]).
     pub seconds: f64,
     /// `ln(seconds)` — the regression target (runtime grows exponentially
     /// with key count, so models are trained on the log scale).

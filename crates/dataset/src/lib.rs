@@ -10,8 +10,10 @@
 //! * **Dataset 2** — encryption locations drawn from 1..=3 (tests precision
 //!   on very small runtimes).
 //!
-//! The runtime label defaults to the deterministic solver-work measure (see
-//! [`attack::RuntimeMeasure`]); instances whose attack exceeded the work
+//! The runtime label is the attack's deterministic solver work (see
+//! [`attack::AttackRuntime`]), never its wall-clock time: every resume,
+//! cache and bit-identity guarantee of the sweep rests on a label that is a
+//! function of the inputs alone. Instances whose attack exceeded the work
 //! budget carry a lower-bound label and are flagged
 //! [`Instance::censored`].
 //!

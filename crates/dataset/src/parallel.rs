@@ -183,7 +183,7 @@ pub fn generate_parallel_with(
     };
     let log = checkpoint.map(Mutex::new);
     // Quarantine records are only trusted across runs with the same
-    // deadlines and retry policy (see `checkpoint::supervision_key`).
+    // deadline and retry policy (see `checkpoint::supervision_key`).
     let supervision = supervision_key(config);
     // A quarantine is fatal exactly when the operator opted out of
     // keep-going; everything routes through here so the policy lives in
@@ -300,7 +300,7 @@ pub fn generate_parallel_with(
                             scope: "attack",
                             bytes: result.peak_logical_bytes,
                         });
-                        let instance = label_instance(config, &locked, &result);
+                        let instance = label_instance(&locked, &result);
                         if let (Some(log), Some(key)) = (&log, key) {
                             log.lock().unwrap().record(key, index, &instance)?;
                         }

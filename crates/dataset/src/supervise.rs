@@ -11,7 +11,7 @@
 //! 1. every attempt runs under [`std::panic::catch_unwind`], so a panicking
 //!    oracle or solver bug cannot unwind across the sweep's thread scope;
 //! 2. a retryable failure (wall-clock timeout or panic) is retried up to
-//!    [`RetryPolicy::max_attempts`] times, with both wall-clock deadlines
+//!    [`RetryPolicy::max_attempts`] times, with the wall-clock deadline
 //!    multiplied by [`RetryPolicy::escalation`] on each retry — transient
 //!    slowness gets a second, longer chance. The *deterministic* budgets
 //!    (work budget, per-solve conflict cap) are never escalated: a label
@@ -28,13 +28,12 @@
 //! exhaustion quarantine. Memory exhaustion
 //! ([`attack::AttackOutcome::MemoryExceeded`]) is deterministic for a given
 //! budget and therefore never retried within a run; like the wall-clock
-//! deadlines, the budget rides in the checkpoint's supervision fingerprint,
+//! deadline, the budget rides in the checkpoint's supervision fingerprint,
 //! so a resume under a raised budget re-attacks exactly the quarantined
 //! instances while completed labels survive.
 
 use crate::generate::DatasetConfig;
 use attack::{attack_locked, AttackConfig, AttackError, AttackOutcome, AttackResult};
-use budget::Stop;
 use obfuscate::LockedCircuit;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,15 +52,15 @@ pub type AttackHook = Arc<
 pub struct RetryPolicy {
     /// Total attempts per instance, including the first (minimum 1).
     pub max_attempts: usize,
-    /// Multiplier applied to both wall-clock deadlines on each successive
+    /// Multiplier applied to the wall-clock deadline on each successive
     /// attempt (attempt `k` runs at `escalation^k` times the configured
-    /// deadlines). Deterministic budgets are deliberately *not* escalated —
+    /// deadline). Deterministic budgets are deliberately *not* escalated —
     /// see [`RetryPolicy::escalate`].
     pub escalation: u32,
 }
 
 impl Default for RetryPolicy {
-    /// One retry at twice the deadlines.
+    /// One retry at twice the deadline.
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 2,
@@ -71,8 +70,8 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// `config` with both wall-clock deadlines scaled by
-    /// `escalation^attempt` (attempt 0 = the configured deadlines).
+    /// `config` with its wall-clock deadline scaled by
+    /// `escalation^attempt` (attempt 0 = the configured deadline).
     ///
     /// The deterministic budgets (`work_budget`, `conflicts_per_solve`) are
     /// left untouched: they define the label (a censored instance is
@@ -80,7 +79,7 @@ impl RetryPolicy {
     /// the label depend on wall-clock timing and worker contention —
     /// whichever attempt finished would have been measured under different
     /// budgets, breaking byte-identity across machines, worker counts, and
-    /// resumed runs. Only the machine-dependent deadlines grow; a retry
+    /// resumed runs. Only the machine-dependent deadline grows; a retry
     /// that succeeds therefore yields exactly the label a serial
     /// deadline-free run would have produced.
     pub fn escalate(&self, config: &AttackConfig, attempt: usize) -> AttackConfig {
@@ -88,7 +87,6 @@ impl RetryPolicy {
         let factor = u32::try_from(factor).unwrap_or(u32::MAX);
         let mut out = config.clone();
         out.deadline = out.deadline.map(|d| d.saturating_mul(factor));
-        out.per_query_deadline = out.per_query_deadline.map(|d| d.saturating_mul(factor));
         out
     }
 }
@@ -209,17 +207,6 @@ pub(crate) fn sanitize_line(text: &str) -> String {
     text.replace(['\n', '\r'], " ")
 }
 
-/// One-line quarantine message naming the wall-clock bound that actually
-/// expired (the attack reports which as a [`Stop`]).
-fn timeout_message(which: Stop, config: &AttackConfig) -> String {
-    let bound = if which == Stop::QueryDeadline {
-        config.per_query_deadline
-    } else {
-        config.deadline
-    };
-    format!("wall-clock {} {:?} expired", which.describe(), bound)
-}
-
 /// Runs the attack for instance `index` of `config` under full supervision:
 /// panic isolation, retry with escalation, and failure typing. The attack
 /// config `base` must already carry the sweep's cancel token (when any).
@@ -266,10 +253,10 @@ pub(crate) fn supervise_attack(
                         work: result.solver_stats.work(),
                     });
                 }
-                AttackOutcome::TimedOut(which) => InstanceFailure {
+                AttackOutcome::TimedOut => InstanceFailure {
                     kind: FailureKind::Timeout,
                     attempts: attempt + 1,
-                    message: timeout_message(which, &attack_cfg),
+                    message: format!("wall-clock deadline {:?} expired", attack_cfg.deadline),
                     iterations: result.iterations,
                     work: result.solver_stats.work(),
                 },
@@ -459,13 +446,11 @@ mod tests {
         };
         let cfg = AttackConfig {
             deadline: Some(Duration::from_millis(1)),
-            per_query_deadline: Some(Duration::from_millis(1)),
             ..AttackConfig::default()
         };
         let escalated = policy.escalate(&cfg, 40);
         let clamped = Duration::from_millis(1).saturating_mul(u32::MAX);
         assert_eq!(escalated.deadline, Some(clamped));
-        assert_eq!(escalated.per_query_deadline, Some(clamped));
     }
 
     #[test]

@@ -394,10 +394,7 @@ mod tests {
 
         let mut controlled = config.clone();
         controlled.control.cancel = Some(budget::CancelToken::new());
-        controlled.control.checkpoint = Some(crate::TrainCheckpointSpec {
-            path: tmp("controls.ckpt"),
-            resume: true,
-        });
+        controlled.control.checkpoint = Some(tmp("controls.ckpt"));
         assert_eq!(
             base,
             fingerprint(&controlled, 32, &params),

@@ -440,18 +440,6 @@ impl GraphModel {
         op: &Arc<CsrMatrix>,
         x: &Matrix,
     ) -> VarId {
-        self.forward_with_attention(tape, param_ids, op, x).0
-    }
-
-    /// Like [`forward`](Self::forward), additionally returning the
-    /// gate-attention node when the model aggregates with Θgate.
-    pub(crate) fn forward_with_attention(
-        &self,
-        tape: &mut Tape,
-        param_ids: &[VarId],
-        op: &Arc<CsrMatrix>,
-        x: &Matrix,
-    ) -> (VarId, Option<VarId>) {
         assert_eq!(
             x.cols(),
             self.num_features,
@@ -491,7 +479,6 @@ impl GraphModel {
         }
 
         // Θgate: pool gates into one h2-dimensional vector.
-        let mut attn_node = None;
         let pooled = match self.aggregation {
             Aggregation::Sum | Aggregation::Mean => {
                 let ones = tape.constant(Matrix::ones(n, 1));
@@ -507,7 +494,6 @@ impl GraphModel {
                 let tg = theta_g.expect("Nn aggregation carries Θgate");
                 let scores = tape.matmul(h2, tg); // n x 1
                 let attn = tape.softmax_col(scores);
-                attn_node = Some(attn);
                 let ht = tape.transpose(h2);
                 tape.matmul(ht, attn) // h2 x 1
             }
@@ -516,25 +502,10 @@ impl GraphModel {
         let wt = tape.transpose(w_out); // 1 x h2
         let lin = tape.matmul(wt, pooled); // 1 x 1
         let out = tape.add(lin, bias);
-        let out = match self.output {
+        match self.output {
             OutputHead::Identity => out,
             OutputHead::Exp => tape.exp(out),
-        };
-        (out, attn_node)
-    }
-
-    /// The gate-attention distribution Θgate produces for one instance: one
-    /// weight per gate, summing to 1. Returns `None` for sum/mean
-    /// aggregation. High-attention gates are the ones the model considers
-    /// decisive for this placement's runtime.
-    pub fn gate_attention(&self, op: &Arc<CsrMatrix>, x: &Matrix) -> Option<Vec<f64>> {
-        if self.aggregation != Aggregation::Nn {
-            return None;
         }
-        let mut tape = Tape::new();
-        let ids = self.insert_params(&mut tape);
-        let (_, attn) = self.forward_with_attention(&mut tape, &ids, op, x);
-        attn.map(|a| tape.value(a).as_slice().to_vec())
     }
 
     /// Inserts the parameters as trainable leaves on `tape`.
@@ -870,17 +841,6 @@ mod tests {
         );
         let kept = rows.x.rows() as f64 / batch.total_nodes() as f64;
         assert!(kept <= 0.25, "{:.1}% of rows kept", 100.0 * kept);
-    }
-
-    #[test]
-    fn gate_attention_is_a_distribution_over_gates() {
-        let (op, x, model) = setup(ModelKind::ICNet, Aggregation::Nn);
-        let attn = model.gate_attention(&op, &x).expect("NN aggregation");
-        assert_eq!(attn.len(), 11, "one weight per c17 gate");
-        assert!((attn.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(attn.iter().all(|&a| a >= 0.0));
-        let (op, x, sum_model) = setup(ModelKind::ICNet, Aggregation::Sum);
-        assert!(sum_model.gate_attention(&op, &x).is_none());
     }
 
     #[test]

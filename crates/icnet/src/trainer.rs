@@ -87,18 +87,6 @@ impl TrainConfig {
     }
 }
 
-/// Where [`train`] persists end-of-epoch state, and whether it should
-/// restore from an existing checkpoint first.
-#[derive(Debug, Clone)]
-pub struct TrainCheckpointSpec {
-    /// Checkpoint file path (rewritten atomically every epoch).
-    pub path: String,
-    /// When true, an existing checkpoint at `path` (with a matching
-    /// hyper-parameter fingerprint) is restored before training continues;
-    /// when false, training starts fresh and overwrites it.
-    pub resume: bool,
-}
-
 /// Runtime controls for [`train`], both off by default: cooperative
 /// interruption and crash-safe epoch checkpoints.
 #[derive(Debug, Clone, Default)]
@@ -107,8 +95,11 @@ pub struct TrainControl {
     /// [`TrainReport::interrupted`] set, the model keeping its end-of-epoch
     /// parameters (which the checkpoint, when configured, already persists).
     pub cancel: Option<CancelToken>,
-    /// End-of-epoch checkpointing; `None` = no persistence.
-    pub checkpoint: Option<TrainCheckpointSpec>,
+    /// Checkpoint file path, rewritten atomically at the end of every
+    /// epoch; `None` = no persistence. An existing checkpoint there (with a
+    /// matching hyper-parameter fingerprint) is always restored before
+    /// training continues.
+    pub checkpoint: Option<String>,
 }
 
 /// What happened during training.
@@ -264,15 +255,15 @@ pub fn train(
     let mut peak_tape_bytes = 0u64;
     let fingerprint = checkpoint::fingerprint(config, xs.len(), model.params());
 
-    if let Some(spec) = config.control.checkpoint.as_ref().filter(|s| s.resume) {
-        match checkpoint::load(&spec.path) {
+    if let Some(path) = config.control.checkpoint.as_ref() {
+        match checkpoint::load(path) {
             Ok(None) => {} // nothing saved yet: a fresh run
             Ok(Some(ckpt)) => {
                 assert_eq!(
                     ckpt.fingerprint, fingerprint,
                     "training checkpoint `{}` belongs to different \
                      hyper-parameters / shapes; refusing to resume from it",
-                    spec.path
+                    path
                 );
                 for (i, (dst, src)) in model.params_mut().iter_mut().zip(&ckpt.params).enumerate() {
                     assert_eq!(dst.shape(), src.shape(), "param {i} shape mismatch");
@@ -306,7 +297,7 @@ pub fn train(
             }
             Err(message) => panic!(
                 "unusable training checkpoint `{}`: {message} (delete it to start fresh)",
-                spec.path
+                path
             ),
         }
     }
@@ -427,7 +418,7 @@ pub fn train(
             // updated on the path that continued to the next epoch.
             best = best.min(epoch_loss);
         }
-        if let Some(spec) = config.control.checkpoint.as_ref() {
+        if let Some(path) = config.control.checkpoint.as_ref() {
             let state = TrainCheckpoint {
                 fingerprint,
                 epochs_done: epoch + 1,
@@ -440,7 +431,7 @@ pub fn train(
                 adam_m: optimizer.state().1.to_vec(),
                 adam_v: optimizer.state().2.to_vec(),
             };
-            match checkpoint::save(&spec.path, &state) {
+            match checkpoint::save(path, &state) {
                 Ok(()) => obs::emit(obs::EventKind::TrainCheckpointSaved {
                     epoch: (epoch + 1) as u64,
                 }),
@@ -1007,7 +998,7 @@ mod tests {
         checkpoint::save(&path, &stale).expect("checkpoint saves");
         let config = TrainConfig {
             control: TrainControl {
-                checkpoint: Some(TrainCheckpointSpec { path, resume: true }),
+                checkpoint: Some(path),
                 ..TrainControl::default()
             },
             ..config

@@ -65,13 +65,6 @@ impl CircuitBuilder {
         self.by_name.get(name).copied()
     }
 
-    /// The kind and fan-ins of an already-added gate, if `id` is in range.
-    pub fn gate_kind(&self, id: GateId) -> Option<(&GateKind, &[GateId])> {
-        self.gates
-            .get(id.index())
-            .map(|g| (&g.kind, g.fanin.as_slice()))
-    }
-
     fn push(
         &mut self,
         name: String,

@@ -1,6 +1,5 @@
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateKind, InputRole};
-use std::collections::HashMap;
+use crate::gate::Gate;
 use std::fmt;
 
 /// Index of a gate inside a [`Circuit`].
@@ -113,11 +112,6 @@ impl Circuit {
         self.gates.iter().filter(|g| !g.kind.is_input()).count()
     }
 
-    /// Whether the gate is a key input.
-    pub fn is_key_input(&self, id: GateId) -> bool {
-        matches!(self.gate(id).kind, GateKind::Input(InputRole::Key))
-    }
-
     /// Directed edges `(from, to)` of the gate connectivity graph,
     /// i.e. one edge per (fan-in, gate) pair, in id order.
     pub fn edges(&self) -> Vec<(GateId, GateId)> {
@@ -139,21 +133,6 @@ impl Circuit {
             }
         }
         out
-    }
-
-    /// A map from signal name to gate id for every gate in the circuit.
-    pub fn name_map(&self) -> HashMap<&str, GateId> {
-        self.gates
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.name.as_str(), GateId(i as u32)))
-            .collect()
-    }
-
-    /// Returns a copy of this circuit with a different name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
     }
 
     pub(crate) fn validate_port_width(

@@ -15,10 +15,16 @@
 //! * incremental solving under assumptions with a conflict budget,
 //! * an inprocessing pass ([`Solver::preprocess`]) doing root-level
 //!   sweeping, subsumption, self-subsuming resolution, and budgeted
-//!   failed-literal probing between incremental solves.
+//!   failed-literal probing between incremental solves,
+//! * one stop poll over a [`budget::Limits`] ([`Solver::set_limits`]): the
+//!   per-solve conflict cap, the run deadline, a logical-byte memory budget
+//!   and a cancel token.
+//!
+//! Clauses enter through the API only; the `cnf` crate encodes circuits
+//! straight into a live solver, so there is no file format.
 //!
 //! The solver also exposes deterministic work counters ([`SolverStats`])
-//! which the dataset pipeline uses as a reproducible runtime measure.
+//! which the dataset pipeline uses as its runtime label.
 //!
 //! # Example
 //!
@@ -38,7 +44,6 @@
 //! ```
 
 mod arena;
-mod dimacs;
 mod heap;
 mod lit;
 mod model;
@@ -47,7 +52,6 @@ mod simplify;
 mod solver;
 mod stats;
 
-pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
 pub use lit::{Lit, Var};
 pub use model::Model;
 pub use solver::{SolveResult, Solver};

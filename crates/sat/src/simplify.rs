@@ -45,7 +45,7 @@ impl Solver {
     /// Simplifies the clause database in place: root-level sweep,
     /// subsumption, self-subsuming resolution, and budgeted failed-literal
     /// probing (the `simplify` module docs give the pipeline and its
-    /// soundness argument). A superset of [`Solver::simplify`].
+    /// soundness argument).
     ///
     /// Must be called with no assumptions in flight (always true between
     /// [`Solver::solve`] calls). The solver remains incrementally usable:

@@ -227,14 +227,13 @@ impl Solver {
 
     /// Installs the bounds every later [`Solver::solve`] and
     /// [`Solver::preprocess`] call stops on; `started` is when
-    /// `limits.deadline` began counting, and each solve's per-query deadline
-    /// counts from its entry. The work budget is the caller's to poll
-    /// between solves.
+    /// `limits.deadline` began counting. The work budget is the caller's to
+    /// poll between solves.
     ///
     /// A solve polls at one site: at entry, after every conflict and every
     /// few thousand propagations. It checks the memory budget at entry and
     /// after every conflict, the conflict cap after every conflict (so the
-    /// cap is exact), and reads the clock and sees the deadlines at entry,
+    /// cap is exact), and reads the clock and sees the deadline at entry,
     /// every 64 conflicts and every 8,192 propagations; so even a
     /// conflict-free solve stops within a bounded interval. The
     /// cancel token is seen at every poll. When a bound holds, the call
@@ -321,7 +320,6 @@ impl Solver {
     pub(crate) fn preprocess_should_stop(&self) -> bool {
         let poll = Poll {
             started: self.started,
-            query_started: None,
             now: self.limits.tick(),
             over_memory: false,
             conflicts: None,
@@ -744,30 +742,6 @@ impl Solver {
         }
     }
 
-    /// Simplifies the clause database using the level-0 assignment: clauses
-    /// satisfied by a root-level literal are deleted and false root-level
-    /// literals are removed from the remaining clauses. Watch lists are
-    /// rebuilt. Sound and complete: the formula stays equisatisfiable.
-    ///
-    /// Useful between incremental solves that add many unit clauses (the
-    /// SAT attack fixes hundreds of inputs/outputs per DIP), which otherwise
-    /// leave permanently satisfied clauses clogging propagation. For the
-    /// heavier pass that also subsumes, strengthens, and probes, see
-    /// [`Solver::preprocess`].
-    pub fn simplify(&mut self) {
-        if !self.ok {
-            return;
-        }
-        self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            return;
-        }
-        self.root_sweep();
-        self.rebuild_watches();
-        self.maybe_gc();
-    }
-
     /// Deletes clauses satisfied at level 0 and strips false level-0
     /// literals in place. Watch lists are stale afterwards; the caller must
     /// rebuild them before propagating again.
@@ -907,7 +881,6 @@ impl Solver {
         let mut conflicts_this_restart = 0u64;
         let mut next_clock_poll = self.stats.propagations + CLOCK_POLL_PROPS;
         let mut prop_polls = 0u64;
-        let mut query_started = None;
         // What the next poll is due for: `entry` before any search work,
         // `conflicted` right after a conflict was learnt.
         let mut entry = true;
@@ -921,14 +894,9 @@ impl Solver {
                 let clock = entry
                     || prop_poll
                     || (conflicted && conflicts.is_multiple_of(CLOCK_POLL_CONFLICTS));
-                let now = if clock { self.limits.tick() } else { None };
-                if entry {
-                    query_started = now;
-                }
                 let poll = Poll {
                     started: self.started,
-                    query_started,
-                    now,
+                    now: if clock { self.limits.tick() } else { None },
                     // Memory only grows through learning, and a budget that
                     // the formula alone overflows gives up before any work.
                     over_memory: (entry || conflicted) && self.over_memory(),
@@ -1472,7 +1440,7 @@ mod tests {
         s.add_clause([lit(3), lit(-4)]);
         s.add_clause([lit(1)]); // unit: satisfies the first clause
         let before = s.num_clauses();
-        s.simplify();
+        s.preprocess();
         assert!(s.num_clauses() < before);
         match s.solve() {
             SolveResult::Sat(m) => {
@@ -1483,10 +1451,10 @@ mod tests {
             other => panic!("expected SAT, got {other:?}"),
         }
 
-        // UNSAT case must stay UNSAT after simplify.
+        // UNSAT case must stay UNSAT after preprocess.
         let mut s = pigeonhole(5, 4);
-        s.add_clause([lit(1)]); // fix something so simplify has work
-        s.simplify();
+        s.add_clause([lit(1)]); // fix something so the root sweep has work
+        s.preprocess();
         assert!(s.solve().is_unsat());
     }
 
@@ -1495,10 +1463,10 @@ mod tests {
         let mut s = solver_with_vars(3);
         s.add_clause([lit(1), lit(2), lit(3)]);
         s.add_clause([lit(-1)]);
-        s.simplify();
+        s.preprocess();
         assert!(s.solve().is_sat());
         s.add_clause([lit(-2)]);
-        s.simplify();
+        s.preprocess();
         match s.solve() {
             SolveResult::Sat(m) => assert!(m.value(Var::from_index(2))),
             other => panic!("expected SAT, got {other:?}"),

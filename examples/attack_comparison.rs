@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --example attack_comparison
 //! ```
 
-use attack::{attack_locked, AttackConfig, RuntimeMeasure};
+use attack::{attack_locked, AttackConfig};
 use obfuscate::{lock_random, overhead::overhead, SchemeKind};
 use std::error::Error;
 use synth::GeneratorConfig;
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                 locked.key_len(),
                 result.iterations,
                 result.runtime.work,
-                result.runtime.seconds(RuntimeMeasure::SolverWork),
+                result.runtime.seconds(),
                 overhead(&locked).area_factor(),
                 if verified { "" } else { "  (budget)" }
             );

@@ -73,11 +73,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("\nbest candidate (seed {seed}): predicted {predicted:+.3} ln(s)");
     println!(
         "verified by real attack: {:.4} ln(s) ({} DIPs)",
-        result
-            .runtime
-            .seconds(attack::RuntimeMeasure::SolverWork)
-            .max(1e-6)
-            .ln(),
+        result.runtime.log_seconds(),
         result.iterations
     );
     println!("overhead: {cost}");

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             println!("functionally correct: {}", locked.verify_key(key)?);
         }
         AttackOutcome::BudgetExceeded => println!("attack hit its budget"),
-        AttackOutcome::TimedOut(which) => println!("attack hit its {}", which.describe()),
+        AttackOutcome::TimedOut => println!("attack hit its deadline"),
         AttackOutcome::Cancelled => println!("attack was cancelled"),
         AttackOutcome::MemoryExceeded => println!("attack hit its memory budget"),
     }

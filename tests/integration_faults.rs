@@ -365,10 +365,7 @@ fn torn_training_checkpoint_keeps_the_last_good_epoch() {
     let checkpointed = icnet::TrainConfig {
         control: icnet::TrainControl {
             cancel: None,
-            checkpoint: Some(icnet::TrainCheckpointSpec {
-                path: format!("{dir}/train.ckpt"),
-                resume: true,
-            }),
+            checkpoint: Some(format!("{dir}/train.ckpt")),
         },
         ..config
     };

@@ -6,7 +6,7 @@
 use budget::CancelToken;
 use icnet::{
     encode_features, train, Aggregation, CircuitGraph, FeatureSet, GraphModel, ModelKind,
-    TrainCheckpointSpec, TrainConfig, TrainControl,
+    TrainConfig, TrainControl,
 };
 use std::sync::{Arc, Mutex};
 use tensor::Matrix;
@@ -89,10 +89,7 @@ fn checkpointing_a_clean_run_changes_nothing() {
     let path = ckpt_path("clean");
     let control = TrainControl {
         cancel: None,
-        checkpoint: Some(TrainCheckpointSpec {
-            path: path.clone(),
-            resume: true,
-        }),
+        checkpoint: Some(path.clone()),
     };
     let mut saved = fresh_model();
     let saved_report = train(&mut saved, &op, &xs, &ys, &controlled(&cfg, control));
@@ -124,10 +121,7 @@ fn interrupted_then_resumed_runs_are_bit_identical() {
             &cfg,
             TrainControl {
                 cancel: None,
-                checkpoint: Some(TrainCheckpointSpec {
-                    path: path.clone(),
-                    resume: true,
-                }),
+                checkpoint: Some(path.clone()),
             },
         );
 
@@ -183,10 +177,7 @@ fn pre_tripped_token_on_resume_stops_at_epoch_n() {
     let (op, xs, ys) = setup();
     let cfg = config(9);
     let path = ckpt_path("pretripped_resume");
-    let checkpoint = Some(TrainCheckpointSpec {
-        path: path.clone(),
-        resume: true,
-    });
+    let checkpoint = Some(path.clone());
 
     // Reach epoch 3 via an injected interrupt, leaving a checkpoint behind.
     let _cleanup = Disarm;
@@ -235,10 +226,7 @@ fn converged_checkpoint_resumes_to_the_same_report() {
         patience: 3,
         control: TrainControl {
             cancel: None,
-            checkpoint: Some(TrainCheckpointSpec {
-                path: path.clone(),
-                resume: true,
-            }),
+            checkpoint: Some(path.clone()),
         },
         ..TrainConfig::default()
     };
@@ -271,10 +259,7 @@ fn mismatched_hyperparameters_refuse_to_resume() {
         &config(3),
         TrainControl {
             cancel: None,
-            checkpoint: Some(TrainCheckpointSpec {
-                path: path.clone(),
-                resume: true,
-            }),
+            checkpoint: Some(path.clone()),
         },
     );
     let mut model = fresh_model();
