@@ -88,7 +88,6 @@ fn main() {
         requests,
         clients,
         timeout: Duration::from_secs(10),
-        probe_timeout: None,
     };
 
     if let Err(e) = wait_ready(&config, Duration::from_secs(10)) {

@@ -35,19 +35,16 @@ pub struct Options {
     /// fixed) and, failing that, quarantined — never labeled, because a
     /// wall-clock verdict is machine-dependent.
     pub deadline: Option<f64>,
-    /// Extra attempts per instance after the first (retry policy runs
-    /// `retries + 1` attempts total, each at an escalated deadline).
+    /// Extra attempts per instance after the first (`retries + 1`
+    /// attempts in total, each at twice the previous deadline).
     pub retries: usize,
-    /// Keep sweeping past quarantined instances (default). With
-    /// `--no-keep-going` the first quarantine aborts the whole sweep.
-    pub keep_going: bool,
     /// Write a structured JSONL event trace to this path (see `crates/obs`).
     pub trace: Option<String>,
     /// Echo coarse progress events (instances, cells, stages) to stderr as
     /// they happen.
     pub progress: bool,
     /// Deterministic fault-injection plan (see `crates/faults`), e.g.
-    /// `seed=7;checkpoint.append:torn@o2;dataset.worker:die@c5`. Faults are
+    /// `checkpoint.append:torn@o2;dataset.worker:die@c5`. Faults are
     /// disabled entirely when absent.
     pub fault_plan: Option<String>,
     /// Per-attack logical-byte budget (see the `budget` crate). An attack
@@ -70,8 +67,7 @@ impl Default for Options {
             jobs: 1,
             resume: None,
             deadline: None,
-            retries: dataset::RetryPolicy::default().max_attempts - 1,
-            keep_going: true,
+            retries: 1,
             trace: None,
             progress: false,
             fault_plan: None,
@@ -133,8 +129,6 @@ impl Options {
                     opts.deadline = Some(secs);
                 }
                 "--retries" => opts.retries = value("--retries").parse().expect("usize retries"),
-                "--keep-going" => opts.keep_going = true,
-                "--no-keep-going" => opts.keep_going = false,
                 "--trace" => opts.trace = Some(value("--trace")),
                 "--progress" => opts.progress = true,
                 "--fault-plan" => opts.fault_plan = Some(value("--fault-plan")),
@@ -152,8 +146,7 @@ impl Options {
                         "unknown flag `{other}`\nflags: --profile <name> --instances <n> \
                          --budget <work> --epochs <n> --seed <n> --keys-max <n> \
                          --out <dir> --jobs <n> --resume <path> --deadline <secs> \
-                         --retries <n> --keep-going --no-keep-going \
-                         --mem-budget <bytes> \
+                         --retries <n> --mem-budget <bytes> \
                          --trace <path> --progress --fault-plan <spec> --quick{}{extra_usage}",
                         if extra_usage.is_empty() { "" } else { " " },
                     );
@@ -206,7 +199,7 @@ impl Options {
 
     /// Applies the shared attack and supervision flags to a dataset
     /// configuration: work budget, per-solve conflict cap, wall-clock
-    /// deadline, master seed, retry policy, and keep-going. Fields with
+    /// deadline, memory budget, master seed and attempt count. Fields with
     /// per-binary semantics (profile, key range, instance count) stay with
     /// the caller.
     pub fn configure(&self, config: &mut dataset::DatasetConfig) {
@@ -215,8 +208,7 @@ impl Options {
         config.attack.deadline = self.deadline.map(std::time::Duration::from_secs_f64);
         config.attack.mem_budget = self.mem_budget;
         config.seed = self.seed;
-        config.retry.max_attempts = self.retries + 1;
-        config.keep_going = self.keep_going;
+        config.max_attempts = self.retries.saturating_add(1);
         config.attack.cancel = Some(interrupt_token().clone());
     }
 }
@@ -339,14 +331,12 @@ mod tests {
 
     #[test]
     fn supervision_flags_parse() {
-        let o = parse(&["--deadline", "2.5", "--retries", "3", "--no-keep-going"]);
+        let o = parse(&["--deadline", "2.5", "--retries", "3"]);
         assert_eq!(o.deadline, Some(2.5));
         assert_eq!(o.retries, 3);
-        assert!(!o.keep_going);
         let o = parse(&[]);
         assert_eq!(o.deadline, None);
         assert_eq!(o.retries, 1, "one retry by default");
-        assert!(o.keep_going, "keep-going is the default");
     }
 
     #[test]
@@ -360,7 +350,6 @@ mod tests {
             "2",
             "--retries",
             "2",
-            "--no-keep-going",
         ]);
         let mut config = dataset::DatasetConfig::quick_demo();
         let key_range = config.key_range;
@@ -372,9 +361,16 @@ mod tests {
             Some(std::time::Duration::from_secs(2))
         );
         assert_eq!(config.seed, 9);
-        assert_eq!(config.retry.max_attempts, 3);
-        assert!(!config.keep_going);
+        assert_eq!(config.max_attempts, 3);
         assert_eq!(config.key_range, key_range, "key range untouched");
+    }
+
+    #[test]
+    fn the_largest_retry_count_saturates_instead_of_wrapping() {
+        let o = parse(&["--retries", &usize::MAX.to_string()]);
+        let mut config = dataset::DatasetConfig::quick_demo();
+        o.configure(&mut config);
+        assert_eq!(config.max_attempts, usize::MAX);
     }
 
     #[test]
@@ -390,8 +386,8 @@ mod tests {
 
     #[test]
     fn fault_plan_flag_parses() {
-        let o = parse(&["--fault-plan", "seed=3;sat.solve:panic@o1"]);
-        assert_eq!(o.fault_plan.as_deref(), Some("seed=3;sat.solve:panic@o1"));
+        let o = parse(&["--fault-plan", "sat.solve:panic@o1"]);
+        assert_eq!(o.fault_plan.as_deref(), Some("sat.solve:panic@o1"));
         let o = parse(&[]);
         assert_eq!(o.fault_plan, None, "faults are off unless requested");
     }

@@ -11,8 +11,8 @@ use tensor::Matrix;
 
 /// The CSV cache path [`load_or_generate`] uses for `config` under
 /// `out_dir`. The pipeline is deterministic, so the cache key is the
-/// configuration: the sweep's shape (profile, circuit seed, scheme,
-/// instance count, key range, master seed) plus a hash of
+/// configuration: the sweep's shape (profile, scheme, instance count, key
+/// range, master seed) plus a hash of
 /// [`dataset::label_fingerprint`], the same fields the checkpoint log's
 /// instance keys fingerprint. Two configurations that would label an
 /// instance differently therefore never share a cache file.
@@ -22,9 +22,8 @@ pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> Str
         dataset::label_fingerprint(config).as_bytes(),
     );
     format!(
-        "{out_dir}/dataset_{}_{}_{}_{}_{}_{}_{}_{label:016x}.csv",
+        "{out_dir}/dataset_{}_{}_{}_{}_{}_{}_{label:016x}.csv",
         config.profile,
-        config.circuit_seed,
         config.scheme,
         config.num_instances,
         config.key_range.0,
@@ -40,8 +39,8 @@ pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> Str
 /// interrupted-then-resumed schedule; the per-worker sweep report is
 /// printed to stderr when generation runs.
 ///
-/// Under `--keep-going` (the default) a sweep with quarantined instances
-/// still succeeds, yielding the healthy subset of labels — possibly none:
+/// A sweep with quarantined instances still succeeds, yielding the healthy
+/// subset of labels — possibly none:
 /// SAT-resilient schemes under tight deadlines can quarantine a whole
 /// corpus. The quarantine count is `config.num_instances -
 /// instances.len()` (0 on a cache hit). A partial dataset is deliberately
@@ -59,8 +58,8 @@ pub fn dataset_cache_path(config: &dataset::DatasetConfig, out_dir: &str) -> Str
 ///
 /// # Panics
 ///
-/// Panics when generation fails (bad profile/range, `--no-keep-going`
-/// quarantine) or a checkpoint file is corrupt — setup errors for an
+/// Panics when generation fails (bad profile/range, a failed checkpoint
+/// append) or a checkpoint file is corrupt — setup errors for an
 /// experiment binary.
 pub fn load_or_generate(
     config: &dataset::DatasetConfig,
@@ -82,7 +81,7 @@ pub fn load_or_generate(
                 let circuit = dataset::sweep_circuit(config).expect("valid sweep configuration");
                 return Dataset { circuit, instances };
             }
-            Ok(_) => {} // partial dataset from a keep-going run: regenerate
+            Ok(_) => {} // partial dataset from a run with quarantines: regenerate
             Err(e) => {
                 // Damaged on disk or edited by hand: regenerating is always
                 // safe.

@@ -43,7 +43,7 @@ use crate::csv::{instance_from_line, instance_to_line};
 use crate::error::DatasetError;
 use crate::generate::DatasetConfig;
 use crate::instance::Instance;
-use crate::supervise::{sanitize_line, FailureKind, InstanceFailure};
+use crate::supervise::{sanitize_line, FailureKind, InstanceFailure, ESCALATION};
 use faults::sealed::{inject_write, seal_line, unseal_line};
 use faults::{fnv1a, FNV_OFFSET};
 use obfuscate::LockedCircuit;
@@ -135,8 +135,8 @@ pub fn supervision_key(config: &DatasetConfig) -> u64 {
         "scheme={};deadline={:?};per_query=None;attempts={};escalation={};mem={:?};stall=None",
         config.scheme,
         config.attack.deadline,
-        config.retry.max_attempts.max(1),
-        config.retry.escalation,
+        config.max_attempts.max(1),
+        ESCALATION,
         config.attack.mem_budget,
     );
     fnv1a(FNV_OFFSET, fingerprint.as_bytes())
@@ -624,10 +624,7 @@ mod tests {
         limited.attack.conflicts_per_solve = Some(4096);
         limited.attack.deadline = Some(std::time::Duration::from_millis(2500));
         limited.attack.mem_budget = Some(500_000);
-        limited.retry = crate::RetryPolicy {
-            max_attempts: 3,
-            escalation: 4,
-        };
+        limited.max_attempts = 3;
         limited
     }
 
@@ -638,8 +635,8 @@ mod tests {
             "scheme={};deadline={:?};per_query=None;attempts={};escalation={};mem={:?};stall={:?}",
             config.scheme,
             config.attack.deadline,
-            config.retry.max_attempts.max(1),
-            config.retry.escalation,
+            config.max_attempts.max(1),
+            ESCALATION,
             config.attack.mem_budget,
             Some(stall),
         );
@@ -676,7 +673,7 @@ mod tests {
                 "rev=3;scheme=xor-lock;budget=Some(7000000);conflicts=Some(4096);measure=SolverWork"
                     .to_owned(),
                 "cf0604ac47237a6b".to_owned(),
-                "ea922a9396d2d7f6".to_owned()
+                "81ce5bdb7a88ac58".to_owned()
             )
         );
     }
@@ -690,7 +687,7 @@ mod tests {
         let stall = std::time::Duration::from_secs(3);
         assert_eq!(
             format!("{:016x}", supervision_key_with_stall(&limited(), stall)),
-            "dde3e8a748b583f1",
+            "1dc25cd1ecf43a67",
             "the value `limited` had while the watchdog existed"
         );
         let mut config = DatasetConfig::quick_demo();
@@ -774,8 +771,12 @@ mod tests {
         );
 
         let mut retried = config.clone();
-        retried.retry.max_attempts += 1;
-        assert_ne!(base, supervision_key(&retried), "retry policy changes it");
+        retried.max_attempts += 1;
+        assert_ne!(
+            base,
+            supervision_key(&retried),
+            "the attempt count changes it"
+        );
     }
 
     #[test]

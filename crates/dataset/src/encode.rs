@@ -7,21 +7,10 @@
 //! the `n` per-gate vectors are aggregated by sum or mean into a single
 //! `(n + F)`-dimensional vector per instance.
 
-use crate::error::DatasetError;
 use crate::instance::Instance;
 use icnet::{CircuitGraph, FeatureSet};
 use netlist::Circuit;
 use tensor::Matrix;
-
-/// Largest raw value a structural (degree/level) feature may take before
-/// normalization. The cap matches an 8-bit fixed-point layout sized for the
-/// ISCAS-85 profiles, whose gates have 2–3 fan-ins and whose logic depth
-/// stays far below it. SAT-resilient schemes break that assumption — an
-/// Anti-SAT comparator is a single AND over `key_width` taps, and nothing
-/// in the netlist model bounds fan-in at all — so [`degree_level_features`]
-/// reports an overflowing gate as a typed error instead of silently
-/// saturating the column.
-pub const MAX_STRUCT_FEATURE: usize = 255;
 
 /// Which structural matrix enters the flat encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,63 +106,6 @@ pub fn flat_features(
     out
 }
 
-/// Per-gate structural features — fan-in degree, fan-out degree, and
-/// topological level — normalized to `[0, 1]` by [`MAX_STRUCT_FEATURE`]
-/// (row per gate, columns in that order).
-///
-/// Unlike [`graph_features`], which encodes the *original* circuit, this
-/// runs on arbitrary netlists including locked ones, so it must survive the
-/// gate mix SAT-resilient schemes introduce: wide-fanin AND/NAND comparator
-/// trees whose degree exceeds anything in the ISCAS-85 profiles.
-///
-/// # Errors
-///
-/// Returns [`DatasetError::FeatureRange`] naming the gate and feature when
-/// any raw value exceeds [`MAX_STRUCT_FEATURE`] — a typed refusal instead
-/// of silent saturation, so a corpus whose structure outgrows the encoding
-/// fails loudly at encode time rather than feeding clipped features to a
-/// model.
-pub fn degree_level_features(circuit: &Circuit) -> Result<Matrix, DatasetError> {
-    let n = circuit.num_gates();
-    let fanouts = circuit.fanouts();
-    let mut levels = vec![0usize; n];
-    let mut out = Matrix::zeros(n, 3);
-    let encode = |gate: &str, feature: &'static str, value: usize| -> Result<f64, DatasetError> {
-        if value > MAX_STRUCT_FEATURE {
-            return Err(DatasetError::FeatureRange {
-                gate: gate.to_owned(),
-                feature,
-                value,
-                limit: MAX_STRUCT_FEATURE,
-            });
-        }
-        Ok(value as f64 / MAX_STRUCT_FEATURE as f64)
-    };
-    // Gate ids are topological, so every fan-in's level is already known.
-    for (id, gate) in circuit.iter() {
-        let level = gate
-            .fanin()
-            .iter()
-            .map(|f| levels[f.index()] + 1)
-            .max()
-            .unwrap_or(0);
-        levels[id.index()] = level;
-        let row = id.index();
-        out.set(
-            row,
-            0,
-            encode(gate.name(), "fan-in degree", gate.fanin().len())?,
-        );
-        out.set(
-            row,
-            1,
-            encode(gate.name(), "fan-out degree", fanouts[row].len())?,
-        );
-        out.set(row, 2, encode(gate.name(), "logic level", level)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,95 +176,6 @@ mod tests {
         for col in 0..12 {
             assert!((mean.get(0, col) - sum.get(0, col) / 11.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn degree_level_features_cover_c17() {
-        let c = netlist::c17();
-        let x = degree_level_features(&c).unwrap();
-        assert_eq!(x.shape(), (11, 3));
-        let scale = MAX_STRUCT_FEATURE as f64;
-        // Primary inputs: no fan-in, level 0.
-        assert_eq!(x.get(0, 0), 0.0);
-        assert_eq!(x.get(0, 2), 0.0);
-        // Every c17 NAND has exactly two fan-ins.
-        for row in 5..11 {
-            assert!((x.get(row, 0) - 2.0 / scale).abs() < 1e-12);
-        }
-        // The deepest gates sit at level 3.
-        let max_level = (0..11).map(|r| x.get(r, 2)).fold(0.0f64, f64::max);
-        assert!((max_level - 3.0 / scale).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_level_features_handle_anti_sat_gate_mix() {
-        // Locked Anti-SAT netlists contain wide comparator AND/NAND trees;
-        // they stay well under the cap and must encode cleanly.
-        let locked = obfuscate::lock_random(
-            &netlist::c17(),
-            obfuscate::SchemeKind::AntiSat { key_width: 4 },
-            1,
-            5,
-        )
-        .unwrap();
-        let x = degree_level_features(&locked.locked).unwrap();
-        assert_eq!(x.shape(), (locked.locked.num_gates(), 3));
-        let widest = (0..locked.locked.num_gates())
-            .map(|r| x.get(r, 0))
-            .fold(0.0f64, f64::max);
-        assert!(
-            (widest - 4.0 / MAX_STRUCT_FEATURE as f64).abs() < 1e-12,
-            "the comparator AND over 4 taps is the widest gate"
-        );
-    }
-
-    #[test]
-    fn fanin_overflow_is_a_typed_error_not_saturation() {
-        // Nothing in the netlist model bounds fan-in; a 300-wide AND
-        // (fan-in past the ISCAS-profile assumption) must be refused.
-        let mut b = netlist::CircuitBuilder::new("wide");
-        let ins: Vec<netlist::GateId> = (0..300)
-            .map(|i| b.add_input(format!("in{i}")).unwrap())
-            .collect();
-        let g = b
-            .add_gate("wide_and", netlist::GateKind::And, &ins)
-            .unwrap();
-        b.mark_output(g);
-        let c = b.finish().unwrap();
-        match degree_level_features(&c) {
-            Err(DatasetError::FeatureRange {
-                gate,
-                feature,
-                value,
-                limit,
-            }) => {
-                assert_eq!(gate, "wide_and");
-                assert_eq!(feature, "fan-in degree");
-                assert_eq!(value, 300);
-                assert_eq!(limit, MAX_STRUCT_FEATURE);
-            }
-            other => panic!("expected FeatureRange, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn level_overflow_is_a_typed_error() {
-        let mut b = netlist::CircuitBuilder::new("deep");
-        let mut prev = b.add_input("in0").unwrap();
-        for i in 0..MAX_STRUCT_FEATURE + 1 {
-            prev = b
-                .add_gate(format!("n{i}"), netlist::GateKind::Not, &[prev])
-                .unwrap();
-        }
-        b.mark_output(prev);
-        let c = b.finish().unwrap();
-        assert!(matches!(
-            degree_level_features(&c),
-            Err(DatasetError::FeatureRange {
-                feature: "logic level",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use crate::supervise::InstanceFailure;
 use std::fmt;
 
 /// Errors produced by dataset generation or persistence.
@@ -16,30 +15,6 @@ pub enum DatasetError {
     },
     /// A locking operation failed.
     Obfuscate(obfuscate::ObfuscateError),
-    /// An instance exhausted its retry policy and the sweep was not running
-    /// with keep-going, so the failure is fatal.
-    Quarantined {
-        /// Index of the failing instance.
-        instance: usize,
-        /// Circuit profile being swept.
-        circuit: String,
-        /// The typed failure that exhausted the retries.
-        failure: InstanceFailure,
-    },
-    /// A raw structural feature (gate degree or logic level) exceeded the
-    /// fixed-point range of the feature encoding. Raised instead of
-    /// silently saturating, so corpora whose gate mix outgrows the ISCAS
-    /// assumptions (e.g. wide Anti-SAT comparator trees) fail loudly.
-    FeatureRange {
-        /// Name of the offending gate.
-        gate: String,
-        /// Which feature overflowed ("fan-in degree", ...).
-        feature: &'static str,
-        /// The raw value.
-        value: usize,
-        /// The encoding's inclusive maximum.
-        limit: usize,
-    },
     /// A CSV line could not be parsed.
     ParseCsv {
         /// 1-based line number.
@@ -84,23 +59,6 @@ impl fmt::Display for DatasetError {
                 range.0, range.1, available
             ),
             DatasetError::Obfuscate(e) => write!(f, "obfuscation failed: {e}"),
-            DatasetError::Quarantined {
-                instance,
-                circuit,
-                failure,
-            } => write!(
-                f,
-                "instance {instance} of `{circuit}` quarantined: {failure}"
-            ),
-            DatasetError::FeatureRange {
-                gate,
-                feature,
-                value,
-                limit,
-            } => write!(
-                f,
-                "gate `{gate}` has {feature} {value}, beyond the feature encoding limit {limit}"
-            ),
             DatasetError::ParseCsv { line, message } => {
                 write!(f, "csv parse error at line {line}: {message}")
             }
@@ -154,23 +112,5 @@ mod tests {
         }
         .to_string()
         .contains("400"));
-    }
-
-    #[test]
-    fn quarantine_error_names_the_instance() {
-        let text = DatasetError::Quarantined {
-            instance: 7,
-            circuit: "c1529".into(),
-            failure: crate::supervise::InstanceFailure {
-                kind: crate::supervise::FailureKind::Timeout,
-                attempts: 2,
-                message: "deadline expired".into(),
-                iterations: 3,
-                work: 99,
-            },
-        }
-        .to_string();
-        assert!(text.contains("instance 7"), "{text}");
-        assert!(text.contains("timeout after 2 attempts"), "{text}");
     }
 }

@@ -1,6 +1,6 @@
 use crate::error::DatasetError;
 use crate::instance::Instance;
-use crate::supervise::{AttackHook, RetryPolicy};
+use crate::supervise::AttackHook;
 use attack::{AttackConfig, AttackOutcome, AttackResult};
 use netlist::Circuit;
 use obfuscate::{eligible_gates, lut_lock, select_gates, LockedCircuit, SchemeKind};
@@ -11,11 +11,9 @@ use std::fmt;
 /// Full parameterization of one dataset sweep.
 #[derive(Clone)]
 pub struct DatasetConfig {
-    /// Circuit profile name (see [`synth::iscas`]); the paper uses one
-    /// 1529-gate circuit (`"c1529"`).
+    /// Circuit profile name (see [`synth::iscas`]), synthesized at seed 0;
+    /// the paper uses one 1529-gate circuit (`"c1529"`).
     pub profile: String,
-    /// Seed of the synthetic circuit.
-    pub circuit_seed: u64,
     /// Locking scheme (the paper: LUT locking with LUT size 4).
     pub scheme: SchemeKind,
     /// Number of labeled instances to generate.
@@ -30,13 +28,10 @@ pub struct DatasetConfig {
     /// worker token as a *child* of it, so the sweep can abort its own
     /// workers on an internal error without tripping the caller's token.
     pub attack: AttackConfig,
-    /// How timed-out / panicking attacks are retried before quarantine.
-    pub retry: RetryPolicy,
-    /// When true (the default), a sweep quarantines instances that exhaust
-    /// their retries and keeps going, completing with a partial dataset and
-    /// a failure report; when false, the first such failure aborts the
-    /// sweep with [`DatasetError::Quarantined`].
-    pub keep_going: bool,
+    /// Total attempts per instance, including the first (minimum 1): a
+    /// timed-out or panicking attack is retried, each retry at twice the
+    /// previous wall-clock deadline, before its instance is quarantined.
+    pub max_attempts: usize,
     /// Optional replacement attack runner (fault injection in tests);
     /// `None` = the real [`attack::attack_locked`].
     pub attack_hook: Option<AttackHook>,
@@ -46,14 +41,12 @@ impl fmt::Debug for DatasetConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DatasetConfig")
             .field("profile", &self.profile)
-            .field("circuit_seed", &self.circuit_seed)
             .field("scheme", &self.scheme)
             .field("num_instances", &self.num_instances)
             .field("key_range", &self.key_range)
             .field("seed", &self.seed)
             .field("attack", &self.attack)
-            .field("retry", &self.retry)
-            .field("keep_going", &self.keep_going)
+            .field("max_attempts", &self.max_attempts)
             .field("attack_hook", &self.attack_hook.as_ref().map(|_| "<hook>"))
             .finish()
     }
@@ -64,14 +57,12 @@ impl DatasetConfig {
     pub fn dataset1(profile: &str, num_instances: usize) -> Self {
         DatasetConfig {
             profile: profile.to_owned(),
-            circuit_seed: 0,
             scheme: SchemeKind::LutLock { lut_size: 4 },
             num_instances,
             key_range: (1, 350),
             seed: 1,
             attack: AttackConfig::with_work_budget(50_000_000),
-            retry: RetryPolicy::default(),
-            keep_going: true,
+            max_attempts: 2,
             attack_hook: None,
         }
     }
@@ -90,14 +81,12 @@ impl DatasetConfig {
     pub fn quick_demo() -> Self {
         DatasetConfig {
             profile: "c432".to_owned(),
-            circuit_seed: 0,
             scheme: SchemeKind::XorLock,
             num_instances: 8,
             key_range: (1, 6),
             seed: 3,
             attack: AttackConfig::with_work_budget(5_000_000),
-            retry: RetryPolicy::default(),
-            keep_going: true,
+            max_attempts: 2,
             attack_hook: None,
         }
     }
@@ -152,7 +141,7 @@ pub fn instance_seed(master: u64, index: usize) -> u64 {
 /// [`DatasetError::BadKeyRange`] when the sweep asks for more locked gates
 /// than the circuit can supply.
 pub fn sweep_circuit(config: &DatasetConfig) -> Result<Circuit, DatasetError> {
-    let circuit = synth::iscas::circuit(&config.profile, config.circuit_seed)
+    let circuit = synth::iscas::circuit(&config.profile, 0)
         .ok_or_else(|| DatasetError::UnknownProfile(config.profile.clone()))?;
     let available = eligible_gates(&circuit, config.scheme).len();
     let (lo, hi) = config.key_range;

@@ -49,13 +49,10 @@ mod supervise;
 
 pub use checkpoint::{instance_key, label_fingerprint, supervision_key, CheckpointLog};
 pub use csv::{dataset_from_csv, dataset_to_csv};
-pub use encode::{
-    degree_level_features, flat_features, graph_features, FlatAggregation, StructureEncoding,
-    MAX_STRUCT_FEATURE,
-};
+pub use encode::{flat_features, graph_features, FlatAggregation, StructureEncoding};
 pub use error::DatasetError;
 pub use generate::{instance_seed, sweep_circuit, Dataset, DatasetConfig};
 pub use instance::Instance;
 pub use parallel::{generate_parallel_with, SweepFailure, SweepReport, WorkerStats};
-pub use split::{kfold, train_test_split, Split};
-pub use supervise::{AttackHook, FailureKind, InstanceFailure, RetryPolicy};
+pub use split::{train_test_split, Split};
+pub use supervise::{AttackHook, FailureKind, InstanceFailure};

@@ -14,15 +14,13 @@
 //! ([`crate::supervise`]): panics are isolated, wall-clock timeouts
 //! and panics are retried with escalating deadlines (deterministic budgets
 //! stay fixed so retries cannot change a label), and an instance that
-//! exhausts its retries is *quarantined*. With
-//! [`DatasetConfig::keep_going`] set (the default), the sweep records the
-//! typed failure — in the [`CheckpointLog`] when one is attached, and in
-//! the [`SweepReport`] always — and moves on, so one sick instance costs
-//! its own label, not the sweep. With `keep_going` off, the first
-//! quarantine aborts the sweep as [`DatasetError::Quarantined`], and the
-//! shared [`budget::CancelToken`] stops the other workers' attacks at
-//! their next stop poll. A resumed sweep skips both completed *and*
-//! quarantined instances already on record.
+//! exhausts its retries is *quarantined*: the sweep records the typed
+//! failure — in the [`CheckpointLog`] when one is attached, and in the
+//! [`SweepReport`] always — and moves on, so one sick instance costs its
+//! own label, not the sweep. A checkpoint append that fails aborts the
+//! sweep, and the shared [`budget::CancelToken`] stops the other workers'
+//! attacks at their next stop poll. A resumed sweep skips both completed
+//! *and* quarantined instances already on record.
 
 use crate::checkpoint::{instance_key, supervision_key, CheckpointLog};
 use crate::error::DatasetError;
@@ -129,10 +127,9 @@ impl SweepReport {
 /// the dataset with its per-worker [`SweepReport`].
 ///
 /// The dataset is byte-identical for every `jobs` value — see the module
-/// docs for why worker count cannot affect the result. When
-/// [`DatasetConfig::keep_going`] is set and instances quarantine, the
-/// dataset holds the labels of the healthy instances only; the report
-/// lists the quarantined ones.
+/// docs for why worker count cannot affect the result. When instances
+/// quarantine, the dataset holds the labels of the healthy instances only;
+/// the report lists the quarantined ones.
 ///
 /// Each finished attack is appended to the log before its result is
 /// published, so an interrupted sweep loses at most `jobs` in-flight
@@ -147,10 +144,9 @@ impl SweepReport {
 /// [`DatasetError::BadKeyRange`] when the sweep asks for more locked gates
 /// than the circuit can supply, [`DatasetError::Obfuscate`] when locking
 /// fails, [`DatasetError::Io`] when a checkpoint append fails,
-/// [`DatasetError::Quarantined`] when an instance exhausts its retry policy
-/// and `config.keep_going` is off, [`DatasetError::Interrupted`] when the
-/// cancel token in `config.attack` fires, and [`DatasetError::WorkerLoss`]
-/// when every worker died with instances left. The first worker error wins
+/// [`DatasetError::Interrupted`] when the cancel token in `config.attack`
+/// fires, and [`DatasetError::WorkerLoss`] when every worker died with
+/// instances left. The first worker error wins
 /// and the remaining attacks are cancelled.
 pub fn generate_parallel_with(
     config: &DatasetConfig,
@@ -185,30 +181,10 @@ pub fn generate_parallel_with(
     // Quarantine records are only trusted across runs with the same
     // deadline and retry policy (see `checkpoint::supervision_key`).
     let supervision = supervision_key(config);
-    // A quarantine is fatal exactly when the operator opted out of
-    // keep-going; everything routes through here so the policy lives in
-    // one place.
-    let quarantine = |index: usize,
-                      failure: InstanceFailure,
-                      reused: bool,
-                      persist: bool|
-     -> Result<(), DatasetError> {
-        if !config.keep_going {
-            return Err(DatasetError::Quarantined {
-                instance: index,
-                circuit: config.profile.clone(),
-                failure,
-            });
-        }
-        if !reused && persist {
-            if let Some(log) = &log {
-                let locked = lock_instance(config, &circuit, index)?;
-                let key = instance_key(config, &locked);
-                log.lock()
-                    .unwrap()
-                    .record_failure(key, index, supervision, &failure)?;
-            }
-        }
+    // Reports one quarantined instance to the trace and the sweep report.
+    // A fresh verdict is appended to the log by the caller first; a
+    // replayed one, or a dead worker's, is not.
+    let quarantine = |index: usize, failure: InstanceFailure, reused: bool| {
         obs::emit(obs::EventKind::InstanceQuarantined {
             index: index as u64,
             failure: failure.kind.tag(),
@@ -220,7 +196,6 @@ pub fn generate_parallel_with(
             failure,
             reused,
         });
-        Ok(())
     };
 
     let worker = |wid: usize| -> WorkerStats {
@@ -267,17 +242,15 @@ pub fn generate_parallel_with(
                             iterations: 0,
                             work: 0,
                         };
-                        match quarantine(index, failure, false, false) {
-                            Ok(()) => stats.failed += 1,
-                            Err(e) => abort(e),
-                        }
+                        quarantine(index, failure, false);
+                        stats.failed += 1;
                         stats.busy += begun.elapsed();
                         break;
                     }
                     _ => fault.unsupported("dataset.worker"),
                 }
             }
-            // Ok(None) = instance quarantined under keep-going; the sweep
+            // Ok(None) = instance quarantined (or shutdown); the sweep
             // continues without a label for it.
             let outcome: Result<Option<(Instance, bool)>, DatasetError> = (|| {
                 let locked = lock_instance(config, &circuit, index)?;
@@ -290,7 +263,7 @@ pub fn generate_parallel_with(
                     if let Some(known_bad) = log.lookup_failure(key, supervision) {
                         let failure = known_bad.clone();
                         drop(log);
-                        quarantine(index, failure, true, true)?;
+                        quarantine(index, failure, true);
                         return Ok(None);
                     }
                 }
@@ -307,7 +280,15 @@ pub fn generate_parallel_with(
                         Ok(Some((instance, false)))
                     }
                     Supervised::Failed(failure) => {
-                        quarantine(index, failure, false, true)?;
+                        if let (Some(log), Some(key)) = (&log, key) {
+                            log.lock().unwrap().record_failure(
+                                key,
+                                index,
+                                supervision,
+                                &failure,
+                            )?;
+                        }
+                        quarantine(index, failure, false);
                         Ok(None)
                     }
                     Supervised::Cancelled => {
@@ -397,8 +378,6 @@ pub fn generate_parallel_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervise::RetryPolicy;
-    use attack::AttackError;
     use std::sync::Arc;
 
     fn small_config() -> DatasetConfig {
@@ -494,12 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn keep_going_quarantines_a_panicking_instance() {
+    fn a_panicking_instance_is_quarantined() {
         let mut config = small_config();
-        config.retry = RetryPolicy {
-            max_attempts: 2,
-            escalation: 2,
-        };
+        config.max_attempts = 2;
         config.attack_hook = Some(Arc::new(|index, locked, cfg| {
             if index == 2 {
                 panic!("injected fault at instance 2");
@@ -515,22 +491,6 @@ mod tests {
             assert!(f.failure.message.contains("injected fault"));
             assert_eq!(f.failure.attempts, 2, "jobs={jobs}");
             assert!(report.summary().contains("quarantined instance 2"));
-        }
-    }
-
-    #[test]
-    fn no_keep_going_aborts_on_the_sick_instance() {
-        let mut config = small_config();
-        config.keep_going = false;
-        config.attack_hook = Some(Arc::new(|index, locked, cfg| {
-            if index == 2 {
-                return Err(AttackError::OracleInconsistent);
-            }
-            attack::attack_locked(locked, cfg)
-        }));
-        match generate_parallel_with(&config, 2, None) {
-            Err(DatasetError::Quarantined { instance: 2, .. }) => {}
-            other => panic!("expected fatal quarantine of instance 2, got {other:?}"),
         }
     }
 

@@ -42,36 +42,6 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> Split {
     }
 }
 
-/// K-fold cross-validation splits: `k` disjoint folds, each serving once
-/// as the test set (an extension over the paper's single split, useful for
-/// variance estimates on small datasets).
-///
-/// # Panics
-///
-/// Panics unless `2 <= k <= n`.
-pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<Split> {
-    assert!(k >= 2, "k-fold needs k >= 2");
-    assert!(k <= n, "more folds than instances");
-    let mut indices: Vec<usize> = (0..n).collect();
-    indices.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x000F_01D5));
-    let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (pos, &idx) in indices.iter().enumerate() {
-        folds[pos % k].push(idx);
-    }
-    (0..k)
-        .map(|test_fold| {
-            let test = folds[test_fold].clone();
-            let train = folds
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != test_fold)
-                .flat_map(|(_, f)| f.iter().copied())
-                .collect();
-            Split { train, test }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,31 +67,6 @@ mod tests {
         let split = train_test_split(2, 0.1, 0);
         assert_eq!(split.test.len(), 1);
         assert_eq!(split.train.len(), 1);
-    }
-
-    #[test]
-    fn kfold_covers_every_instance_exactly_once() {
-        let folds = kfold(23, 4, 9);
-        assert_eq!(folds.len(), 4);
-        let mut seen: Vec<usize> = folds.iter().flat_map(|s| s.test.iter().copied()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..23).collect::<Vec<_>>());
-        for split in &folds {
-            assert_eq!(split.train.len() + split.test.len(), 23);
-            assert!(split.test.iter().all(|t| !split.train.contains(t)));
-        }
-    }
-
-    #[test]
-    fn kfold_is_deterministic() {
-        assert_eq!(kfold(10, 5, 1), kfold(10, 5, 1));
-        assert_ne!(kfold(10, 5, 1), kfold(10, 5, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "more folds than instances")]
-    fn kfold_rejects_too_many_folds() {
-        let _ = kfold(3, 5, 0);
     }
 
     #[test]

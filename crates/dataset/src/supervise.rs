@@ -11,12 +11,12 @@
 //! 1. every attempt runs under [`std::panic::catch_unwind`], so a panicking
 //!    oracle or solver bug cannot unwind across the sweep's thread scope;
 //! 2. a retryable failure (wall-clock timeout or panic) is retried up to
-//!    [`RetryPolicy::max_attempts`] times, with the wall-clock deadline
-//!    multiplied by [`RetryPolicy::escalation`] on each retry — transient
-//!    slowness gets a second, longer chance. The *deterministic* budgets
-//!    (work budget, per-solve conflict cap) are never escalated: a label
-//!    must be a pure function of the instance and the configured budgets,
-//!    never of which attempt happened to beat the machine-dependent clock;
+//!    [`DatasetConfig::max_attempts`] times, with the wall-clock deadline
+//!    doubled on each retry — transient slowness gets a second, longer
+//!    chance. The *deterministic* budgets (work budget, per-solve conflict
+//!    cap) are never escalated: a label must be a pure function of the
+//!    instance and the configured budgets, never of which attempt happened
+//!    to beat the machine-dependent clock;
 //! 3. an instance that exhausts its attempts is *quarantined*: the sweep
 //!    records a typed [`InstanceFailure`] (kind, attempt count, partial
 //!    solver stats) and moves on, and a resumed sweep skips the known-bad
@@ -47,48 +47,27 @@ pub type AttackHook = Arc<
     dyn Fn(usize, &LockedCircuit, &AttackConfig) -> Result<AttackResult, AttackError> + Send + Sync,
 >;
 
-/// How failed attacks are retried before their instance is quarantined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per instance, including the first (minimum 1).
-    pub max_attempts: usize,
-    /// Multiplier applied to the wall-clock deadline on each successive
-    /// attempt (attempt `k` runs at `escalation^k` times the configured
-    /// deadline). Deterministic budgets are deliberately *not* escalated —
-    /// see [`RetryPolicy::escalate`].
-    pub escalation: u32,
-}
+/// Multiplier applied to the wall-clock deadline on each retry: attempt `k`
+/// runs at `ESCALATION^k` times the configured deadline.
+pub(crate) const ESCALATION: u32 = 2;
 
-impl Default for RetryPolicy {
-    /// One retry at twice the deadline.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 2,
-            escalation: 2,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// `config` with its wall-clock deadline scaled by
-    /// `escalation^attempt` (attempt 0 = the configured deadline).
-    ///
-    /// The deterministic budgets (`work_budget`, `conflicts_per_solve`) are
-    /// left untouched: they define the label (a censored instance is
-    /// "censored at the configured budget"), so escalating them would make
-    /// the label depend on wall-clock timing and worker contention —
-    /// whichever attempt finished would have been measured under different
-    /// budgets, breaking byte-identity across machines, worker counts, and
-    /// resumed runs. Only the machine-dependent deadline grows; a retry
-    /// that succeeds therefore yields exactly the label a serial
-    /// deadline-free run would have produced.
-    pub fn escalate(&self, config: &AttackConfig, attempt: usize) -> AttackConfig {
-        let factor = u64::from(self.escalation).saturating_pow(attempt as u32);
-        let factor = u32::try_from(factor).unwrap_or(u32::MAX);
-        let mut out = config.clone();
-        out.deadline = out.deadline.map(|d| d.saturating_mul(factor));
-        out
-    }
+/// `config` with its wall-clock deadline scaled by `ESCALATION^attempt`
+/// (attempt 0 = the configured deadline).
+///
+/// The deterministic budgets (`work_budget`, `conflicts_per_solve`) are
+/// left untouched: they define the label (a censored instance is "censored
+/// at the configured budget"), so escalating them would make the label
+/// depend on wall-clock timing and worker contention — whichever attempt
+/// finished would have been measured under different budgets, breaking
+/// byte-identity across machines, worker counts, and resumed runs. Only the
+/// machine-dependent deadline grows; a retry that succeeds therefore yields
+/// exactly the label a serial deadline-free run would have produced.
+fn escalate(config: &AttackConfig, attempt: usize) -> AttackConfig {
+    let factor = u64::from(ESCALATION).saturating_pow(attempt as u32);
+    let factor = u32::try_from(factor).unwrap_or(u32::MAX);
+    let mut out = config.clone();
+    out.deadline = out.deadline.map(|d| d.saturating_mul(factor));
+    out
 }
 
 /// Why an instance was quarantined.
@@ -148,8 +127,8 @@ impl fmt::Display for FailureKind {
     }
 }
 
-/// The typed quarantine record for one instance that exhausted its retry
-/// policy. Persisted in the checkpoint log so resume skips the instance.
+/// The typed quarantine record for one instance that exhausted its
+/// attempts. Persisted in the checkpoint log so resume skips the instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceFailure {
     /// What kind of failure won on the final attempt.
@@ -219,14 +198,13 @@ pub(crate) fn supervise_attack(
     index: usize,
     base: &AttackConfig,
 ) -> Supervised {
-    let policy = config.retry;
-    let max_attempts = policy.max_attempts.max(1);
+    let max_attempts = config.max_attempts.max(1);
     let mut last_failure = None;
     for attempt in 0..max_attempts {
         if base.is_cancelled() {
             return Supervised::Cancelled;
         }
-        let attack_cfg = policy.escalate(base, attempt);
+        let attack_cfg = escalate(base, attempt);
         let run = catch_unwind(AssertUnwindSafe(|| match &config.attack_hook {
             Some(hook) => hook(index, locked, &attack_cfg),
             None => attack_locked(locked, &attack_cfg),
@@ -322,10 +300,7 @@ mod tests {
         let (mut config, locked) = demo_locked();
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = calls.clone();
-        config.retry = RetryPolicy {
-            max_attempts: 3,
-            escalation: 2,
-        };
+        config.max_attempts = 3;
         config.attack_hook = Some(Arc::new(move |_, _, _| {
             seen.fetch_add(1, Ordering::SeqCst);
             panic!("deliberate oracle explosion");
@@ -346,10 +321,7 @@ mod tests {
         let (mut config, locked) = demo_locked();
         config.attack.work_budget = Some(5_000_000);
         config.attack.deadline = Some(Duration::from_secs(60));
-        config.retry = RetryPolicy {
-            max_attempts: 3,
-            escalation: 4,
-        };
+        config.max_attempts = 3;
         let attempts = Arc::new(std::sync::Mutex::new(Vec::new()));
         let seen = attempts.clone();
         config.attack_hook = Some(Arc::new(move |index, locked, cfg| {
@@ -381,10 +353,10 @@ mod tests {
             *attempts.lock().unwrap(),
             vec![
                 (Some(5_000_000), Some(Duration::from_secs(60))),
+                (Some(5_000_000), Some(Duration::from_secs(120))),
                 (Some(5_000_000), Some(Duration::from_secs(240))),
-                (Some(5_000_000), Some(Duration::from_secs(960))),
             ],
-            "deadlines escalate 4x per attempt; the deterministic budget never moves"
+            "deadlines escalate 2x per attempt; the deterministic budget never moves"
         );
     }
 
@@ -421,13 +393,11 @@ mod tests {
 
     #[test]
     fn escalation_saturates_instead_of_overflowing() {
-        let policy = RetryPolicy {
-            max_attempts: 80,
-            escalation: u32::MAX,
-        };
+        // 2^79 overflows even the u64 factor; it must saturate, clamp to
+        // u32::MAX and leave the deterministic budget alone.
         let mut cfg = AttackConfig::with_work_budget(1000);
         cfg.deadline = Some(Duration::from_secs(1));
-        let escalated = policy.escalate(&cfg, 79);
+        let escalated = escalate(&cfg, 79);
         assert_eq!(
             escalated.deadline,
             Some(Duration::from_secs(1).saturating_mul(u32::MAX)),
@@ -440,15 +410,11 @@ mod tests {
     fn huge_escalation_factors_clamp_instead_of_truncating_to_zero() {
         // 2^40 overflows u32; a plain `as u32` cast would truncate it to 0
         // and turn every later attempt's deadline into Duration::ZERO.
-        let policy = RetryPolicy {
-            max_attempts: 64,
-            escalation: 2,
-        };
         let cfg = AttackConfig {
             deadline: Some(Duration::from_millis(1)),
             ..AttackConfig::default()
         };
-        let escalated = policy.escalate(&cfg, 40);
+        let escalated = escalate(&cfg, 40);
         let clamped = Duration::from_millis(1).saturating_mul(u32::MAX);
         assert_eq!(escalated.deadline, Some(clamped));
     }

@@ -5,10 +5,10 @@
 //! downgrade, divergence guards — that real failures reach in timing- and
 //! input-dependent ways ad-hoc tests cannot reproduce. This crate makes
 //! every such path *systematically* reachable: instrumented code declares
-//! named fault **sites** ([`inject`]), and a seeded, replayable
-//! [`FaultPlan`] decides — as a pure function of (site pattern, occurrence
-//! index, ambient context, seed) — whether a given visit to a site fires a
-//! fault and which [`Action`] it takes.
+//! named fault **sites** ([`inject`]), and a replayable [`FaultPlan`]
+//! decides — as a pure function of (site name, occurrence index, ambient
+//! context) — whether a given visit to a site fires a fault and which
+//! [`Action`] it takes.
 //!
 //! The design mirrors `crates/obs`:
 //!
@@ -16,9 +16,9 @@
 //!   load when no plan is armed — cheap enough for solver-inner-loop call
 //!   sites. The acceptance bar is that an unarmed binary behaves
 //!   *identically* to one built before this crate existed.
-//! * **Process-global, explicitly armed.** [`arm`] installs a plan (and an
-//!   optional observer that e.g. emits `obs` events); [`disarm`] removes it
-//!   and returns every fault that fired, for test assertions.
+//! * **Process-global, explicitly armed.** [`arm_str`] installs a plan (and
+//!   an optional observer that e.g. emits `obs` events); [`disarm`] removes
+//!   it and returns every fault that fired, for test assertions.
 //! * **Deterministic.** Occurrence counters are kept per site name, and a
 //!   thread can pin an ambient context index ([`context`], set by dataset
 //!   workers to their instance index) so plans can target "instance 2's
@@ -29,19 +29,17 @@
 //! A plan is parsed from a `;`-separated spec (the `--fault-plan` flag):
 //!
 //! ```text
-//! SPEC   := item (';' item)*
-//! item   := 'seed=' u64 | rule
-//! rule   := pattern ':' action ('@' select)?
-//! pattern: site name, '*' matches any substring (e.g. 'checkpoint.*')
+//! SPEC   := rule (';' rule)*
+//! rule   := site ':' action ('@' select)?
+//! site   := an exact site name (e.g. 'checkpoint.append')
 //! action := panic | unknown | torn | short | io | die | nan
 //! select := 'o' N        fire on the N-th visit only (default: o0)
 //!         | 'o' N '+'    fire on every visit from the N-th on
 //!         | 'c' N        fire on every visit with ambient context N
-//!         | 'p' FLOAT    fire with probability FLOAT, seeded Bernoulli
 //! ```
 //!
 //! Examples: `sat.solve:panic@o2`, `checkpoint.append:torn`,
-//! `seed=42;sat.solve:unknown@p0.25`, `dataset.worker:die@c3`.
+//! `sat.solve:unknown@o0+`, `dataset.worker:die@c3`.
 //!
 //! Which actions a site supports is the site's decision; a plan that asks a
 //! site for an action it cannot perform panics loudly at the call site
@@ -137,7 +135,7 @@ impl fmt::Display for Action {
 }
 
 /// When a matching rule fires relative to the site's visit counter.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Select {
     /// The N-th visit to the site only (0-based).
     Occurrence(u64),
@@ -145,16 +143,13 @@ pub enum Select {
     From(u64),
     /// Every visit whose thread carries ambient [`context`] N.
     Context(u64),
-    /// Seeded Bernoulli: fire with this probability, decided by hashing
-    /// (seed, site, occurrence) — replayable, independent of scheduling.
-    Probability(f64),
 }
 
-/// One `pattern:action@select` rule of a plan.
+/// One `site:action@select` rule of a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRule {
-    /// Site pattern; `*` matches any (possibly empty) substring.
-    pub pattern: String,
+    /// The exact name of the site the rule arms.
+    pub site: String,
     /// What to do when the rule fires.
     pub action: Action,
     /// Which visits fire.
@@ -164,8 +159,6 @@ pub struct FaultRule {
 /// A parsed, armable fault plan. See the module docs for the grammar.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Seed for probabilistic selectors.
-    pub seed: u64,
     /// Rules, checked in order; the first match wins.
     pub rules: Vec<FaultRule>,
 }
@@ -183,15 +176,9 @@ impl FaultPlan {
             if item.is_empty() {
                 continue;
             }
-            if let Some(seed) = item.strip_prefix("seed=") {
-                plan.seed = seed
-                    .parse()
-                    .map_err(|_| format!("bad seed `{seed}` in `{item}`"))?;
-                continue;
-            }
-            let (pattern, rest) = item
+            let (site, rest) = item
                 .split_once(':')
-                .ok_or_else(|| format!("rule `{item}` is not `pattern:action[@select]`"))?;
+                .ok_or_else(|| format!("rule `{item}` is not `site:action[@select]`"))?;
             let (action_str, select_str) = match rest.split_once('@') {
                 Some((a, s)) => (a, Some(s)),
                 None => (rest, None),
@@ -201,14 +188,20 @@ impl FaultPlan {
             let select = match select_str.map(str::trim) {
                 None => Select::Occurrence(0),
                 Some(s) => parse_select(s).ok_or_else(|| {
-                    format!("bad selector `{s}` in `{item}` (expected oN, oN+, cN, or pF)")
+                    format!("bad selector `{s}` in `{item}` (expected oN, oN+ or cN)")
                 })?,
             };
-            if pattern.trim().is_empty() {
-                return Err(format!("empty site pattern in `{item}`"));
+            let site = site.trim();
+            if site.is_empty() {
+                return Err(format!("empty site name in `{item}`"));
+            }
+            if site.contains('*') {
+                return Err(format!(
+                    "site `{site}` in `{item}` is not an exact site name"
+                ));
             }
             plan.rules.push(FaultRule {
-                pattern: pattern.trim().to_owned(),
+                site: site.to_owned(),
                 action,
                 select,
             });
@@ -225,37 +218,7 @@ fn parse_select(s: &str) -> Option<Select> {
             num.parse().ok().map(Select::Occurrence)
         };
     }
-    if let Some(num) = s.strip_prefix('c') {
-        return num.parse().ok().map(Select::Context);
-    }
-    if let Some(p) = s.strip_prefix('p') {
-        let p: f64 = p.parse().ok()?;
-        return (0.0..=1.0).contains(&p).then_some(Select::Probability(p));
-    }
-    None
-}
-
-/// `*`-glob match: `*` matches any (possibly empty) substring.
-fn pattern_matches(pattern: &str, site: &str) -> bool {
-    let mut parts = pattern.split('*');
-    let first = parts.next().unwrap_or("");
-    if !site.starts_with(first) {
-        return false;
-    }
-    let mut rest = &site[first.len()..];
-    let mut segments: Vec<&str> = parts.collect();
-    let last = segments.pop();
-    for seg in segments {
-        match rest.find(seg) {
-            Some(i) => rest = &rest[i + seg.len()..],
-            None => return false,
-        }
-    }
-    match last {
-        // The pattern did not contain '*': everything must have matched.
-        None => rest.is_empty(),
-        Some(last) => rest.ends_with(last),
-    }
+    s.strip_prefix('c')?.parse().ok().map(Select::Context)
 }
 
 /// One fault a site has been asked to perform.
@@ -295,7 +258,7 @@ pub struct FiredFault {
 pub type Observer = fn(site: &str, action: &'static str, occurrence: u64);
 
 /// Arming switch. Relaxed is enough: the flag only transitions inside
-/// [`arm`]/[`disarm`], which fully synchronise via `STATE`.
+/// [`arm_str`]/[`disarm`], which fully synchronise via `STATE`.
 static ARMED: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<PlanState>> = Mutex::new(None);
 
@@ -351,14 +314,12 @@ pub fn inject(site: &str) -> Option<Fault> {
         let counter = state.counters.entry(site.to_owned()).or_insert(0);
         let occurrence = *counter;
         *counter += 1;
-        let seed = state.plan.seed;
         let rule = state.plan.rules.iter().find(|rule| {
-            pattern_matches(&rule.pattern, site)
+            rule.site == site
                 && match rule.select {
                     Select::Occurrence(n) => occurrence == n,
                     Select::From(n) => occurrence >= n,
                     Select::Context(n) => ctx == Some(n),
-                    Select::Probability(p) => bernoulli(seed, site, occurrence) < p,
                 }
         })?;
         let fault = Fault {
@@ -381,18 +342,15 @@ pub fn inject(site: &str) -> Option<Fault> {
     fault
 }
 
-/// Replayable Bernoulli draw in `[0, 1)` for (seed, site, occurrence).
-fn bernoulli(seed: u64, site: &str, occurrence: u64) -> f64 {
-    let mut h = fnv1a(FNV_OFFSET, &seed.to_le_bytes());
-    h = fnv1a(h, site.as_bytes());
-    h = fnv1a(h, &occurrence.to_le_bytes());
-    // Top 53 bits → uniform double in [0, 1).
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Arms `plan` process-wide, resetting occurrence counters and the fired
-/// log. `observer` (if any) is invoked for every fired fault.
-pub fn arm(plan: FaultPlan, observer: Option<Observer>) {
+/// Parses `spec` (see the module docs) and arms it process-wide, resetting
+/// occurrence counters and the fired log. `observer` (if any) is invoked
+/// for every fired fault.
+///
+/// # Errors
+///
+/// Returns the parse error message; nothing is armed on error.
+pub fn arm_str(spec: &str, observer: Option<Observer>) -> Result<(), String> {
+    let plan = FaultPlan::parse(spec)?;
     let mut state = STATE.lock().unwrap_or_else(|e| e.into_inner());
     *state = Some(PlanState {
         plan,
@@ -401,16 +359,6 @@ pub fn arm(plan: FaultPlan, observer: Option<Observer>) {
         fired: Vec::new(),
     });
     ARMED.store(true, Ordering::Relaxed);
-}
-
-/// Parses `spec` (see the module docs) and [`arm`]s it.
-///
-/// # Errors
-///
-/// Returns the parse error message; nothing is armed on error.
-pub fn arm_str(spec: &str, observer: Option<Observer>) -> Result<(), String> {
-    let plan = FaultPlan::parse(spec)?;
-    arm(plan, observer);
     Ok(())
 }
 
@@ -454,18 +402,16 @@ mod tests {
 
     #[test]
     fn parse_full_grammar() {
-        let plan = FaultPlan::parse("seed=9; sat.solve:panic@o2 ;checkpoint.*:torn;x:die@c3")
+        let plan = FaultPlan::parse(" sat.solve:panic@o2 ;checkpoint.append:torn;x:die@c3")
             .expect("valid spec");
-        assert_eq!(plan.seed, 9);
         assert_eq!(plan.rules.len(), 3);
-        assert_eq!(plan.rules[0].pattern, "sat.solve");
+        assert_eq!(plan.rules[0].site, "sat.solve");
         assert_eq!(plan.rules[0].action, Action::Panic);
         assert_eq!(plan.rules[0].select, Select::Occurrence(2));
         assert_eq!(plan.rules[1].select, Select::Occurrence(0), "default is o0");
         assert_eq!(plan.rules[2].select, Select::Context(3));
-        let plan = FaultPlan::parse("a:io@o5+;b:nan@p0.5").unwrap();
+        let plan = FaultPlan::parse("a:io@o5+").unwrap();
         assert_eq!(plan.rules[0].select, Select::From(5));
-        assert_eq!(plan.rules[1].select, Select::Probability(0.5));
     }
 
     #[test]
@@ -477,20 +423,13 @@ mod tests {
             "a:panic@p1.5",
             ":panic",
             "seed=abc",
+            "seed=3",
+            "a:io@p0.5",
+            "a.*:io",
         ] {
-            assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert!(err.contains(bad.trim()), "`{err}` names the item `{bad}`");
         }
-    }
-
-    #[test]
-    fn glob_patterns_match_substrings() {
-        assert!(pattern_matches("sat.solve", "sat.solve"));
-        assert!(!pattern_matches("sat.solve", "sat.solver"));
-        assert!(pattern_matches("checkpoint.*", "checkpoint.append"));
-        assert!(pattern_matches("*", "anything"));
-        assert!(pattern_matches("*.write", "cache.write"));
-        assert!(pattern_matches("a*c*e", "abcde"));
-        assert!(!pattern_matches("a*z", "abcde"));
     }
 
     #[test]
@@ -534,32 +473,13 @@ mod tests {
     }
 
     #[test]
-    fn probability_selector_is_replayable_and_roughly_calibrated() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _cleanup = Disarm;
-        let run = || {
-            arm_str("p.site:panic@p0.3;seed=7", None).unwrap();
-            let fires: Vec<bool> = (0..200).map(|_| inject("p.site").is_some()).collect();
-            disarm();
-            fires
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seed, same decisions");
-        let count = a.iter().filter(|&&f| f).count();
-        assert!((30..90).contains(&count), "p0.3 of 200 fired {count} times");
-        arm_str("p.site:panic@p0.3;seed=8", None).unwrap();
-        let c: Vec<bool> = (0..200).map(|_| inject("p.site").is_some()).collect();
-        assert_ne!(a, c, "different seed, different decisions");
-    }
-
-    #[test]
     fn first_matching_rule_wins() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _cleanup = Disarm;
-        arm_str("x.y:io@o0+;x.*:panic@o0+", None).unwrap();
+        arm_str("x.y:io@o1;x.y:panic@o0+", None).unwrap();
+        assert_eq!(inject("x.y").unwrap().action, Action::Panic);
         assert_eq!(inject("x.y").unwrap().action, Action::Io);
-        assert_eq!(inject("x.z").unwrap().action, Action::Panic);
+        assert!(inject("x.z").is_none(), "sites match exactly");
     }
 
     #[test]

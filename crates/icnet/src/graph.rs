@@ -31,11 +31,6 @@ impl CircuitGraph {
         self.num_nodes
     }
 
-    /// Number of directed edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Symmetrized adjacency matrix, optionally with self-loops.
     ///
     /// Circuits are directed, but convolution needs information to flow both
@@ -99,7 +94,7 @@ mod tests {
     fn shape_matches_circuit() {
         let g = c17_graph();
         assert_eq!(g.num_nodes(), 11);
-        assert_eq!(g.num_edges(), 12);
+        assert_eq!(g.edges.len(), 12);
     }
 
     #[test]

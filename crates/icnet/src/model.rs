@@ -542,16 +542,6 @@ impl GraphModel {
         *lease.pool() = tape.into_pool();
         values
     }
-
-    /// Predicts a batch of instances sharing one graph operator.
-    pub fn predict_batch(&self, op: &Arc<CsrMatrix>, xs: &[Matrix]) -> Vec<f64> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let batch = BatchedGraph::replicate(op, xs.len());
-        let refs: Vec<&Matrix> = xs.iter().collect();
-        self.predict_batched(&batch, &refs)
-    }
 }
 
 impl fmt::Display for GraphModel {
@@ -643,7 +633,7 @@ mod tests {
     #[test]
     fn batch_predict_matches_single() {
         let (op, x, model) = setup(ModelKind::ICNet, Aggregation::Nn);
-        let batch = model.predict_batch(&op, std::slice::from_ref(&x));
+        let batch = model.predict_batched(&BatchedGraph::replicate(&op, 1), &[&x]);
         assert_eq!(batch[0], model.predict(&op, &x));
     }
 
@@ -658,7 +648,7 @@ mod tests {
             FeatureSet::All,
         );
         let c = encode_features(&circuit, &[], FeatureSet::All);
-        let xs = vec![a, b, c];
+        let xs = [a, b, c];
         for kind in [
             ModelKind::Gcn,
             ModelKind::ChebNet { k: 3 },
@@ -668,7 +658,9 @@ mod tests {
             for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Nn] {
                 for output in [OutputHead::Identity, OutputHead::Exp] {
                     let model = GraphModel::new(kind, agg, 7, 8, 6, 42).with_output(output);
-                    let batched = model.predict_batch(&op, &xs);
+                    let refs: Vec<&Matrix> = xs.iter().collect();
+                    let batched =
+                        model.predict_batched(&BatchedGraph::replicate(&op, xs.len()), &refs);
                     // The reference path: one tape per instance.
                     let reference: Vec<f64> = xs
                         .iter()

@@ -824,8 +824,9 @@ mod tests {
             }
         }
         let solo: Vec<u64> = xs.iter().map(|x| model.predict(op, x).to_bits()).collect();
+        let refs: Vec<&Matrix> = xs.iter().collect();
         let batched: Vec<u64> = model
-            .predict_batch(op, xs)
+            .predict_batched(&BatchedGraph::replicate(op, xs.len()), &refs)
             .iter()
             .map(|v| v.to_bits())
             .collect();

@@ -32,8 +32,6 @@ pub enum ObfuscateError {
         /// Key bits supplied.
         actual: usize,
     },
-    /// A hex key string could not be parsed.
-    ParseKey(String),
     /// The underlying netlist operation failed (name clash, cycle, ...).
     Netlist(netlist::NetlistError),
 }
@@ -67,7 +65,6 @@ impl fmt::Display for ObfuscateError {
                     "key has {actual} bits, locked circuit expects {expected}"
                 )
             }
-            ObfuscateError::ParseKey(s) => write!(f, "invalid key string `{s}`"),
             ObfuscateError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
     }

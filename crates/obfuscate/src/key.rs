@@ -1,4 +1,3 @@
-use crate::error::ObfuscateError;
 use rand::Rng;
 use std::fmt;
 
@@ -12,7 +11,6 @@ use std::fmt;
 /// let key = Key::from_bits([true, false, true, true]);
 /// assert_eq!(key.len(), 4);
 /// assert_eq!(key.to_hex(), "d");
-/// assert_eq!(Key::from_hex("d", 4).unwrap(), key);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Key {
@@ -58,20 +56,6 @@ impl Key {
         &self.bits
     }
 
-    /// Hamming distance to another key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the keys have different lengths.
-    pub fn hamming(&self, other: &Key) -> usize {
-        assert_eq!(self.len(), other.len(), "key length mismatch");
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .filter(|(a, b)| a != b)
-            .count()
-    }
-
     /// Lowercase hex encoding, little-endian nibbles (bit 0 = lsb of the
     /// first hex digit's group).
     pub fn to_hex(&self) -> String {
@@ -89,32 +73,6 @@ impl Key {
             out.push(char::from_digit(nibble as u32, 16).expect("nibble < 16"));
         }
         out
-    }
-
-    /// Parses the [`to_hex`](Key::to_hex) encoding back into a key of
-    /// exactly `len` bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObfuscateError::ParseKey`] for non-hex characters or a
-    /// digit count inconsistent with `len`.
-    pub fn from_hex(hex: &str, len: usize) -> Result<Self, ObfuscateError> {
-        let expected_digits = len.div_ceil(4);
-        if hex.len() != expected_digits {
-            return Err(ObfuscateError::ParseKey(hex.to_owned()));
-        }
-        let mut bits = Vec::with_capacity(len);
-        for ch in hex.chars() {
-            let nibble =
-                ch.to_digit(16)
-                    .ok_or_else(|| ObfuscateError::ParseKey(hex.to_owned()))? as u8;
-            for j in 0..4 {
-                if bits.len() < len {
-                    bits.push((nibble >> j) & 1 == 1);
-                }
-            }
-        }
-        Ok(Key { bits })
     }
 }
 
@@ -135,30 +93,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn hex_round_trip() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for len in [0, 1, 3, 4, 5, 16, 31, 64] {
-            let key = Key::random(len, &mut rng);
-            let back = Key::from_hex(&key.to_hex(), len).unwrap();
-            assert_eq!(key, back, "len {len}");
-        }
-    }
-
-    #[test]
-    fn from_hex_rejects_garbage() {
-        assert!(Key::from_hex("zz", 8).is_err());
-        assert!(Key::from_hex("ff", 4).is_err()); // too many digits
-    }
-
-    #[test]
-    fn hamming_counts_differences() {
-        let a = Key::from_bits([true, false, true]);
-        let b = Key::from_bits([false, false, true]);
-        assert_eq!(a.hamming(&b), 1);
-        assert_eq!(a.hamming(&a), 0);
-    }
 
     #[test]
     fn random_is_deterministic_per_seed() {

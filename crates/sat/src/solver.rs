@@ -278,24 +278,11 @@ impl Solver {
         self.peak_logical_bytes = self.peak_logical_bytes.max(self.logical_bytes);
     }
 
-    /// Whether the solver's logical bytes exceed the memory budget. The
-    /// `budget.exceed` fault site forces a trip so chaos tests can exercise
-    /// the memory verdict without a real memory spike.
+    /// Whether the solver's logical bytes exceed the memory budget.
     fn over_memory(&self) -> bool {
-        let Some(cap) = self.limits.mem_budget else {
-            return false;
-        };
-        if let Some(fault) = faults::inject("budget.exceed") {
-            match fault.action {
-                faults::Action::Unknown => return true,
-                faults::Action::Panic => panic!(
-                    "injected fault: budget.exceed panic (occurrence {})",
-                    fault.occurrence
-                ),
-                _ => fault.unsupported("budget.exceed"),
-            }
-        }
-        self.logical_bytes > cap
+        self.limits
+            .mem_budget
+            .is_some_and(|cap| self.logical_bytes > cap)
     }
 
     /// Tunes when the clause arena is compacted: collection runs once the
@@ -844,9 +831,8 @@ impl Solver {
     /// the first live clause *without* recording the change in the original
     /// clause list, simulating arena corruption. The next SAT verdict then
     /// trips the model-soundness assertion.
-    #[cfg(debug_assertions)]
-    #[doc(hidden)]
-    pub fn debug_corrupt_first_clause(&mut self) {
+    #[cfg(all(test, debug_assertions))]
+    fn debug_corrupt_first_clause(&mut self) {
         let cref = self
             .arena
             .refs()

@@ -12,11 +12,12 @@
 //! instead of queueing unboundedly; slow requests fail with
 //! `DeadlineExceeded`; malformed input of every kind gets a typed error
 //! while the worker survives; and SIGINT drains in-flight requests. Every
-//! failure path is reachable deterministically through `faults` plan
-//! sites (`serve.accept`, `serve.read`, `serve.write`, `serve.worker`,
-//! `serve.model.load`) and observable through `obs` `serve.request`
-//! events. See DESIGN.md §8 for the wire format and the full fault
-//! recovery matrix.
+//! failure path is reachable deterministically, either through a `faults`
+//! plan site (`serve.worker`, `serve.model.load`, `serve.model.save`) or
+//! through what a client sends (malformed frames, slow or vanishing
+//! clients, bursts), and observable through `obs` `serve.request` events.
+//! See DESIGN.md §8 for the wire format and the full fault recovery
+//! matrix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

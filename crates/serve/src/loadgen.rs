@@ -55,10 +55,6 @@ pub struct LoadgenConfig {
     pub clients: usize,
     /// Per-connection socket timeout.
     pub timeout: Duration,
-    /// Socket timeout for readiness probes ([`wait_ready`]): how long one
-    /// ping may take before the probe loop retries. `None` derives it from
-    /// [`LoadgenConfig::timeout`] — see [`LoadgenConfig::probe_timeout`].
-    pub probe_timeout: Option<Duration>,
 }
 
 impl Default for LoadgenConfig {
@@ -69,24 +65,20 @@ impl Default for LoadgenConfig {
             requests: 200,
             clients: 8,
             timeout: Duration::from_secs(5),
-            probe_timeout: None,
         }
     }
 }
 
 impl LoadgenConfig {
-    /// The readiness-probe socket timeout: the explicit setting when given,
-    /// otherwise one-tenth of the request timeout, clamped to
-    /// [50 ms, timeout]. Probes should give up well before a real request
-    /// would — a server that cannot answer a ping in a fraction of the
-    /// request budget is not ready — but still scale with slow deployments
-    /// instead of a hardcoded 500 ms.
-    pub fn probe_timeout(&self) -> Duration {
-        self.probe_timeout.unwrap_or_else(|| {
-            (self.timeout / 10)
-                .max(Duration::from_millis(50))
-                .min(self.timeout)
-        })
+    /// The readiness-probe socket timeout ([`wait_ready`]): one-tenth of
+    /// the request timeout, clamped to [50 ms, timeout]. Probes should give
+    /// up well before a real request would — a server that cannot answer a
+    /// ping in a fraction of the request budget is not ready — but still
+    /// scale with slow deployments instead of a hardcoded 500 ms.
+    fn probe_timeout(&self) -> Duration {
+        (self.timeout / 10)
+            .max(Duration::from_millis(50))
+            .min(self.timeout)
     }
 }
 
@@ -126,7 +118,8 @@ struct LevelTally {
 }
 
 /// Polls the server with pings until it answers or `timeout` elapses. Each
-/// probe's socket timeout comes from [`LoadgenConfig::probe_timeout`].
+/// probe's socket timeout is a tenth of [`LoadgenConfig::timeout`], clamped
+/// to [50 ms, timeout].
 ///
 /// # Errors
 ///
@@ -389,7 +382,6 @@ mod tests {
     fn probe_timeout_derives_from_the_request_timeout() {
         let mut config = LoadgenConfig {
             timeout: Duration::from_secs(5),
-            probe_timeout: None,
             ..Default::default()
         };
         assert_eq!(config.probe_timeout(), Duration::from_millis(500));
@@ -401,9 +393,5 @@ mod tests {
         // Never beyond the request timeout itself.
         config.timeout = Duration::from_millis(30);
         assert_eq!(config.probe_timeout(), Duration::from_millis(30));
-
-        // An explicit setting wins outright.
-        config.probe_timeout = Some(Duration::from_millis(123));
-        assert_eq!(config.probe_timeout(), Duration::from_millis(123));
     }
 }

@@ -290,17 +290,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, sender: SyncSender<Jo
                 continue;
             }
         };
-        if let Some(fault) = faults::inject("serve.accept") {
-            match fault.action {
-                faults::Action::Io => {
-                    // Simulated accept-path failure: the connection is lost
-                    // but the acceptor keeps serving the next one.
-                    drop(stream);
-                    continue;
-                }
-                _ => fault.unsupported("serve.accept"),
-            }
-        }
         let seq = shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
         let depth = shared.queue_len.load(Ordering::Relaxed);
         if depth >= shared.config.queue_depth {
@@ -540,13 +529,7 @@ fn serve_connection(shared: &Shared, job: Job) {
                             message: "no frame arrived within the socket timeout".into(),
                         }),
                     ),
-                    FrameReadError::Io(err) => {
-                        if faults_read_error(&err) {
-                            ("fault_io", None)
-                        } else {
-                            ("io", None)
-                        }
-                    }
+                    FrameReadError::Io(_) => ("io", None),
                     FrameReadError::BadMagic(m) => (
                         ErrorCode::BadFrame.tag(),
                         Some(Reply::Error {
@@ -682,38 +665,8 @@ fn serve_connection(shared: &Shared, job: Job) {
     }
 }
 
-/// Distinguishes the injected `serve.read` io fault from real transport
-/// errors so traces stay honest about which failures were synthetic.
-fn faults_read_error(e: &std::io::Error) -> bool {
-    e.to_string().contains("injected fault")
-}
-
-/// Writes one reply, honouring the `serve.write` fault site.
+/// Writes one reply frame.
 fn send_reply(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
-    if let Some(fault) = faults::inject("serve.write") {
-        match fault.action {
-            faults::Action::Io => {
-                return Err(std::io::Error::other(format!(
-                    "injected fault: serve.write io (occurrence {})",
-                    fault.occurrence
-                )));
-            }
-            faults::Action::Torn => {
-                // Write half the frame, then fail: the client sees a
-                // truncated reply and must treat it as a disconnect.
-                let (ft, payload) = reply.encode();
-                let mut buf = Vec::new();
-                write_frame(&mut buf, ft, &payload)?;
-                let half = buf.len() / 2;
-                stream.write_all(&buf[..half])?;
-                return Err(std::io::Error::other(format!(
-                    "injected fault: serve.write torn after {half} bytes (occurrence {})",
-                    fault.occurrence
-                )));
-            }
-            _ => fault.unsupported("serve.write"),
-        }
-    }
     let (ft, payload) = reply.encode();
     write_frame(stream, ft, &payload)
 }
@@ -794,23 +747,6 @@ impl Deadline {
 /// graph/features → predict, checking the deadline between stages.
 fn handle_predict(shared: &Shared, payload: &[u8], request_start: Instant) -> Reply {
     let error = |code: ErrorCode, message: String| Reply::Error { code, message };
-
-    // Honour the injected serve.read fault here (rather than inside the
-    // socket read) so it reliably hits a request frame, not a ping.
-    if let Some(fault) = faults::inject("serve.read") {
-        match fault.action {
-            faults::Action::Io => {
-                return error(
-                    ErrorCode::BadFrame,
-                    format!(
-                        "injected fault: serve.read io (occurrence {})",
-                        fault.occurrence
-                    ),
-                );
-            }
-            _ => fault.unsupported("serve.read"),
-        }
-    }
 
     let request = match Request::decode(payload) {
         Ok(request) => request,

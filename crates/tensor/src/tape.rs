@@ -38,7 +38,6 @@ enum Op {
     Exp(VarId),
     Transpose(VarId),
     SumAll(VarId),
-    MeanAll(VarId),
     SoftmaxCol(VarId),
     /// Matmul over a row-stacked batch whose `b`-side (parameter) gradient
     /// is reduced per row segment, scaled by `scale`, in segment order.
@@ -110,7 +109,6 @@ impl Op {
             | Op::Exp(a)
             | Op::Transpose(a)
             | Op::SumAll(a)
-            | Op::MeanAll(a)
             | Op::SoftmaxCol(a)
             | Op::SegmentSum { a, .. }
             | Op::SegmentSoftmaxCol { a, .. }
@@ -409,12 +407,6 @@ impl Tape {
     pub fn sum_all(&mut self, a: VarId) -> VarId {
         let value = Matrix::scalar(self.value(a).sum());
         self.push(value, Op::SumAll(a))
-    }
-
-    /// Mean of all elements, as a `1 x 1` node.
-    pub fn mean_all(&mut self, a: VarId) -> VarId {
-        let value = Matrix::scalar(self.value(a).mean());
-        self.push(value, Op::MeanAll(a))
     }
 
     /// Numerically stable softmax down a column vector (`n x 1`).
@@ -796,13 +788,6 @@ impl Tape {
                     da.as_mut_slice().fill(g);
                     accumulate_owned(head, pool, a, da);
                 }
-                &Op::MeanAll(a) => {
-                    let (r, c) = head[a.0].value.shape();
-                    let g = grad.get(0, 0) / (r * c) as f64;
-                    let mut da = pool.alloc(r, c);
-                    da.as_mut_slice().fill(g);
-                    accumulate_owned(head, pool, a, da);
-                }
                 &Op::SoftmaxCol(a) => {
                     // dx = y ⊙ (dy - <y, dy>)
                     let y = &node.value;
@@ -1089,7 +1074,7 @@ mod tests {
             let xv = tape.constant(x.clone());
             let h = tape.matmul(xv, w);
             let sq = tape.hadamard(h, h);
-            tape.mean_all(sq)
+            tape.sum_all(sq)
         };
         check_grads(&build, Matrix::from_rows(&[&[0.3, -0.7], &[1.1, 0.2]]));
     }
@@ -1129,7 +1114,7 @@ mod tests {
         let build = move |tape: &mut Tape, x: VarId| {
             let h = tape.spmm(Arc::clone(&s), x);
             let sq = tape.hadamard(h, h);
-            tape.mean_all(sq)
+            tape.sum_all(sq)
         };
         check_grads(
             &build,
@@ -1152,7 +1137,7 @@ mod tests {
             let r1 = tape.relu(h1);
             let h2 = tape.spmm(Arc::clone(&s), r1);
             let sq = tape.hadamard(h2, h2);
-            tape.mean_all(sq)
+            tape.sum_all(sq)
         };
         check_grads(
             &build,
@@ -1168,7 +1153,7 @@ mod tests {
             let d = tape.sub(x, two_w);
             let s = tape.add(d, d);
             let sq = tape.hadamard(s, s);
-            tape.mean_all(sq)
+            tape.sum_all(sq)
         };
         check_grads(&build, Matrix::from_rows(&[&[0.1, -0.4], &[0.9, 0.2]]));
     }

@@ -113,8 +113,9 @@ fn assert_training_matches_per_instance(
     };
     let (_, model) = run(batch_size, epochs);
     let solo: Vec<u64> = xs.iter().map(|x| model.predict(&op, x).to_bits()).collect();
+    let refs: Vec<&Matrix> = xs.iter().collect();
     let batched: Vec<u64> = model
-        .predict_batch(&op, &xs)
+        .predict_batched(&BatchedGraph::replicate(&op, xs.len()), &refs)
         .iter()
         .map(|v| v.to_bits())
         .collect();
@@ -231,7 +232,9 @@ fn permuted_batch_layouts_agree_to_reassociation_tolerance() {
             ..TrainConfig::default()
         };
         let report = train(&mut model, &op, &xs_o, &ys_o, &config);
-        (report.loss_history, model.predict_batch(&op, &xs))
+        let refs: Vec<&Matrix> = xs.iter().collect();
+        let batch = BatchedGraph::replicate(&op, xs.len());
+        (report.loss_history, model.predict_batched(&batch, &refs))
     };
     let identity: Vec<usize> = (0..n).collect();
     let (loss_a, preds_a) = run(&identity);

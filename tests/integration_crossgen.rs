@@ -5,7 +5,7 @@
 //! directions — a raised deadline re-attacks resistant quarantines, while a
 //! changed scheme parameter never reuses a stale label.
 
-use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig, RetryPolicy};
+use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig};
 use obfuscate::SchemeKind;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -97,10 +97,7 @@ fn anti_sat_generation_is_bit_identical_across_worker_counts() {
 #[test]
 fn raised_deadline_reattacks_anti_sat_quarantines() {
     let mut config = sweep(SchemeKind::AntiSat { key_width: 4 }, 1, 4);
-    config.retry = RetryPolicy {
-        max_attempts: 1,
-        escalation: 2,
-    };
+    config.max_attempts = 1;
     config.attack.deadline = Some(Duration::ZERO);
     let path = tmp("raised_deadline.ckpt");
 

@@ -97,9 +97,9 @@ fn dataset_round_trips_through_csv() {
     let text = dataset_to_csv(&data.instances);
     let parsed = dataset_from_csv(&text).expect("parses back");
     assert_eq!(parsed, data.instances);
-    // The circuit is regenerable from its profile + seed.
+    // The circuit is regenerable from its profile.
     let config = DatasetConfig::quick_demo();
-    let circuit = synth::iscas::circuit(&config.profile, config.circuit_seed).expect("profile");
+    let circuit = synth::iscas::circuit(&config.profile, 0).expect("profile");
     assert_eq!(circuit, data.circuit);
 }
 

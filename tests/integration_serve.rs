@@ -494,7 +494,6 @@ fn saturating_load_sheds_instead_of_collapsing() {
         requests: 60,
         clients: 6,
         timeout: Duration::from_secs(5),
-        probe_timeout: None,
     };
     let reports = serve::run_levels(&config, &workload);
 

@@ -5,7 +5,7 @@
 //! checkpoint log), the process exits cleanly, and a resumed sweep skips
 //! exactly the quarantined instances.
 
-use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig, FailureKind, RetryPolicy};
+use dataset::{generate_parallel_with, CheckpointLog, DatasetConfig, FailureKind};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,10 +28,7 @@ fn tmp(name: &str) -> PathBuf {
 fn faulty_config() -> DatasetConfig {
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = 8;
-    config.retry = RetryPolicy {
-        max_attempts: 2,
-        escalation: 2,
-    };
+    config.max_attempts = 2;
     config.attack_hook = Some(Arc::new(|index, locked, cfg| match index {
         PANICKY => panic!("injected oracle explosion at instance {index}"),
         SLUGGISH => {
@@ -67,7 +64,7 @@ fn sick_instances_cost_their_own_labels_for_every_worker_count() {
     let expected = healthy_subset();
     for jobs in [1, 2, 4] {
         let (data, report) =
-            generate_parallel_with(&config, jobs, None).expect("keep-going sweep completes");
+            generate_parallel_with(&config, jobs, None).expect("sweep with quarantines completes");
         assert_eq!(
             data.instances, expected,
             "healthy labels byte-identical to the clean sweep (jobs={jobs})"
@@ -127,10 +124,7 @@ fn resume_skips_exactly_the_quarantined_instances() {
 fn raising_the_deadline_reattacks_quarantined_instances_on_resume() {
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = 4;
-    config.retry = RetryPolicy {
-        max_attempts: 1,
-        escalation: 2,
-    };
+    config.max_attempts = 1;
     config.attack.deadline = Some(Duration::ZERO); // everything times out
     let path = tmp("raised_deadline.ckpt");
 
@@ -160,21 +154,6 @@ fn raising_the_deadline_reattacks_quarantined_instances_on_resume() {
         data.instances,
         generate_parallel_with(&clean, 1, None).unwrap().0.instances
     );
-}
-
-#[test]
-fn no_keep_going_aborts_on_the_first_sick_instance() {
-    let mut config = faulty_config();
-    config.keep_going = false;
-    match generate_parallel_with(&config, 2, None) {
-        Err(dataset::DatasetError::Quarantined { instance, .. }) => {
-            assert!(
-                instance == PANICKY || instance == SLUGGISH,
-                "the fatal quarantine names a sick instance, got {instance}"
-            );
-        }
-        other => panic!("expected a fatal quarantine, got {other:?}"),
-    }
 }
 
 /// Conflict-free instances (pure equivalence chains) generate zero
@@ -293,10 +272,7 @@ fn deadline_quarantines_are_not_censored_labels() {
     // machine-dependent); a deterministic budget exhaustion must still be.
     let mut config = DatasetConfig::quick_demo();
     config.num_instances = 4;
-    config.retry = RetryPolicy {
-        max_attempts: 1,
-        escalation: 2,
-    };
+    config.max_attempts = 1;
     config.attack.work_budget = Some(1); // everything budget-exhausts
     let (data, report) = generate_parallel_with(&config, 2, None).unwrap();
     assert_eq!(report.quarantined(), 0);

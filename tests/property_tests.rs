@@ -274,14 +274,6 @@ proptest! {
             }
         }
     }
-
-    /// Keys round-trip through hex for arbitrary lengths.
-    #[test]
-    fn key_hex_round_trip(bits in proptest::collection::vec(any::<bool>(), 0..128)) {
-        let key = obfuscate::Key::from_bits(bits.clone());
-        let parsed = obfuscate::Key::from_hex(&key.to_hex(), bits.len()).unwrap();
-        prop_assert_eq!(key, parsed);
-    }
 }
 
 // ---------------------------------------------------------------------------
